@@ -38,9 +38,7 @@ from .model import (
     RDPoint,
     block_grid,
     chroma_vector,
-    extract_block,
     quantize_to_quarter_pel,
-    sample_bilinear,
 )
 
 __version__ = "0.1.0"

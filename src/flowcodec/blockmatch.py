@@ -44,7 +44,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RDParams:
-    """Quantiser-derived rate weights; always recomputed from q."""
+    """Quantiser-derived rate weight; always recomputed from q."""
 
     q: int
 
@@ -55,10 +55,6 @@ class RDParams:
     @property
     def lambda_y(self) -> float:
         return 2.0 ** (self.q / 6.0 - 2.0)
-
-    @property
-    def lambda_c(self) -> float:
-        return self.q * self.q * 0.9 * 256.0
 
 
 def sad(cur_block: np.ndarray, ref_plane: np.ndarray, origin: tuple[int, int],

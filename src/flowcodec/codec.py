@@ -8,8 +8,21 @@ decoder reproduces the encoder reconstruction bit for bit, and every
 reported bit count is measured off the real bitstream.
 
 Bitstream container: magic "FCL1", a fixed little-endian config header,
-then per-frame payloads (1 type byte, motion section, Y/U/V residual
-sections, zero padding to the next byte).
+then one payload per frame and nothing after the last one. A frame payload
+is, MSB first:
+
+- a type byte: 0 for an intra frame (first of each GOP), 1 for a P frame;
+- P frames only: for each block in raster order, se(dx - pdx) then
+  se(dy - pdy), where (pdx, pdy) is the median predictor of the vectors
+  already decoded (`median_predictor`);
+- the Y, U and V residual sections: for each transform block in raster
+  order, the run-level code of its zig-zag scanned levels. Luma transforms
+  are min(8, bs) wide, chroma ones max(2, bs/2) (`_transform_sizes`);
+- zero padding to the next byte.
+
+Encoder and decoder both build every frame's prediction with `_prediction`
+(zero planes for intra frames, `motion_compensate` of the previous decoded
+frame otherwise) and add the dequantised residual to it the same way.
 """
 from __future__ import annotations
 
@@ -21,14 +34,13 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from . import metrics
-from .bitstream import BitReader, BitstreamError, BitWriter, se_bits, ue_bits
+from .bitstream import BitReader, BitstreamError, BitWriter
 from .blockmatch import (
     RDParams,
     SearchConfig,
     diamond_search,
     hex_search,
     median_predictor,
-    mv_rate_bits,
     rd_cost,
     sad,
 )
@@ -62,6 +74,7 @@ _MODE_IDS = {name: i for i, name in enumerate(MOTION_MODES)}
 MAGIC = b"FCL1"
 _HEADER = struct.Struct("<4sHHHBBHIII")
 HEADER_SIZE = _HEADER.size
+_U16_MAX = 0xFFFF  # q and gop_size are 16-bit header fields
 
 
 @dataclass(frozen=True)
@@ -72,18 +85,14 @@ class CodecConfig:
     block_size: int = 16
     search_range: int = 16
     refine_subpel: bool = True
-    # Optional distortion term for hybrid candidate comparison: adds
-    # chroma SAD scaled by this weight. Off by default; motion selection
-    # normally scores luma only.
-    chroma_cost_weight: float = 0.0
 
     def __post_init__(self):
         if self.motion_mode not in MOTION_MODES:
             raise ValueError(f"unknown motion mode {self.motion_mode!r}")
-        if self.q < 1:
-            raise ValueError("quantiser must be >= 1")
-        if self.gop_size < 1:
-            raise ValueError("GOP size must be >= 1")
+        if not 1 <= self.q <= _U16_MAX:
+            raise ValueError(f"quantiser must be in 1..{_U16_MAX}")
+        if not 1 <= self.gop_size <= _U16_MAX:
+            raise ValueError(f"GOP size must be in 1..{_U16_MAX}")
         if self.block_size not in LUMA_BLOCK_SIZES:
             raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
 
@@ -107,29 +116,12 @@ class FrameStats:
 
 @dataclass(frozen=True)
 class BlockDecision:
+    """The chosen vector; hybrid modes also keep both candidates' RD costs."""
+
     mv: MotionVector
-    bits: int
-    cost: float | None = None
     internal_mv: MotionVector | None = None
     internal_cost: float | None = None
-    flow_mv: MotionVector | None = None
     flow_cost: float | None = None
-
-
-@dataclass(frozen=True)
-class BlockTrace:
-    """Per-block candidate record for hybrid modes (debugging/verification)."""
-
-    frame: int
-    row: int
-    col: int
-    predictor: MotionVector
-    internal_mv: MotionVector
-    internal_cost: float
-    flow_mv: MotionVector
-    flow_cost: float
-    chosen_mv: MotionVector
-    chosen_cost: float
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,6 @@ class EncodeResult:
     stats: list[FrameStats]
     recon: list[Frame]
     bitstream: bytes
-    traces: list[BlockTrace] | None = None
 
 
 @dataclass(frozen=True)
@@ -155,21 +146,6 @@ class BitstreamInfo:
 
 # ---------------------------------------------------------------------------
 # Transform and quantiser
-
-
-def dct_forward(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2D type-II DCT of one square block."""
-    block = np.asarray(block, np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("transform input must be a square 2D block")
-    return dctn(block, norm="ortho")
-
-
-def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-        raise ValueError("transform input must be a square 2D block")
-    return idctn(coeffs, norm="ortho")
 
 
 def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
@@ -228,19 +204,6 @@ def _read_block_levels(reader: BitReader, count: int) -> np.ndarray:
         scanned[pos] = level
 
 
-def residual_bits(levels: np.ndarray) -> int:
-    """Exact run-level code length in bits for one block of levels."""
-    levels = np.asarray(levels)
-    n = levels.shape[0]
-    scanned = levels.reshape(-1)[list(zigzag_order(n))]
-    bits = 1  # end-of-block
-    prev = -1
-    for pos in np.flatnonzero(scanned):
-        bits += se_bits(int(scanned[pos])) + ue_bits(int(pos) - prev - 1)
-        prev = int(pos)
-    return bits
-
-
 # ---------------------------------------------------------------------------
 # Plane blocking
 
@@ -283,8 +246,8 @@ def _encode_plane(writer: BitWriter, cur: np.ndarray, pred: np.ndarray,
     return _reconstruct_plane(pred, levels, nby, nbx, q, h, w)
 
 
-def _decode_plane(reader: BitReader, pred: np.ndarray, t: int, q: int,
-                  h: int, w: int) -> np.ndarray:
+def _decode_plane(reader: BitReader, pred: np.ndarray, t: int, q: int) -> np.ndarray:
+    h, w = pred.shape
     nby, nbx = -(-h // t), -(-w // t)
     zz = list(zigzag_order(t))
     levels = np.zeros((nby * nbx, t * t), np.int32)
@@ -293,10 +256,11 @@ def _decode_plane(reader: BitReader, pred: np.ndarray, t: int, q: int,
     return _reconstruct_plane(pred, levels.reshape(-1, t, t), nby, nbx, q, h, w)
 
 
-def _transform_sizes(block_size: int) -> tuple[int, int]:
-    # Luma tiles at min(8, block) so a 16 px block carries four 8x8
-    # transforms; chroma halves with the plane.
-    return min(8, block_size), max(2, block_size // 2)
+def _transform_sizes(block_size: int) -> tuple[int, int, int]:
+    """Y, U and V transform sizes. Luma tiles at min(8, block) so a 16 px
+    block carries four 8x8 transforms; chroma halves with the plane."""
+    chroma = max(2, block_size // 2)
+    return min(8, block_size), chroma, chroma
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +300,9 @@ def motion_compensate(ref: Frame, motion: BlockMotionField) -> Frame:
     return Frame(planes[0], planes[1], planes[2], ref.index)
 
 
-def _chroma_sad(cur: Frame, ref: Frame, origin: tuple[int, int], block_size: int,
-                mv: MotionVector) -> int:
-    cx0, cy0 = origin[0] // 2, origin[1] // 2
-    csize = block_size // 2
-    cmv = chroma_vector(mv)
-    total = 0
-    for cur_pl, ref_pl in ((cur.u, ref.u), (cur.v, ref.v)):
-        block = clip_block(cur_pl, cx0, cy0, csize)
-        total += sad(block, ref_pl, (cx0, cy0), cmv)
-    return total
-
-
 def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, int],
                         search: SearchConfig, rd: RDParams, predictor: MotionVector,
-                        flow_mv: MotionVector | None = None,
-                        chroma_cost_weight: float = 0.0) -> BlockDecision:
+                        flow_mv: MotionVector | None = None) -> BlockDecision:
     """Pick the block vector for one mode.
 
     Hybrid modes evaluate exactly two candidates under the RD cost: the
@@ -359,17 +310,17 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
     the internal candidate.
     """
     if mode == "zero":
-        return BlockDecision(ZERO_MV, mv_rate_bits(ZERO_MV, predictor))
+        return BlockDecision(ZERO_MV)
     if mode == "internal-diamond":
-        mv, cost = diamond_search(cur.y, ref.y, origin, search, rd, predictor, predictor)
-        return BlockDecision(mv, mv_rate_bits(mv, predictor), cost)
+        return BlockDecision(diamond_search(cur.y, ref.y, origin, search, rd,
+                                            predictor, predictor)[0])
     if mode == "internal-hex":
-        mv, cost = hex_search(cur.y, ref.y, origin, search, rd, predictor, predictor)
-        return BlockDecision(mv, mv_rate_bits(mv, predictor), cost)
+        return BlockDecision(hex_search(cur.y, ref.y, origin, search, rd,
+                                        predictor, predictor)[0])
     if flow_mv is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
     if mode in ("flow-mean", "flow-median"):
-        return BlockDecision(flow_mv, mv_rate_bits(flow_mv, predictor))
+        return BlockDecision(flow_mv)
     if mode not in HYBRID_MODES:
         raise ValueError(f"unknown motion mode {mode!r}")
 
@@ -377,17 +328,8 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
                                             predictor, predictor)
     cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
     flow_cost = rd_cost(sad(cur_block, ref.y, origin, flow_mv), flow_mv, predictor, rd)
-    if chroma_cost_weight > 0.0:
-        internal_cost += chroma_cost_weight * _chroma_sad(cur, ref, origin,
-                                                          search.block_size, internal_mv)
-        flow_cost += chroma_cost_weight * _chroma_sad(cur, ref, origin,
-                                                      search.block_size, flow_mv)
-    if flow_cost < internal_cost:
-        mv, cost = flow_mv, flow_cost
-    else:
-        mv, cost = internal_mv, internal_cost
-    return BlockDecision(mv, mv_rate_bits(mv, predictor), cost,
-                         internal_mv, internal_cost, flow_mv, flow_cost)
+    mv = flow_mv if flow_cost < internal_cost else internal_mv
+    return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
 
 
 def _flow_method(mode: str) -> str:
@@ -398,9 +340,22 @@ def _flow_method(mode: str) -> str:
 # Sequence encode/decode
 
 
+def _prediction(ref: Frame | None, vectors: np.ndarray | None, bs: int,
+                w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y, U and V prediction planes (int32) of one frame.
+
+    An intra frame (ref None) predicts zeros; a P frame predicts the
+    motion-compensated ref under one vector per bs x bs block.
+    """
+    if ref is None:
+        return (np.zeros((h, w), np.int32), np.zeros((h // 2, w // 2), np.int32),
+                np.zeros((h // 2, w // 2), np.int32))
+    predicted = motion_compensate(ref, BlockMotionField(bs, vectors))
+    return tuple(p.astype(np.int32) for p in (predicted.y, predicted.u, predicted.v))
+
+
 def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = "seq",
-                    fps: tuple[int, int] = (25, 1),
-                    collect_trace: bool = False) -> EncodeResult:
+                    fps: tuple[int, int] = (25, 1)) -> EncodeResult:
     """Encode frames under config; returns stats, reconstructions, bitstream.
 
     Motion selection, compensation, and residual coding all run against the
@@ -417,72 +372,61 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     mode = config.motion_mode
     if mode in FLOW_MODES and provider is None:
         raise ValueError(f"motion mode {mode} requires a flow provider")
+    if fps[1] == 0:
+        raise ValueError("frame rate denominator must be nonzero")
 
     bs = config.block_size
     cols, rows = block_grid(w0, h0, bs)
-    t_luma, t_chroma = _transform_sizes(bs)
+    sizes = _transform_sizes(bs)
     rd = RDParams(config.q)
     search = config.search
 
+    try:
+        header = _HEADER.pack(MAGIC, w0, h0, config.q, bs, _MODE_IDS[mode],
+                              config.gop_size, len(frames), fps[0], fps[1])
+    except struct.error as exc:
+        raise ValueError(f"sequence does not fit the stream header: {exc}") from None
     writer = BitWriter()
-    writer.write_bytes(_HEADER.pack(MAGIC, w0, h0, config.q, bs, _MODE_IDS[mode],
-                                    config.gop_size, len(frames), fps[0], fps[1]))
+    writer.write_bytes(header)
     stats: list[FrameStats] = []
     recon: list[Frame] = []
-    traces: list[BlockTrace] | None = [] if collect_trace else None
 
     for n, cur in enumerate(frames):
-        intra = n % config.gop_size == 0
-        writer.write_bits(0 if intra else 1, 8)
-        bits_motion = 0
-        if intra:
-            pred_y = np.zeros((h0, w0), np.int32)
-            pred_u = np.zeros((h0 // 2, w0 // 2), np.int32)
-            pred_v = np.zeros((h0 // 2, w0 // 2), np.int32)
-        else:
-            ref = recon[-1]
+        ref = None if n % config.gop_size == 0 else recon[-1]
+        writer.write_bits(0 if ref is None else 1, 8)
+        vectors = None
+        motion_start = writer.bit_length
+        if ref is not None:
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             vectors = np.zeros((rows, cols, 2), np.int32)
-            motion_start = writer.bit_length
             for r in range(rows):
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
                     flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-                    decision = select_block_vector(mode, cur, ref, (c * bs, r * bs),
-                                                   search, rd, predictor, flow_mv,
-                                                   config.chroma_cost_weight)
-                    vectors[r, c] = decision.mv
-                    writer.write_se(decision.mv.dx - predictor.dx)
-                    writer.write_se(decision.mv.dy - predictor.dy)
-                    if traces is not None and decision.internal_mv is not None:
-                        traces.append(BlockTrace(n, r, c, predictor,
-                                                 decision.internal_mv, decision.internal_cost,
-                                                 decision.flow_mv, decision.flow_cost,
-                                                 decision.mv, decision.cost))
-            bits_motion = writer.bit_length - motion_start
-            predicted = motion_compensate(ref, BlockMotionField(bs, vectors))
-            pred_y = predicted.y.astype(np.int32)
-            pred_u = predicted.u.astype(np.int32)
-            pred_v = predicted.v.astype(np.int32)
+                    mv = select_block_vector(mode, cur, ref, (c * bs, r * bs), search, rd,
+                                             predictor, flow_mv).mv
+                    vectors[r, c] = mv
+                    writer.write_se(mv.dx - predictor.dx)
+                    writer.write_se(mv.dy - predictor.dy)
+        bits_motion = writer.bit_length - motion_start
 
+        pred = _prediction(ref, vectors, bs, w0, h0)
         residual_start = writer.bit_length
-        rec_y = _encode_plane(writer, cur.y, pred_y, t_luma, config.q)
-        rec_u = _encode_plane(writer, cur.u, pred_u, t_chroma, config.q)
-        rec_v = _encode_plane(writer, cur.v, pred_v, t_chroma, config.q)
+        rec = Frame(*(_encode_plane(writer, plane, p, t, config.q)
+                      for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)), n)
         bits_residual = writer.bit_length - residual_start
         bits_header = 8 + writer.align()
 
-        rec = Frame(rec_y, rec_u, rec_v, n)
         recon.append(rec)
         psnr_y, psnr_u, psnr_v, psnr_c = metrics.frame_psnr(cur, rec)
         stats.append(FrameStats(n, bits_motion, bits_residual, bits_header,
                                 bits_motion + bits_residual + bits_header,
                                 psnr_y, psnr_u, psnr_v, psnr_c))
 
-    return EncodeResult(stats, recon, writer.getvalue(), traces)
+    return EncodeResult(stats, recon, writer.getvalue())
 
 
 def read_bitstream_info(data: bytes) -> BitstreamInfo:
@@ -493,7 +437,8 @@ def read_bitstream_info(data: bytes) -> BitstreamInfo:
         raise BitstreamError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if mode_id >= len(MOTION_MODES):
         raise BitstreamError(f"unknown motion mode id {mode_id}")
-    if bs not in LUMA_BLOCK_SIZES or q < 1 or gop < 1 or w % 2 or h % 2:
+    if (bs not in LUMA_BLOCK_SIZES or q < 1 or gop < 1 or fps_den == 0
+            or w == 0 or h == 0 or w % 2 or h % 2):
         raise BitstreamError("corrupt stream header")
     return BitstreamInfo(w, h, q, bs, MOTION_MODES[mode_id], gop, count, fps_num, fps_den)
 
@@ -504,7 +449,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
     info = read_bitstream_info(data)
     w0, h0, bs, q = info.width, info.height, info.block_size, info.q
     cols, rows = block_grid(w0, h0, bs)
-    t_luma, t_chroma = _transform_sizes(bs)
+    sizes = _transform_sizes(bs)
     reader = BitReader(data, HEADER_SIZE * 8)
     frames: list[Frame] = []
     for n in range(info.frame_count):
@@ -512,24 +457,19 @@ def decode_sequence(data: bytes) -> list[Frame]:
         expected = 0 if n % info.gop_size == 0 else 1
         if ftype != expected:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {reader.bit_pos}")
-        if ftype == 0:
-            pred_y = np.zeros((h0, w0), np.int32)
-            pred_u = np.zeros((h0 // 2, w0 // 2), np.int32)
-            pred_v = np.zeros((h0 // 2, w0 // 2), np.int32)
-        else:
+        ref = vectors = None
+        if ftype == 1:
+            ref = frames[-1]
             vectors = np.zeros((rows, cols, 2), np.int32)
             for r in range(rows):
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
                     vectors[r, c] = (predictor.dx + reader.read_se(),
                                      predictor.dy + reader.read_se())
-            predicted = motion_compensate(frames[-1], BlockMotionField(bs, vectors))
-            pred_y = predicted.y.astype(np.int32)
-            pred_u = predicted.u.astype(np.int32)
-            pred_v = predicted.v.astype(np.int32)
-        rec_y = _decode_plane(reader, pred_y, t_luma, q, h0, w0)
-        rec_u = _decode_plane(reader, pred_u, t_chroma, q, h0 // 2, w0 // 2)
-        rec_v = _decode_plane(reader, pred_v, t_chroma, q, h0 // 2, w0 // 2)
+        pred = _prediction(ref, vectors, bs, w0, h0)
+        frames.append(Frame(*(_decode_plane(reader, p, t, q) for p, t in zip(pred, sizes)), n))
         reader.align()
-        frames.append(Frame(rec_y, rec_u, rec_v, n))
+    if reader.bit_pos != len(data) * 8:
+        raise BitstreamError(f"{len(data) - reader.bit_pos // 8} trailing bytes after "
+                             f"{info.frame_count} frames")
     return frames

@@ -10,14 +10,7 @@ import math
 
 import numpy as np
 
-from .model import (
-    DEFAULT_MV_BOUND,
-    BlockMotionField,
-    FlowField,
-    MotionVector,
-    block_grid,
-    quantize_to_quarter_pel,
-)
+from .model import BlockMotionField, FlowField, MotionVector, block_grid, quantize_to_quarter_pel
 
 METHODS = ("mean", "vector-median")
 
@@ -34,45 +27,37 @@ def _block_vectors(field: FlowField, rect: Rect) -> np.ndarray:
     return field[ya:yb, xa:xb].reshape(-1, 2).astype(np.float64)
 
 
-def block_mean(field: FlowField, rect: Rect,
-               bound: int = DEFAULT_MV_BOUND) -> MotionVector:
+def block_mean(field: FlowField, rect: Rect) -> MotionVector:
     """Arithmetic mean of the flow vectors inside the block."""
     vecs = _block_vectors(field, rect)
     u = math.fsum(vecs[:, 0]) / len(vecs)
     v = math.fsum(vecs[:, 1]) / len(vecs)
-    return quantize_to_quarter_pel(u, v, bound)
+    return quantize_to_quarter_pel(u, v)
 
 
-def block_vector_median(field: FlowField, rect: Rect,
-                        bound: int = DEFAULT_MV_BOUND,
-                        norm: str = "l2") -> MotionVector:
-    """Member of the block's vector set with the least summed distance.
+def block_vector_median(field: FlowField, rect: Rect) -> MotionVector:
+    """Member of the block's vector set with the least summed Euclidean
+    distance to all members.
 
-    Distance is Euclidean by default ("l2"); "l1" selects the Manhattan
-    variant. Ties break toward the smaller magnitude, then lexicographically
-    on (u, v). Per-candidate sums use exact float summation so equal-by-
+    Ties break toward the smaller magnitude, then lexicographically on
+    (u, v). Per-candidate sums use exact float summation so equal-by-
     symmetry candidates tie exactly.
     """
     vecs = _block_vectors(field, rect)
     du = vecs[:, 0:1] - vecs[:, 0]
     dv = vecs[:, 1:2] - vecs[:, 1]
-    if norm == "l2":
-        dist = np.sqrt(du * du + dv * dv)
-    elif norm == "l1":
-        dist = np.abs(du) + np.abs(dv)
-    else:
-        raise ValueError(f"unknown norm {norm!r}, expected 'l2' or 'l1'")
+    dist = np.sqrt(du * du + dv * dv)
     best = None
     for i in range(len(vecs)):
         u, v = float(vecs[i, 0]), float(vecs[i, 1])
         key = (math.fsum(dist[i]), u * u + v * v, u, v)
         if best is None or key < best[0]:
             best = (key, u, v)
-    return quantize_to_quarter_pel(best[1], best[2], bound)
+    return quantize_to_quarter_pel(best[1], best[2])
 
 
-def downsample_flow(field: FlowField, block_size: int, method: str = "vector-median",
-                    bound: int = DEFAULT_MV_BOUND, norm: str = "l2") -> BlockMotionField:
+def downsample_flow(field: FlowField, block_size: int,
+                    method: str = "vector-median") -> BlockMotionField:
     """Estimate one quarter-pel vector per block of the covering grid.
 
     Edge blocks use only the in-bounds vectors.
@@ -91,9 +76,9 @@ def downsample_flow(field: FlowField, block_size: int, method: str = "vector-med
         for c in range(cols):
             rect = (c * block_size, r * block_size, block_size, block_size)
             if method == "mean":
-                mv = block_mean(field, rect, bound)
+                mv = block_mean(field, rect)
             else:
-                mv = block_vector_median(field, rect, bound, norm)
+                mv = block_vector_median(field, rect)
             vectors[r, c] = (mv.dx, mv.dy)
     return BlockMotionField(block_size, vectors)
 

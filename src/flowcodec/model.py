@@ -12,7 +12,6 @@ QPEL = 4                 # quarter-pel units per pixel
 DEFAULT_MV_BOUND = 128   # quarter-pel units; 128 = a 32 px displacement budget
 
 LUMA_BLOCK_SIZES = (4, 8, 16)
-CHROMA_BLOCK_SIZES = (2, 4, 8)
 
 
 class MotionVector(NamedTuple):
@@ -74,12 +73,6 @@ class Frame:
     def height(self) -> int:
         return self.y.shape[0]
 
-    def plane(self, plane_id: str) -> np.ndarray:
-        try:
-            return {"y": self.y, "u": self.u, "v": self.v}[plane_id]
-        except KeyError:
-            raise ValueError(f"invalid plane id {plane_id!r}, expected 'y', 'u' or 'v'") from None
-
 
 @dataclass(frozen=True, eq=False)
 class BlockMotionField:
@@ -135,37 +128,6 @@ def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
     xs = np.clip(np.arange(x0, x0 + size), 0, w - 1)
     ys = np.clip(np.arange(y0, y0 + size), 0, h - 1)
     return plane[np.ix_(ys, xs)].copy()
-
-
-def extract_block(frame: Frame, plane_id: str, x0: int, y0: int, size: int) -> np.ndarray:
-    """Extract a block from one plane of a frame with border replication."""
-    plane = frame.plane(plane_id)
-    allowed = LUMA_BLOCK_SIZES if plane_id == "y" else CHROMA_BLOCK_SIZES
-    if size not in allowed:
-        raise ValueError(f"block size {size} not in {allowed} for plane {plane_id!r}")
-    return clip_block(plane, x0, y0, size)
-
-
-def sample_bilinear(plane: np.ndarray, x: float, y: float) -> float:
-    """Bilinear sample at real-valued (x, y); coordinates clamp to the plane.
-
-    Integer-aligned coordinates return the stored sample exactly.
-    """
-    h, w = plane.shape
-    x = min(max(float(x), 0.0), float(w - 1))
-    y = min(max(float(y), 0.0), float(h - 1))
-    x0 = int(math.floor(x))
-    y0 = int(math.floor(y))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    a = x - x0
-    b = y - y0
-    return float(
-        (1.0 - a) * (1.0 - b) * plane[y0, x0]
-        + a * (1.0 - b) * plane[y0, x1]
-        + (1.0 - a) * b * plane[y1, x0]
-        + a * b * plane[y1, x1]
-    )
 
 
 def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:

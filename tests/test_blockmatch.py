@@ -36,7 +36,6 @@ def test_lambda_formulas():
     assert RDParams(2).lambda_y == 2.0 ** (2 / 6 - 2)
     assert RDParams(2).lambda_y == pytest.approx(0.31498, abs=1e-5)
     assert RDParams(26).lambda_y == pytest.approx(5.0397, abs=1e-4)
-    assert RDParams(10).lambda_c == 10 * 10 * 0.9 * 256
     with pytest.raises(ValueError):
         RDParams(0)
 

@@ -21,14 +21,11 @@ def ref_mean(vectors):
     return (math.fsum(u for u, _ in vectors) / n, math.fsum(v for _, v in vectors) / n)
 
 
-def ref_vector_median(vectors, norm="l2"):
+def ref_vector_median(vectors):
     """O(K^2) minimizer of summed distances with the documented tie-break."""
     best = None
     for ui, vi in vectors:
-        if norm == "l2":
-            total = math.fsum(math.sqrt((ui - uj) ** 2 + (vi - vj) ** 2) for uj, vj in vectors)
-        else:
-            total = math.fsum(abs(ui - uj) + abs(vi - vj) for uj, vj in vectors)
+        total = math.fsum(math.sqrt((ui - uj) ** 2 + (vi - vj) ** 2) for uj, vj in vectors)
         key = (total, ui * ui + vi * vi, ui, vi)
         if best is None or key < best[0]:
             best = (key, (ui, vi))
@@ -124,18 +121,6 @@ def test_median_symmetric_tie_breaks_lexicographic():
     got = block_vector_median(field, (0, 0, 4, 1))
     assert got == quantize_to_quarter_pel(*ref_vector_median(vectors))
     assert got == MotionVector(-4, 0)  # equal sums and magnitudes; smallest (u, v)
-
-
-def test_median_l1_variant():
-    # L1 and L2 medians diverge on this set.
-    vectors = [(0.0, 0.0), (4.0, 0.1), (4.0, -0.1), (2.0, 3.0), (2.0, -3.0)]
-    field = field_of(vectors)
-    l2 = block_vector_median(field, (0, 0, 5, 1), norm="l2")
-    l1 = block_vector_median(field, (0, 0, 5, 1), norm="l1")
-    assert l2 == quantize_to_quarter_pel(*ref_vector_median(vectors, "l2"))
-    assert l1 == quantize_to_quarter_pel(*ref_vector_median(vectors, "l1"))
-    with pytest.raises(ValueError):
-        block_vector_median(field, (0, 0, 5, 1), norm="linf")
 
 
 # --- shared estimator properties -----------------------------------------------

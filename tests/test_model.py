@@ -11,10 +11,8 @@ from flowcodec.model import (
     block_grid,
     chroma_vector,
     clip_block,
-    extract_block,
     predict_block,
     quantize_to_quarter_pel,
-    sample_bilinear,
 )
 
 from synth import flat_frame, random_frame
@@ -43,11 +41,11 @@ def ref_bilinear(plane, x, y):
     return (1 - a) * (1 - b) * p00 + a * (1 - b) * p01 + (1 - a) * b * p10 + a * b * p11
 
 
-# --- extract_block ----------------------------------------------------------
+# --- clip_block -------------------------------------------------------------
 
 def test_extract_constant_block():
     frame = flat_frame(16, 16, 128)
-    block = extract_block(frame, "y", 0, 0, 8)
+    block = clip_block(frame.y, 0, 0, 8)
     assert block.shape == (8, 8)
     assert np.all(block == 128)
 
@@ -66,61 +64,21 @@ def test_extract_matches_reference():
     rng = np.random.default_rng(2)
     frame = random_frame(24, 16, rng)
     for x0, y0, size in [(0, 0, 8), (20, 10, 8), (-3, -5, 16), (19, 1, 4), (30, 30, 8)]:
-        got = extract_block(frame, "y", x0, y0, size)
+        got = clip_block(frame.y, x0, y0, size)
         assert np.array_equal(got, ref_extract(frame.y, x0, y0, size))
     for x0, y0, size in [(0, 0, 4), (10, 6, 8), (-1, 2, 2)]:
-        got = extract_block(frame, "u", x0, y0, size)
+        got = clip_block(frame.u, x0, y0, size)
         assert np.array_equal(got, ref_extract(frame.u, x0, y0, size))
 
 
 def test_extract_is_pure_copy():
     rng = np.random.default_rng(3)
     frame = random_frame(16, 16, rng)
-    a = extract_block(frame, "y", 2, 2, 8)
-    b = extract_block(frame, "y", 2, 2, 8)
+    a = clip_block(frame.y, 2, 2, 8)
+    b = clip_block(frame.y, 2, 2, 8)
     assert np.array_equal(a, b)
     a[0, 0] ^= 0xFF  # mutating the copy must not touch the frame
     assert frame.y[2, 2] == b[0, 0]
-
-
-def test_extract_rejects_bad_plane_and_size():
-    frame = flat_frame(16, 16)
-    with pytest.raises(ValueError):
-        extract_block(frame, "g", 0, 0, 8)
-    with pytest.raises(ValueError):
-        extract_block(frame, "y", 0, 0, 5)
-    with pytest.raises(ValueError):
-        extract_block(frame, "u", 0, 0, 16)  # chroma blocks are half-sized
-
-
-# --- sample_bilinear --------------------------------------------------------
-
-def test_bilinear_integer_identity():
-    rng = np.random.default_rng(4)
-    plane = rng.integers(0, 256, (6, 7), dtype=np.uint8)
-    for y in range(6):
-        for x in range(7):
-            assert sample_bilinear(plane, x, y) == float(plane[y, x])
-
-
-def test_bilinear_midpoint():
-    plane = np.array([[10, 20]], dtype=np.uint8)
-    assert sample_bilinear(plane, 0.5, 0.0) == 15.0
-
-
-def test_bilinear_matches_reference():
-    rng = np.random.default_rng(5)
-    plane = rng.integers(0, 256, (9, 11), dtype=np.uint8)
-    for _ in range(300):
-        x = rng.uniform(-2, 13)
-        y = rng.uniform(-2, 11)
-        assert sample_bilinear(plane, x, y) == pytest.approx(ref_bilinear(plane, x, y), abs=1e-9)
-
-
-def test_bilinear_clamps_outside():
-    plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    assert sample_bilinear(plane, -5.0, -5.0) == 1.0
-    assert sample_bilinear(plane, 10.0, 10.0) == 4.0
 
 
 # --- predict_block (integer bilinear used by SAD and compensation) ----------
@@ -214,5 +172,3 @@ def test_frame_validation():
     frame = random_frame(8, 8, rng)
     with pytest.raises(ValueError):
         frame.y[0, 0] = 3  # planes are read-only
-    with pytest.raises(ValueError):
-        frame.plane("q")
