@@ -3,7 +3,6 @@ internal block search, dense optic-flow fields reduced to block vectors,
 and hybrid RD-based candidate selection."""
 
 from .blockmatch import (
-    RDParams,
     SearchConfig,
     diamond_search,
     full_search,

@@ -5,6 +5,11 @@ lambda * R(v) + SAD(v), where R(v) is the exact signed exp-Golomb length
 of the vector difference against the median predictor and SAD is the sum
 of absolute luma differences against the (sub-pel, border-clamped)
 motion-compensated reference.
+
+`SearchConfig` is the one parameter object of every search: the window,
+the block size, the quarter-pel switch and the quantiser q that sets
+lambda. The diamond and hexagon descents start from the better of (0,0)
+and the median predictor.
 """
 from __future__ import annotations
 
@@ -29,26 +34,18 @@ _HEX_LARGE = ((2, 0), (-2, 0), (1, 2), (1, -2), (-1, 2), (-1, -2))
 _HEX_SMALL = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SearchConfig:
     search_range: int = 16       # integer-pel window [-R, +R] in both axes
     block_size: int = 16
     refine_subpel: bool = True   # one local quarter-pel descent after the pel search
+    q: int = 5                   # quantiser; sets the rate weight lambda_y
 
     def __post_init__(self):
         if self.search_range < 1:
             raise ValueError("search_range must be >= 1")
         if self.block_size not in LUMA_BLOCK_SIZES:
             raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
-
-
-@dataclass(frozen=True)
-class RDParams:
-    """Quantiser-derived rate weight; always recomputed from q."""
-
-    q: int
-
-    def __post_init__(self):
         if self.q < 1:
             raise ValueError("quantiser must be >= 1")
 
@@ -76,9 +73,9 @@ def mv_rate_bits(mv: MotionVector, predictor: MotionVector) -> int:
 
 
 def rd_cost(distortion: int, mv: MotionVector, predictor: MotionVector,
-            rd: RDParams) -> float:
+            lambda_y: float) -> float:
     """lambda_y-weighted rate plus luma distortion."""
-    return rd.lambda_y * mv_rate_bits(mv, predictor) + distortion
+    return lambda_y * mv_rate_bits(mv, predictor) + distortion
 
 
 def _cost_key(cost: float, mv: MotionVector):
@@ -89,11 +86,11 @@ def _cost_key(cost: float, mv: MotionVector):
 class _Evaluator:
     """Caches RD evaluations of integer/sub-pel candidates for one block."""
 
-    def __init__(self, cur_block, ref_plane, origin, rd, predictor):
-        self.cur_block = cur_block.astype(np.int32)
+    def __init__(self, cur_plane, ref_plane, origin, config, predictor):
+        self.cur_block = clip_block(cur_plane, *origin, config.block_size).astype(np.int32)
         self.ref_plane = ref_plane
         self.origin = origin
-        self.rd = rd
+        self.lambda_y = config.lambda_y
         self.predictor = predictor
         self._cache: dict[MotionVector, float] = {}
 
@@ -101,7 +98,7 @@ class _Evaluator:
         cached = self._cache.get(mv)
         if cached is None:
             cached = rd_cost(sad(self.cur_block, self.ref_plane, self.origin, mv),
-                             mv, self.predictor, self.rd)
+                             mv, self.predictor, self.lambda_y)
             self._cache[mv] = cached
         return cached
 
@@ -145,16 +142,14 @@ def _refine_quarter_pel(ev: _Evaluator, mv: MotionVector, cost: float,
 
 
 def full_search(cur_plane: np.ndarray, ref_plane: np.ndarray, origin: tuple[int, int],
-                config: SearchConfig, rd: RDParams,
+                config: SearchConfig,
                 predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
     """Exhaustive RD search over the integer window, the optimality oracle.
 
     Scans every integer-pel vector in [-R, +R]^2, then (optionally) runs the
     local quarter-pel descent around the winner.
     """
-    x0, y0 = origin
-    cur_block = clip_block(cur_plane, x0, y0, config.block_size)
-    ev = _Evaluator(cur_block, ref_plane, origin, rd, predictor)
+    ev = _Evaluator(cur_plane, ref_plane, origin, config, predictor)
     r = config.search_range
     best_mv, best_cost = ev.best(
         MotionVector(ix * QPEL, iy * QPEL)
@@ -170,14 +165,12 @@ def _clamp_pel(ix: int, iy: int, r: int) -> tuple[int, int]:
     return max(-r, min(r, ix)), max(-r, min(r, iy))
 
 
-def _pattern_search(cur_plane, ref_plane, origin, config, rd, seed_mv, predictor,
+def _pattern_search(cur_plane, ref_plane, origin, config, predictor,
                     large_pattern, small_pattern):
-    x0, y0 = origin
-    cur_block = clip_block(cur_plane, x0, y0, config.block_size)
-    ev = _Evaluator(cur_block, ref_plane, origin, rd, predictor)
+    ev = _Evaluator(cur_plane, ref_plane, origin, config, predictor)
     r = config.search_range
 
-    seed = _clamp_pel(round(seed_mv.dx / QPEL), round(seed_mv.dy / QPEL), r)
+    seed = _clamp_pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL), r)
     starts = {(0, 0), seed}
     center, _ = ev.best(MotionVector(ix * QPEL, iy * QPEL) for ix, iy in starts)
 
@@ -201,20 +194,18 @@ def _pattern_search(cur_plane, ref_plane, origin, config, rd, seed_mv, predictor
     return best_mv, best_cost
 
 
-def diamond_search(cur_plane, ref_plane, origin, config: SearchConfig, rd: RDParams,
-                   seed_mv: MotionVector = ZERO_MV,
+def diamond_search(cur_plane, ref_plane, origin, config: SearchConfig,
                    predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
-    """Large/small diamond descent seeded at (0,0) and at seed_mv."""
-    return _pattern_search(cur_plane, ref_plane, origin, config, rd, seed_mv,
-                           predictor, _DIAMOND_LARGE, _DIAMOND_SMALL)
+    """Large/small diamond descent seeded at (0,0) and at the predictor."""
+    return _pattern_search(cur_plane, ref_plane, origin, config, predictor,
+                           _DIAMOND_LARGE, _DIAMOND_SMALL)
 
 
-def hex_search(cur_plane, ref_plane, origin, config: SearchConfig, rd: RDParams,
-               seed_mv: MotionVector = ZERO_MV,
+def hex_search(cur_plane, ref_plane, origin, config: SearchConfig,
                predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
-    """Large hexagon descent with a small cross refinement."""
-    return _pattern_search(cur_plane, ref_plane, origin, config, rd, seed_mv,
-                           predictor, _HEX_LARGE, _HEX_SMALL)
+    """Large hexagon then small cross descent, seeded at (0,0) and at the predictor."""
+    return _pattern_search(cur_plane, ref_plane, origin, config, predictor,
+                           _HEX_LARGE, _HEX_SMALL)
 
 
 def _median3(a: int, b: int, c: int) -> int:

@@ -27,7 +27,7 @@ from .codec import (
 from .flowadapt import METHODS, downsample_flow, expand_block_field
 from .flowprovider import PROVENANCE_MODES, FlowProvider, FlowProviderError
 from .metrics import bd_psnr, bd_rate, epe, median_aggregate
-from .model import RDPoint
+from .model import LUMA_BLOCK_SIZES, RDPoint
 
 DEFAULT_Q_LIST = "2,5,10,15,20,25,30,35,40"
 
@@ -152,20 +152,23 @@ def cmd_rd_sweep(args) -> int:
     _atomic_write(args.out, mio.write_metrics(records, args.format))
 
     if args.aggregate_out:
-        agg_records = []
-        for mode in sorted(modes):
-            curves = []
-            for path in args.inputs:
-                sequence = Path(path).stem
-                pts = [RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"])
-                       for r in records if r["sequence"] == sequence and r["mode"] == mode]
-                curves.append(sorted(pts, key=lambda p: p.q))
-            for point in median_aggregate(curves):
-                agg_records.append({"sequence": "median", "mode": mode, "q": point.q,
-                                    "rate_bits_per_frame": point.rate, "psnr_db": point.psnr})
+        agg_records = [{"sequence": "median", "mode": mode, "q": point.q,
+                        "rate_bits_per_frame": point.rate, "psnr_db": point.psnr}
+                       for mode in sorted(modes)
+                       for point in median_aggregate(
+                           _curves([r for r in records if r["mode"] == mode]))]
         _atomic_write(args.aggregate_out, mio.write_metrics(agg_records, args.format))
     print(f"wrote {len(records)} RD points to {args.out}")
     return EXIT_OK
+
+
+def _curves(records) -> list[list[RDPoint]]:
+    """One q-sorted RD curve per sequence, in sequence-name order."""
+    by_sequence: dict[str, list[RDPoint]] = {}
+    for r in sorted(records, key=lambda r: (r["sequence"], r["q"])):
+        by_sequence.setdefault(r["sequence"], []).append(
+            RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"]))
+    return list(by_sequence.values())
 
 
 def _load_curve(path, mode_filter: str | None) -> list[RDPoint]:
@@ -177,12 +180,7 @@ def _load_curve(path, mode_filter: str | None) -> list[RDPoint]:
     modes = sorted({r["mode"] for r in records})
     if len(modes) > 1:
         raise ValueError(f"{path}: multiple modes {modes}; use --mode to pick one")
-    sequences = sorted({r["sequence"] for r in records})
-    curves = []
-    for seq in sequences:
-        pts = [RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"])
-               for r in records if r["sequence"] == seq]
-        curves.append(sorted(pts, key=lambda p: p.q))
+    curves = _curves(records)
     return median_aggregate(curves) if len(curves) > 1 else curves[0]
 
 
@@ -251,7 +249,7 @@ def _add_flow_source_args(p: argparse.ArgumentParser) -> None:
 
 def _add_codec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gop", type=int, default=100, help="GOP size (default 100)")
-    p.add_argument("--block-size", type=int, default=16, choices=(4, 8, 16))
+    p.add_argument("--block-size", type=int, default=16, choices=LUMA_BLOCK_SIZES)
     p.add_argument("--search-range", type=int, default=16)
     p.add_argument("--no-subpel", action="store_true",
                    help="disable the quarter-pel refinement pass")
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduce a dense .flo to block vectors, re-expanded for viewing")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--block-size", type=int, default=16, choices=(4, 8, 16))
+    p.add_argument("--block-size", type=int, default=16, choices=LUMA_BLOCK_SIZES)
     p.add_argument("--method", choices=METHODS + ("median",), default="vector-median")
     p.set_defaults(func=cmd_downsample_flow)
 

@@ -27,7 +27,7 @@ frame otherwise) and add the dequantised residual to it the same way.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +36,6 @@ from scipy.fft import dctn, idctn
 from . import metrics
 from .bitstream import BitReader, BitstreamError, BitWriter
 from .blockmatch import (
-    RDParams,
     SearchConfig,
     diamond_search,
     hex_search,
@@ -78,27 +77,21 @@ _U16_MAX = 0xFFFF  # q and gop_size are 16-bit header fields
 
 
 @dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(SearchConfig):
+    """Search parameters plus the motion mode and the intra period."""
+
     motion_mode: str
-    q: int = 5
+    _: KW_ONLY
     gop_size: int = 100
-    block_size: int = 16
-    search_range: int = 16
-    refine_subpel: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.motion_mode not in MOTION_MODES:
             raise ValueError(f"unknown motion mode {self.motion_mode!r}")
-        if not 1 <= self.q <= _U16_MAX:
+        if self.q > _U16_MAX:
             raise ValueError(f"quantiser must be in 1..{_U16_MAX}")
         if not 1 <= self.gop_size <= _U16_MAX:
             raise ValueError(f"GOP size must be in 1..{_U16_MAX}")
-        if self.block_size not in LUMA_BLOCK_SIZES:
-            raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
-
-    @property
-    def search(self) -> SearchConfig:
-        return SearchConfig(self.search_range, self.block_size, self.refine_subpel)
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,10 @@ def _read_block_levels(reader: BitReader, count: int) -> np.ndarray:
         pos += run + 1
         if pos >= count:
             raise BitstreamError(f"coefficient run overflows block at bit {reader.bit_pos}")
-        scanned[pos] = level
+        try:
+            scanned[pos] = level
+        except OverflowError:
+            raise BitstreamError(f"coefficient level out of range at bit {reader.bit_pos}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +286,6 @@ def motion_compensate(ref: Frame, motion: BlockMotionField) -> Frame:
                 if halve:
                     mv = chroma_vector(mv)
                 x0, y0 = c * size, r * size
-                if x0 >= w or y0 >= h:
-                    continue
                 block = predict_block(plane, x0, y0, size, mv)
                 bh = min(size, h - y0)
                 bw = min(size, w - x0)
@@ -301,7 +295,7 @@ def motion_compensate(ref: Frame, motion: BlockMotionField) -> Frame:
 
 
 def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, int],
-                        search: SearchConfig, rd: RDParams, predictor: MotionVector,
+                        search: SearchConfig, predictor: MotionVector,
                         flow_mv: MotionVector | None = None) -> BlockDecision:
     """Pick the block vector for one mode.
 
@@ -312,11 +306,9 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
     if mode == "zero":
         return BlockDecision(ZERO_MV)
     if mode == "internal-diamond":
-        return BlockDecision(diamond_search(cur.y, ref.y, origin, search, rd,
-                                            predictor, predictor)[0])
+        return BlockDecision(diamond_search(cur.y, ref.y, origin, search, predictor)[0])
     if mode == "internal-hex":
-        return BlockDecision(hex_search(cur.y, ref.y, origin, search, rd,
-                                        predictor, predictor)[0])
+        return BlockDecision(hex_search(cur.y, ref.y, origin, search, predictor)[0])
     if flow_mv is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
     if mode in ("flow-mean", "flow-median"):
@@ -324,10 +316,10 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
     if mode not in HYBRID_MODES:
         raise ValueError(f"unknown motion mode {mode!r}")
 
-    internal_mv, internal_cost = hex_search(cur.y, ref.y, origin, search, rd,
-                                            predictor, predictor)
+    internal_mv, internal_cost = hex_search(cur.y, ref.y, origin, search, predictor)
     cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
-    flow_cost = rd_cost(sad(cur_block, ref.y, origin, flow_mv), flow_mv, predictor, rd)
+    flow_cost = rd_cost(sad(cur_block, ref.y, origin, flow_mv), flow_mv, predictor,
+                        search.lambda_y)
     mv = flow_mv if flow_cost < internal_cost else internal_mv
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
 
@@ -378,8 +370,6 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     bs = config.block_size
     cols, rows = block_grid(w0, h0, bs)
     sizes = _transform_sizes(bs)
-    rd = RDParams(config.q)
-    search = config.search
 
     try:
         header = _HEADER.pack(MAGIC, w0, h0, config.q, bs, _MODE_IDS[mode],
@@ -406,7 +396,7 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
                     flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-                    mv = select_block_vector(mode, cur, ref, (c * bs, r * bs), search, rd,
+                    mv = select_block_vector(mode, cur, ref, (c * bs, r * bs), config,
                                              predictor, flow_mv).mv
                     vectors[r, c] = mv
                     writer.write_se(mv.dx - predictor.dx)
@@ -464,8 +454,12 @@ def decode_sequence(data: bytes) -> list[Frame]:
             for r in range(rows):
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
-                    vectors[r, c] = (predictor.dx + reader.read_se(),
-                                     predictor.dy + reader.read_se())
+                    try:
+                        vectors[r, c] = (predictor.dx + reader.read_se(),
+                                         predictor.dy + reader.read_se())
+                    except OverflowError:
+                        raise BitstreamError(f"frame {n}: motion vector out of range at "
+                                             f"bit {reader.bit_pos}") from None
         pred = _prediction(ref, vectors, bs, w0, h0)
         frames.append(Frame(*(_decode_plane(reader, p, t, q) for p, t in zip(pred, sizes)), n))
         reader.align()

@@ -14,36 +14,22 @@ from .model import BlockMotionField, FlowField, MotionVector, block_grid, quanti
 
 METHODS = ("mean", "vector-median")
 
-Rect = tuple[int, int, int, int]  # x0, y0, width, height
 
-
-def _block_vectors(field: FlowField, rect: Rect) -> np.ndarray:
-    x0, y0, bw, bh = rect
-    h, w = field.shape[:2]
-    xa, xb = max(x0, 0), min(x0 + bw, w)
-    ya, yb = max(y0, 0), min(y0 + bh, h)
-    if xa >= xb or ya >= yb:
-        raise ValueError(f"block {rect} does not intersect the {w}x{h} field")
-    return field[ya:yb, xa:xb].reshape(-1, 2).astype(np.float64)
-
-
-def block_mean(field: FlowField, rect: Rect) -> MotionVector:
-    """Arithmetic mean of the flow vectors inside the block."""
-    vecs = _block_vectors(field, rect)
+def block_mean(vecs: np.ndarray) -> MotionVector:
+    """Arithmetic mean of a block's (n, 2) float64 flow vectors."""
     u = math.fsum(vecs[:, 0]) / len(vecs)
     v = math.fsum(vecs[:, 1]) / len(vecs)
     return quantize_to_quarter_pel(u, v)
 
 
-def block_vector_median(field: FlowField, rect: Rect) -> MotionVector:
-    """Member of the block's vector set with the least summed Euclidean
-    distance to all members.
+def block_vector_median(vecs: np.ndarray) -> MotionVector:
+    """Member of a block's (n, 2) float64 vector set with the least summed
+    Euclidean distance to all members.
 
     Ties break toward the smaller magnitude, then lexicographically on
     (u, v). Per-candidate sums use exact float summation so equal-by-
     symmetry candidates tie exactly.
     """
-    vecs = _block_vectors(field, rect)
     du = vecs[:, 0:1] - vecs[:, 0]
     dv = vecs[:, 1:2] - vecs[:, 1]
     dist = np.sqrt(du * du + dv * dv)
@@ -62,24 +48,22 @@ def downsample_flow(field: FlowField, block_size: int,
 
     Edge blocks use only the in-bounds vectors.
     """
-    field = np.asarray(field)
+    field = np.asarray(field, np.float64)
     if field.ndim != 3 or field.shape[2] != 2:
         raise ValueError(f"flow field must have shape (h, w, 2), got {field.shape}")
     if method == "median":
         method = "vector-median"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    estimate = block_mean if method == "mean" else block_vector_median
     h, w = field.shape[:2]
     cols, rows = block_grid(w, h, block_size)
     vectors = np.zeros((rows, cols, 2), np.int32)
     for r in range(rows):
         for c in range(cols):
-            rect = (c * block_size, r * block_size, block_size, block_size)
-            if method == "mean":
-                mv = block_mean(field, rect)
-            else:
-                mv = block_vector_median(field, rect)
-            vectors[r, c] = (mv.dx, mv.dy)
+            block = field[r * block_size : (r + 1) * block_size,
+                          c * block_size : (c + 1) * block_size]
+            vectors[r, c] = estimate(block.reshape(-1, 2))
     return BlockMotionField(block_size, vectors)
 
 
@@ -89,7 +73,5 @@ def expand_block_field(field: BlockMotionField, width: int, height: int) -> Flow
     dense = np.zeros((height, width, 2), np.float32)
     for r in range(field.rows):
         for c in range(field.cols):
-            mv = field.vector(c, r)
-            dense[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs, 0] = mv.dx / 4.0
-            dense[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs, 1] = mv.dy / 4.0
+            dense[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs] = field.vector(c, r).to_pixels()
     return dense

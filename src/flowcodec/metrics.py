@@ -10,32 +10,33 @@ PSNR_CAP = 99.0
 _PEAK_SQ = 255.0 * 255.0
 
 
+def _sse(a: np.ndarray, b: np.ndarray) -> int:
+    return int(((a.astype(np.int64) - b.astype(np.int64)) ** 2).sum())
+
+
+def _psnr_from_sse(sse: int, count: int) -> float:
+    return PSNR_CAP if sse == 0 else float(10.0 * np.log10(_PEAK_SQ / (sse / count)))
+
+
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """PSNR in dB between two same-shaped sample arrays; 99.0 when identical."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    mse = np.mean((a.astype(np.int64) - b.astype(np.int64)) ** 2, dtype=np.float64)
-    if mse == 0.0:
-        return PSNR_CAP
-    return float(10.0 * np.log10(_PEAK_SQ / mse))
+    return _psnr_from_sse(_sse(a, b), a.size)
 
 
 def frame_psnr(a: Frame, b: Frame) -> tuple[float, float, float, float]:
     """Per-plane PSNR plus the combined value over all samples pooled."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError("frame dimensions differ")
-    sse = 0
-    count = 0
-    for pa, pb in ((a.y, b.y), (a.u, b.u), (a.v, b.v)):
-        sse += int(((pa.astype(np.int64) - pb.astype(np.int64)) ** 2).sum())
-        count += pa.size
-    if sse == 0:
-        combined = PSNR_CAP
-    else:
-        combined = float(10.0 * np.log10(_PEAK_SQ * count / sse))
-    return psnr(a.y, b.y), psnr(a.u, b.u), psnr(a.v, b.v), combined
+    planes = ((a.y, b.y), (a.u, b.u), (a.v, b.v))
+    sses = [_sse(pa, pb) for pa, pb in planes]
+    counts = [pa.size for pa, _ in planes]
+    sse, count = sum(sses), sum(counts)
+    combined = PSNR_CAP if sse == 0 else float(10.0 * np.log10(_PEAK_SQ * count / sse))
+    return (*(_psnr_from_sse(s, n) for s, n in zip(sses, counts)), combined)
 
 
 def epe(f1: np.ndarray, f2: np.ndarray) -> float:

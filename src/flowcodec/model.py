@@ -127,7 +127,7 @@ def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
     h, w = plane.shape
     xs = np.clip(np.arange(x0, x0 + size), 0, w - 1)
     ys = np.clip(np.arange(y0, y0 + size), 0, h - 1)
-    return plane[np.ix_(ys, xs)].copy()
+    return plane[np.ix_(ys, xs)]
 
 
 def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
@@ -162,18 +162,18 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     return (acc + 8) >> 4
 
 
-def quantize_to_quarter_pel(u: float, v: float, bound: int = DEFAULT_MV_BOUND) -> MotionVector:
+def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:
     """Round a real displacement in pixels to the quarter-pel grid.
 
-    Ties round away from zero; components clamp to +/-bound quarter-pel units.
+    Ties round away from zero; components clamp to +/-DEFAULT_MV_BOUND.
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"displacement must be finite, got ({u}, {v})")
-    return MotionVector(_round_qpel(u, bound), _round_qpel(v, bound))
+    return MotionVector(_round_qpel(u), _round_qpel(v))
 
 
-def _round_qpel(value: float, bound: int) -> int:
+def _round_qpel(value: float) -> int:
     q = math.floor(abs(value) * QPEL + 0.5)
     if value < 0:
         q = -q
-    return max(-bound, min(bound, q))
+    return max(-DEFAULT_MV_BOUND, min(DEFAULT_MV_BOUND, q))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowcodec.blockmatch import (
-    RDParams,
     SearchConfig,
     diamond_search,
     full_search,
@@ -30,14 +29,23 @@ def ref_sad(cur_block, ref_plane, x0, y0, mv):
     return total
 
 
-# --- RDParams ----------------------------------------------------------------
+# --- SearchConfig ------------------------------------------------------------
+
+def lam(q):
+    return SearchConfig(q=q).lambda_y
+
 
 def test_lambda_formulas():
-    assert RDParams(2).lambda_y == 2.0 ** (2 / 6 - 2)
-    assert RDParams(2).lambda_y == pytest.approx(0.31498, abs=1e-5)
-    assert RDParams(26).lambda_y == pytest.approx(5.0397, abs=1e-4)
+    assert lam(2) == 2.0 ** (2 / 6 - 2)
+    assert lam(2) == pytest.approx(0.31498, abs=1e-5)
+    assert lam(26) == pytest.approx(5.0397, abs=1e-4)
     with pytest.raises(ValueError):
-        RDParams(0)
+        SearchConfig(q=0)
+
+
+def test_search_config_is_keyword_only():
+    with pytest.raises(TypeError):
+        SearchConfig(8, 8)
 
 
 # --- SAD ---------------------------------------------------------------------
@@ -94,25 +102,23 @@ def test_rate_minimal_at_predictor():
 # --- RD cost -----------------------------------------------------------------
 
 def test_rd_cost_formula():
-    rd = RDParams(2)
     mv, pred = MotionVector(0, 0), MotionVector(0, 0)
-    assert rd_cost(100, mv, pred, rd) == pytest.approx(100 + 0.62996, abs=1e-4)
-    assert rd_cost(100, mv, pred, rd) == 100 + rd.lambda_y * 2
+    assert rd_cost(100, mv, pred, lam(2)) == pytest.approx(100 + 0.62996, abs=1e-4)
+    assert rd_cost(100, mv, pred, lam(2)) == 100 + lam(2) * 2
 
 
 def test_rd_cost_zero_case():
     # distortion 0 and (hypothetically) zero rate -> zero cost
-    rd = RDParams(5)
-    assert rd_cost(0, ZERO_MV, ZERO_MV, rd) == rd.lambda_y * 2
-    assert rd.lambda_y * 0 + 0 == 0.0
+    assert rd_cost(0, ZERO_MV, ZERO_MV, lam(5)) == lam(5) * 2
+    assert lam(5) * 0 + 0 == 0.0
 
 
 def test_rd_cost_monotone_in_lambda():
     mv, pred = MotionVector(8, 0), ZERO_MV
-    costs = [rd_cost(50, mv, pred, RDParams(q)) for q in (1, 5, 15, 30, 45)]
+    costs = [rd_cost(50, mv, pred, lam(q)) for q in (1, 5, 15, 30, 45)]
     assert costs == sorted(costs)
     # at lambda -> 0 the ordering degenerates to SAD ordering
-    tiny = RDParams(1)
+    tiny = lam(1)
     assert rd_cost(10, mv, pred, tiny) < rd_cost(20, ZERO_MV, pred, tiny)
 
 
@@ -130,45 +136,44 @@ def _translated_pair(shift, size=48, seed=4):
 def test_full_search_identical_returns_zero():
     rng = np.random.default_rng(5)
     plane = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-    cfg = SearchConfig(search_range=4, block_size=8)
-    mv, cost = full_search(plane, plane, (8, 8), cfg, RDParams(5))
+    cfg = SearchConfig(search_range=4, block_size=8, q=5)
+    mv, cost = full_search(plane, plane, (8, 8), cfg)
     assert mv == ZERO_MV
-    assert cost == RDParams(5).lambda_y * 2
+    assert cost == cfg.lambda_y * 2
 
 
 def test_full_search_finds_translation():
     cur, ref = _translated_pair(3)
-    cfg = SearchConfig(search_range=8, block_size=16)
-    mv, cost = full_search(cur, ref, (16, 16), cfg, RDParams(5))
+    cfg = SearchConfig(search_range=8, block_size=16, q=5)
+    mv, cost = full_search(cur, ref, (16, 16), cfg)
     assert mv == MotionVector(12, 0)  # 3 px in quarter-pel units
-    assert cost == pytest.approx(RDParams(5).lambda_y * mv_rate_bits(mv, ZERO_MV))
+    assert cost == pytest.approx(cfg.lambda_y * mv_rate_bits(mv, ZERO_MV))
 
 
 def test_full_search_is_global_minimum():
     rng = np.random.default_rng(6)
     cur = rng.integers(0, 256, (24, 24), dtype=np.uint8)
     ref = rng.integers(0, 256, (24, 24), dtype=np.uint8)
-    cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=False)
-    rd = RDParams(10)
+    cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=False, q=10)
     for x0, y0 in [(0, 0), (8, 8), (16, 4)]:
-        mv, cost = full_search(cur, ref, (x0, y0), cfg, rd)
+        mv, cost = full_search(cur, ref, (x0, y0), cfg)
         block = clip_block(cur, x0, y0, 8)
         for iy in range(-4, 5):
             for ix in range(-4, 5):
                 cand = MotionVector(4 * ix, 4 * iy)
-                assert rd_cost(sad(block, ref, (x0, y0), cand), cand, ZERO_MV, rd) >= cost
+                assert rd_cost(sad(block, ref, (x0, y0), cand), cand, ZERO_MV,
+                               cfg.lambda_y) >= cost
 
 
 def test_subpel_refinement_never_hurts():
     rng = np.random.default_rng(7)
     cur = smooth_texture(32, 32, rng)
     ref = smooth_texture(32, 32, rng)
-    rd = RDParams(10)
-    base_cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=False)
-    fine_cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=True)
+    base_cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=False, q=10)
+    fine_cfg = SearchConfig(search_range=4, block_size=8, refine_subpel=True, q=10)
     for origin in [(0, 0), (8, 16), (24, 24)]:
-        _, coarse = full_search(cur, ref, origin, base_cfg, rd)
-        mv, fine = full_search(cur, ref, origin, fine_cfg, rd)
+        _, coarse = full_search(cur, ref, origin, base_cfg)
+        mv, fine = full_search(cur, ref, origin, fine_cfg)
         assert fine <= coarse
         assert abs(mv.dx) <= 16 and abs(mv.dy) <= 16  # stays inside the window
 
@@ -177,38 +182,37 @@ def test_subpel_refinement_never_hurts():
 def test_pattern_search_identical_returns_zero(search):
     rng = np.random.default_rng(8)
     plane = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-    cfg = SearchConfig(search_range=8, block_size=8)
-    mv, cost = search(plane, plane, (8, 8), cfg, RDParams(5))
+    cfg = SearchConfig(search_range=8, block_size=8, q=5)
+    mv, cost = search(plane, plane, (8, 8), cfg)
     assert mv == ZERO_MV
 
 
 @pytest.mark.parametrize("search", [diamond_search, hex_search])
 def test_pattern_search_finds_translation(search):
     cur, ref = _translated_pair(3)
-    cfg = SearchConfig(search_range=8, block_size=16)
-    mv, _ = search(cur, ref, (16, 16), cfg, RDParams(5))
+    cfg = SearchConfig(search_range=8, block_size=16, q=5)
+    mv, _ = search(cur, ref, (16, 16), cfg)
     assert mv == MotionVector(12, 0)
 
 
 @pytest.mark.parametrize("search", [diamond_search, hex_search])
 def test_pattern_search_cost_bounded_by_full_search(search):
     rng = np.random.default_rng(9)
-    cfg = SearchConfig(search_range=6, block_size=8, refine_subpel=False)
-    rd = RDParams(10)
+    cfg = SearchConfig(search_range=6, block_size=8, refine_subpel=False, q=10)
     for trial in range(20):
         cur = smooth_texture(24, 24, rng)
         ref = smooth_texture(24, 24, rng)
         origin = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        _, best = full_search(cur, ref, origin, cfg, rd)
-        _, got = search(cur, ref, origin, cfg, rd)
+        _, best = full_search(cur, ref, origin, cfg)
+        _, got = search(cur, ref, origin, cfg)
         assert got >= best
 
 
 @pytest.mark.parametrize("search", [diamond_search, hex_search])
 def test_pattern_search_stays_in_window(search):
     cur, ref = _translated_pair(20, size=64)
-    cfg = SearchConfig(search_range=8, block_size=16)
-    mv, _ = search(cur, ref, (16, 16), cfg, RDParams(5), seed_mv=MotionVector(120, 0))
+    cfg = SearchConfig(search_range=8, block_size=16, q=5)
+    mv, _ = search(cur, ref, (16, 16), cfg, predictor=MotionVector(120, 0))
     assert abs(mv.dx) <= 32 and abs(mv.dy) <= 32
 
 
@@ -216,9 +220,8 @@ def test_search_is_deterministic():
     rng = np.random.default_rng(10)
     cur = rng.integers(0, 256, (24, 24), dtype=np.uint8)
     ref = rng.integers(0, 256, (24, 24), dtype=np.uint8)
-    cfg = SearchConfig(search_range=4, block_size=8)
-    rd = RDParams(25)
-    runs = [hex_search(cur, ref, (8, 8), cfg, rd) for _ in range(3)]
+    cfg = SearchConfig(search_range=4, block_size=8, q=25)
+    runs = [hex_search(cur, ref, (8, 8), cfg) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 

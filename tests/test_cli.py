@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from flowcodec.cli import EXIT_INPUT, main
+from flowcodec.cli import EXIT_INPUT, EXIT_OK, main
+from flowcodec.io import read_flo_file, read_metrics_csv, write_flo_file
 
-from synth import translating_frames, write_y4m_file
+from synth import constant_flow, random_flow, translating_frames, write_y4m_file
+from test_codec import oversized_stream
 
 
 @pytest.fixture
@@ -18,3 +21,79 @@ def test_encode_rejects_header_overflow_as_input_error(y4m, tmp_path, capsys, fl
     assert code == EXIT_INPUT == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_encode_recon_equals_decode_output(y4m, tmp_path):
+    stream, recon, decoded = (tmp_path / name for name in ("c.fcl", "recon.y4m", "dec.y4m"))
+    assert main(["encode", "--input", y4m, "--out", str(stream), "--mode", "internal-hex",
+                 "--block-size", "8", "--recon", str(recon)]) == EXIT_OK
+    assert main(["decode", "--input", str(stream), "--out", str(decoded)]) == EXIT_OK
+    assert recon.read_bytes() == decoded.read_bytes()
+
+
+@pytest.mark.parametrize("what", ["level", "vector"])
+def test_decode_of_oversized_value_is_input_error(tmp_path, capsys, what):
+    stream = tmp_path / "bad.fcl"
+    stream.write_bytes(oversized_stream(what))
+    assert main(["decode", "--input", str(stream), "--out", str(tmp_path / "o.y4m")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_block_size_outside_luma_sizes_is_rejected(y4m, tmp_path):
+    assert main(["encode", "--input", y4m, "--out", str(tmp_path / "c.fcl"), "--mode", "zero",
+                 "--block-size", "32"]) == EXIT_INPUT
+
+
+@pytest.fixture
+def rd_csv(tmp_path):
+    """RD sweep of two clips over four quantisers with one worker."""
+    clips = [write_y4m_file(tmp_path / f"clip{k}.y4m", translating_frames(16, 16, 2, seed=k))
+             for k in (1, 2)]
+    out, agg = tmp_path / "rd1.csv", tmp_path / "agg.csv"
+    argv = ["rd-sweep", "--inputs", *clips, "--modes", "zero,internal-diamond",
+            "--q-list", "4,8,16,32", "--block-size", "8"]
+    assert main(argv + ["--out", str(out), "--aggregate-out", str(agg), "--jobs", "1"]) == EXIT_OK
+    return argv, out, agg
+
+
+def test_rd_sweep_is_independent_of_worker_count(rd_csv, tmp_path):
+    argv, out, _ = rd_csv
+    out2 = tmp_path / "rd2.csv"
+    assert main(argv + ["--out", str(out2), "--jobs", "2"]) == EXIT_OK
+    assert out.read_bytes() == out2.read_bytes()
+
+
+def test_rd_sweep_aggregate_writes_median_rows(rd_csv):
+    _, out, agg = rd_csv
+    rows = read_metrics_csv(agg.read_bytes())
+    assert len(rows) == 8
+    assert {r["sequence"] for r in rows} == {"median"}
+    assert [(r["mode"], r["q"]) for r in rows] == [
+        (m, q) for m in ("internal-diamond", "zero") for q in (4, 8, 16, 32)]
+    per_clip = read_metrics_csv(out.read_bytes())
+    for r in rows:  # lower median of two values is the smaller one
+        rates = [p["rate_bits_per_frame"] for p in per_clip
+                 if (p["mode"], p["q"]) == (r["mode"], r["q"])]
+        assert r["rate_bits_per_frame"] == min(rates)
+
+
+def test_bdrate_of_curve_against_itself_is_zero(rd_csv, capsys):
+    _, out, _ = rd_csv
+    assert main(["bdrate", "--reference", str(out), "--test", str(out),
+                 "--mode", "zero"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "BD-Rate: +0.00%"
+
+
+def test_epe_of_flow_with_itself_is_zero(tmp_path, capsys):
+    flo = tmp_path / "a.flo"
+    write_flo_file(flo, random_flow(16, 16, np.random.default_rng(3)))
+    assert main(["epe", "--a", str(flo), "--b", str(flo)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "mean: 0.000000"
+
+
+def test_downsample_flow_writes_block_field(tmp_path):
+    flo, out = tmp_path / "a.flo", tmp_path / "blocks.flo"
+    write_flo_file(flo, constant_flow(20, 12, 1.25, -0.5))
+    assert main(["downsample-flow", "--input", str(flo), "--out", str(out),
+                 "--block-size", "8", "--method", "mean"]) == EXIT_OK
+    assert np.array_equal(read_flo_file(out), constant_flow(20, 12, 1.25, -0.5))

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from flowcodec.bitstream import BitstreamError
-from flowcodec.blockmatch import RDParams, median_predictor
+from flowcodec.bitstream import BitstreamError, BitWriter
+from flowcodec.blockmatch import median_predictor
 from flowcodec.codec import (
     _HEADER,
     HEADER_SIZE,
     HYBRID_MODES,
+    MAGIC,
     MOTION_MODES,
     CodecConfig,
     decode_sequence,
@@ -17,7 +20,7 @@ from flowcodec.codec import (
 from flowcodec.flowadapt import downsample_flow
 from flowcodec.model import block_grid
 
-from synth import translating_frames
+from synth import flat_frame, translating_frames
 
 W, H = 40, 24  # not a multiple of 16: edge blocks are partial
 
@@ -85,6 +88,24 @@ def test_header_round_trips_config(frames):
     assert (info.fps_num, info.fps_den) == (30000, 1001)
 
 
+# SHA-256 of each mode's stream from _encode on the fixture: any change to the
+# stream format or to an encoder decision shows here.
+GOLDEN_SHA256 = {
+    "zero": "e3d52f41536ce60df9de2374db1bcc80479fc239573d5337f66c8b9a161f6ebe",
+    "internal-diamond": "b8b710cb1d194ab583cb68266d111d447668143a3e0098e0b5c069f2b87e8c77",
+    "internal-hex": "2967d5593de94076719a2684143a4996d26aa9ff65ff937b7196cde0459ec911",
+    "flow-mean": "a468308317171769242cce95fc3730a95949033d02843a8cce5ca348e2c4b573",
+    "flow-median": "88808bbb3d408e054615bd1c15b0bddbfed07b5159d1d65e3ec8baa61d2d2b57",
+    "hybrid-mean": "2f5281bef674ba68e62cf85fd97e5df8804795019e72d5ec69b833727d7ab173",
+    "hybrid-median": "72e5c5d88c105a5df5792657fe3ffa5f58f0dab67c2f39fd88a1c29f58fa2c21",
+}
+
+
+@pytest.mark.parametrize("mode", MOTION_MODES)
+def test_stream_bytes_are_pinned(frames, mode):
+    assert hashlib.sha256(_encode(frames, mode).bitstream).hexdigest() == GOLDEN_SHA256[mode]
+
+
 def test_encode_is_deterministic(frames):
     assert _encode(frames, "hybrid-median").bitstream == _encode(frames, "hybrid-median").bitstream
 
@@ -96,7 +117,6 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
     cur, ref = frames[1], frames[0]
     bs = 8
     config = CodecConfig("hybrid-mean", q=6, block_size=bs, search_range=8)
-    rd = RDParams(config.q)
     field = downsample_flow(StubProvider(noise).get_flow("s", 1, cur, ref), bs, "mean")
     cols, rows = block_grid(W, H, bs)
     vectors = np.zeros((rows, cols, 2), np.int32)
@@ -106,7 +126,7 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
             predictor = median_predictor(vectors, c, r)
             flow_mv = field.vector(c, r)
             decision = select_block_vector("hybrid-mean", cur, ref, (c * bs, r * bs),
-                                           config.search, rd, predictor, flow_mv)
+                                           config, predictor, flow_mv)
             assert decision.internal_mv is not None
             if decision.flow_cost < decision.internal_cost:
                 assert decision.mv == flow_mv
@@ -120,12 +140,10 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
 def test_non_hybrid_decisions_have_no_candidates(frames):
     cur, ref = frames[1], frames[0]
     config = CodecConfig("zero", block_size=8, search_range=8)
-    rd = RDParams(config.q)
     predictor = median_predictor(np.zeros((1, 1, 2), np.int32), 0, 0)
     flow_mv = downsample_flow(StubProvider().get_flow("s", 1, cur, ref), 8, "mean").vector(1, 1)
     for mode in MOTION_MODES:
-        decision = select_block_vector(mode, cur, ref, (8, 8), config.search, rd,
-                                       predictor, flow_mv)
+        decision = select_block_vector(mode, cur, ref, (8, 8), config, predictor, flow_mv)
         assert (decision.internal_mv is None) == (mode not in HYBRID_MODES)
         if mode.startswith("flow"):
             assert decision.mv == flow_mv
@@ -139,6 +157,12 @@ def test_config_rejects_values_beyond_header_fields(field):
     for bad in (0, 65536, 70000):
         with pytest.raises(ValueError):
             CodecConfig("zero", **{field: bad})
+
+
+def test_config_takes_only_the_mode_by_position():
+    assert CodecConfig("zero", q=7, gop_size=3).gop_size == 3
+    with pytest.raises(TypeError):
+        CodecConfig("zero", 7)
 
 
 @pytest.mark.parametrize("fps", [(25, 0), (-25, 1), (2 ** 32, 1)])
@@ -180,3 +204,28 @@ def test_decode_rejects_malformed_header(frames, change):
     with pytest.raises(BitstreamError):
         decode_sequence(bad)
 
+
+
+def oversized_stream(what: str) -> bytes:
+    """A 16x16 stream whose first intra level ("level") or first P-frame
+    vector component ("vector") is 2**31, one past the int32 range."""
+    writer = BitWriter()
+    if what == "level":
+        writer.write_bytes(_HEADER.pack(MAGIC, 16, 16, 5, 16, 0, 100, 1, 25, 1))
+        writer.write_bits(0, 8)
+        writer.write_se(2 ** 31)
+        writer.write_ue(0)
+    else:
+        intra = encode_sequence([flat_frame(16, 16)], CodecConfig("zero")).bitstream
+        writer.write_bytes(_with_header(intra, count=2))
+        writer.write_bits(1, 8)
+        writer.write_se(2 ** 31)
+        writer.write_se(0)
+    writer.align()
+    return writer.getvalue()
+
+
+@pytest.mark.parametrize("what", ["level", "vector"])
+def test_decode_rejects_values_beyond_int32(what):
+    with pytest.raises(BitstreamError, match="out of range"):
+        decode_sequence(oversized_stream(what))

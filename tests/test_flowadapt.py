@@ -32,24 +32,25 @@ def ref_vector_median(vectors):
     return best[1]
 
 
-def field_of(vectors, width=None):
-    """Pack a vector list into a 1 x K (or h x w) field."""
-    arr = np.array(vectors, np.float64)
-    if width is None:
-        return arr.reshape(1, -1, 2)
-    return arr.reshape(-1, width, 2)
+def vecs_of(vectors):
+    """Pack a vector list into the (K, 2) float64 set the estimators take."""
+    return np.array(vectors, np.float64).reshape(-1, 2)
+
+
+def block(field, x0, y0, bw, bh):
+    """The in-bounds vectors of one rectangle of a dense field."""
+    return vecs_of(field[y0:y0 + bh, x0:x0 + bw])
 
 
 # --- block mean ------------------------------------------------------------------
 
 def test_mean_of_identical_vectors():
     field = constant_flow(8, 8, 2.0, -1.0)
-    assert block_mean(field, (0, 0, 8, 8)) == MotionVector(8, -4)
+    assert block_mean(block(field, 0, 0, 8, 8)) == MotionVector(8, -4)
 
 
 def test_mean_midpoint():
-    field = field_of([(1, 1), (3, 3)])
-    assert block_mean(field, (0, 0, 2, 1)) == MotionVector(8, 8)
+    assert block_mean(vecs_of([(1, 1), (3, 3)])) == MotionVector(8, 8)
 
 
 def test_mean_matches_reference_summation():
@@ -57,32 +58,24 @@ def test_mean_matches_reference_summation():
     field = random_flow(48, 48, rng)
     for _ in range(30):
         x0, y0 = int(rng.integers(0, 33)), int(rng.integers(0, 33))
-        rect = (x0, y0, 16, 16)
         vectors = [tuple(map(float, field[y, x]))
                    for y in range(y0, y0 + 16) for x in range(x0, x0 + 16)]
         want_u, want_v = ref_mean(vectors)
-        assert block_mean(field, rect) == quantize_to_quarter_pel(want_u, want_v)
-
-
-def test_mean_empty_intersection_raises():
-    field = constant_flow(8, 8, 0, 0)
-    with pytest.raises(ValueError):
-        block_mean(field, (8, 0, 4, 4))
+        assert block_mean(block(field, x0, y0, 16, 16)) == quantize_to_quarter_pel(want_u, want_v)
 
 
 # --- vector median ----------------------------------------------------------------
 
 def test_median_of_identical_vectors():
     field = constant_flow(4, 4, -3.5, 0.25)
-    assert block_vector_median(field, (0, 0, 4, 4)) == MotionVector(-14, 1)
+    assert block_vector_median(block(field, 0, 0, 4, 4)) == MotionVector(-14, 1)
 
 
 def test_median_outlier_case():
     vectors = [(0.0, 0.0), (0.0, 0.0), (10.0, 10.0)]
     # distance sums: (0,0) -> ~14.14, (10,10) -> ~28.28
     assert ref_vector_median(vectors) == (0.0, 0.0)
-    field = field_of(vectors)
-    assert block_vector_median(field, (0, 0, 3, 1)) == MotionVector(0, 0)
+    assert block_vector_median(vecs_of(vectors)) == MotionVector(0, 0)
 
 
 def test_median_is_member_of_input_set():
@@ -90,8 +83,7 @@ def test_median_is_member_of_input_set():
     for _ in range(50):
         k = int(rng.integers(1, 30))
         vectors = [tuple(map(float, v)) for v in rng.normal(0, 4, (k, 2))]
-        field = field_of(vectors)
-        mv = block_vector_median(field, (0, 0, k, 1))
+        mv = block_vector_median(vecs_of(vectors))
         u, v = ref_vector_median(vectors)
         assert mv == quantize_to_quarter_pel(u, v)
         assert (u, v) in vectors
@@ -110,15 +102,13 @@ def test_median_matches_bruteforce_including_ties():
         else:
             vecs = rng.normal(0, 6, (k, 2))
         vectors = [tuple(map(float, v)) for v in vecs]
-        field = field_of(vectors)
-        got = block_vector_median(field, (0, 0, k, 1))
+        got = block_vector_median(vecs_of(vectors))
         assert got == quantize_to_quarter_pel(*ref_vector_median(vectors))
 
 
 def test_median_symmetric_tie_breaks_lexicographic():
     vectors = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    field = field_of(vectors)
-    got = block_vector_median(field, (0, 0, 4, 1))
+    got = block_vector_median(vecs_of(vectors))
     assert got == quantize_to_quarter_pel(*ref_vector_median(vectors))
     assert got == MotionVector(-4, 0)  # equal sums and magnitudes; smallest (u, v)
 
@@ -128,28 +118,26 @@ def test_median_symmetric_tie_breaks_lexicographic():
 def test_estimators_agree_on_constant_field():
     field = constant_flow(16, 16, 1.75, -2.25)
     for rect in [(0, 0, 16, 16), (8, 8, 8, 8), (12, 12, 8, 8)]:
-        assert block_mean(field, rect) == block_vector_median(field, rect) == MotionVector(7, -9)
+        vecs = block(field, *rect)
+        assert block_mean(vecs) == block_vector_median(vecs) == MotionVector(7, -9)
 
 
 def test_estimators_permutation_invariant():
     rng = np.random.default_rng(4)
     vecs = rng.normal(0, 5, (24, 2))
     perm = rng.permutation(24)
-    a, b = field_of([tuple(v) for v in vecs]), field_of([tuple(v) for v in vecs[perm]])
-    assert block_mean(a, (0, 0, 24, 1)) == block_mean(b, (0, 0, 24, 1))
-    assert block_vector_median(a, (0, 0, 24, 1)) == block_vector_median(b, (0, 0, 24, 1))
+    assert block_mean(vecs) == block_mean(vecs[perm])
+    assert block_vector_median(vecs) == block_vector_median(vecs[perm])
 
 
 def test_estimators_commute_with_translation():
     rng = np.random.default_rng(5)
     vecs = rng.integers(-8, 9, (16, 2)).astype(np.float64)
     t = (3.0, -2.0)
-    base = field_of([tuple(v) for v in vecs])
-    shifted = base + np.array(t)
-    rect = (0, 0, 16, 1)
-    m0, m1 = block_vector_median(base, rect), block_vector_median(shifted, rect)
+    shifted = vecs + np.array(t)
+    m0, m1 = block_vector_median(vecs), block_vector_median(shifted)
     assert (m1.dx - m0.dx, m1.dy - m0.dy) == (12, -8)  # exact for integer input
-    a0, a1 = block_mean(base, rect), block_mean(shifted, rect)
+    a0, a1 = block_mean(vecs), block_mean(shifted)
     assert abs(a1.dx - a0.dx - 12) <= 1 and abs(a1.dy - a0.dy + 8) <= 1
 
 
@@ -171,7 +159,7 @@ def test_downsample_composes_per_block_estimates():
         blocks = downsample_flow(field, 16, method)
         for r in range(2):
             for c in range(2):
-                want = op(field, (c * 16, r * 16, 16, 16))
+                want = op(block(field, c * 16, r * 16, 16, 16))
                 assert blocks.vector(c, r) == want
 
 
@@ -180,7 +168,7 @@ def test_downsample_edge_blocks_use_partial_sets():
     field = random_flow(20, 12, rng)  # 2 x 1 grid of 16 px blocks
     blocks = downsample_flow(field, 16, "mean")
     assert (blocks.rows, blocks.cols) == (1, 2)
-    assert blocks.vector(1, 0) == block_mean(field, (16, 0, 16, 16))
+    assert blocks.vector(1, 0) == block_mean(block(field, 16, 0, 16, 16))
 
 
 def test_downsample_bimodal_block_mean_vs_median_differ():
@@ -191,9 +179,9 @@ def test_downsample_bimodal_block_mean_vs_median_differ():
     assert mean_blocks.vector(0, 0) == MotionVector(16, 0)   # interior value (4, 0) px
     assert med_blocks.vector(0, 0) == MotionVector(0, 0)     # an input vector
     # odd-count bimodal set: median returns a member, mean does not
-    odd = field_of([(0.0, 0.0), (0.0, 0.0), (8.0, 0.0)])
-    assert block_vector_median(odd, (0, 0, 3, 1)) == MotionVector(0, 0)
-    assert block_mean(odd, (0, 0, 3, 1)) == MotionVector(11, 0)  # 8/3 px
+    odd = vecs_of([(0.0, 0.0), (0.0, 0.0), (8.0, 0.0)])
+    assert block_vector_median(odd) == MotionVector(0, 0)
+    assert block_mean(odd) == MotionVector(11, 0)  # 8/3 px
 
 
 def test_downsample_validates_inputs():

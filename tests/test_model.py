@@ -122,7 +122,6 @@ def test_quantize_ties_away_from_zero():
 
 def test_quantize_clamps_to_bound():
     assert quantize_to_quarter_pel(1000.0, -1000.0) == MotionVector(128, -128)
-    assert quantize_to_quarter_pel(1000.0, 0.0, bound=8) == MotionVector(8, 0)
 
 
 def test_quantize_rejects_non_finite():
