@@ -135,10 +135,14 @@ def cmd_rd_sweep(args) -> int:
         if mode not in MOTION_MODES:
             raise ValueError(f"unknown motion mode {mode!r}")
     q_list = _parse_int_list(args.q_list)
+    sequences = [Path(path).stem for path in args.inputs]
+    repeated = sorted({s for s in sequences if sequences.count(s) > 1})
+    if repeated:
+        raise ValueError(f"inputs share the sequence name(s) {repeated}; "
+                         "the RD rows would be indistinguishable")
     argd = vars(args).copy()
     jobs = []
-    for path in args.inputs:
-        sequence = Path(path).stem
+    for path, sequence in zip(args.inputs, sequences):
         for mode in modes:
             for q in q_list:
                 jobs.append((path, sequence, mode, q, argd))
@@ -166,8 +170,10 @@ def _curves(records) -> list[list[RDPoint]]:
     """One q-sorted RD curve per sequence, in sequence-name order."""
     by_sequence: dict[str, list[RDPoint]] = {}
     for r in sorted(records, key=lambda r: (r["sequence"], r["q"])):
-        by_sequence.setdefault(r["sequence"], []).append(
-            RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"]))
+        curve = by_sequence.setdefault(r["sequence"], [])
+        if curve and curve[-1].q == r["q"]:
+            raise ValueError(f"repeated RD record for sequence {r['sequence']!r} at q {r['q']}")
+        curve.append(RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"]))
     return list(by_sequence.values())
 
 

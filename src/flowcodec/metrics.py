@@ -58,10 +58,12 @@ def median_aggregate(curves: "list[RDCurve]") -> RDCurve:
     """Per-q median of rate and PSNR across sequences (lower median on even counts)."""
     if not curves:
         raise ValueError("no curves to aggregate")
-    grid = [p.q for p in sorted(curves[0], key=lambda p: p.q)]
+    grid = sorted(p.q for p in curves[0])
     by_q = []
     for curve in curves:
         qs = {p.q: p for p in curve}
+        if len(qs) != len(curve):
+            raise ValueError(f"curve repeats a q: {sorted(p.q for p in curve)}")
         if sorted(qs) != grid:
             raise ValueError(f"curve q grid {sorted(qs)} does not match {grid}")
         by_q.append(qs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowcodec.cli import EXIT_INPUT, EXIT_OK, main
-from flowcodec.io import read_flo_file, read_metrics_csv, write_flo_file
+from flowcodec.io import read_flo_file, read_metrics_csv, write_flo_file, write_metrics
 
 from synth import constant_flow, random_flow, translating_frames, write_y4m_file
 from test_codec import oversized_stream
@@ -82,6 +82,28 @@ def test_bdrate_of_curve_against_itself_is_zero(rd_csv, capsys):
     assert main(["bdrate", "--reference", str(out), "--test", str(out),
                  "--mode", "zero"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "BD-Rate: +0.00%"
+
+
+def test_rd_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):
+    clips = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        clips.append(write_y4m_file(tmp_path / d / "clip.y4m", translating_frames(16, 16, 2)))
+    out = tmp_path / "rd.csv"
+    assert main(["rd-sweep", "--inputs", *clips, "--modes", "zero", "--q-list", "4,8,16,32",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "'clip'" in capsys.readouterr().err.split("error:", 1)[1]
+    assert not out.exists()
+
+
+def test_bdrate_rejects_repeated_rd_records(rd_csv, tmp_path, capsys):
+    _, out, _ = rd_csv
+    records = read_metrics_csv(out.read_bytes())
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_bytes(write_metrics(records + [records[-1]]))
+    assert main(["bdrate", "--reference", str(out), "--test", str(doubled),
+                 "--mode", records[-1]["mode"]]) == EXIT_INPUT
+    assert "repeated RD record" in capsys.readouterr().err
 
 
 def test_epe_of_flow_with_itself_is_zero(tmp_path, capsys):

@@ -47,9 +47,9 @@ def frames():
     return translating_frames(W, H, 3, dx=4, dy=2, seed=11)
 
 
-def _encode(frames, mode, block_size=8, gop=100, q=6):
+def _encode(frames, mode, block_size=8, gop=100, q=6, noise=1.5):
     config = CodecConfig(mode, q=q, gop_size=gop, block_size=block_size, search_range=8)
-    return encode_sequence(frames, config, StubProvider(), "seq")
+    return encode_sequence(frames, config, StubProvider(noise), "seq")
 
 
 # --- round trip and bit accounting ----------------------------------------------
@@ -104,6 +104,22 @@ GOLDEN_SHA256 = {
 @pytest.mark.parametrize("mode", MOTION_MODES)
 def test_stream_bytes_are_pinned(frames, mode):
     assert hashlib.sha256(_encode(frames, mode).bitstream).hexdigest() == GOLDEN_SHA256[mode]
+
+
+# 16 px Vector Median streams: full 256-member blocks, with noisy flow and
+# with noise-free flow, where every member of a block ties.
+GOLDEN_SHA256_BLOCK16 = {
+    ("flow-median", 1.5): "d65ec6f573497fc66e7e27b7dedba2f7531c597402cbf90e1781410139c5ee05",
+    ("hybrid-median", 1.5): "215daf0c9657aea161fba0d36ddf6f9df99b11d7576d92fb4cd70b270ff318fe",
+    ("flow-median", 0.0): "40f870cfe5c6ce58ab8bb5be04aa6545a12f037f98348534ca43c268a62462b8",
+    ("hybrid-median", 0.0): "68231e7cbffb1a5fe0ab88c1f8a8e17c1ed97fb1d02b5950a9b8b4ed795931b2",
+}
+
+
+@pytest.mark.parametrize("mode, noise", GOLDEN_SHA256_BLOCK16)
+def test_16px_median_stream_bytes_are_pinned(frames, mode, noise):
+    stream = _encode(frames, mode, block_size=16, noise=noise).bitstream
+    assert hashlib.sha256(stream).hexdigest() == GOLDEN_SHA256_BLOCK16[mode, noise]
 
 
 def test_encode_is_deterministic(frames):

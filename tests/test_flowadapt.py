@@ -21,12 +21,16 @@ def ref_mean(vectors):
     return (math.fsum(u for u, _ in vectors) / n, math.fsum(v for _, v in vectors) / n)
 
 
+def summed_distance(vectors, ui, vi):
+    """Exact sum of the Euclidean distances from (ui, vi) to every member."""
+    return math.fsum(math.sqrt((ui - uj) ** 2 + (vi - vj) ** 2) for uj, vj in vectors)
+
+
 def ref_vector_median(vectors):
     """O(K^2) minimizer of summed distances with the documented tie-break."""
     best = None
     for ui, vi in vectors:
-        total = math.fsum(math.sqrt((ui - uj) ** 2 + (vi - vj) ** 2) for uj, vj in vectors)
-        key = (total, ui * ui + vi * vi, ui, vi)
+        key = (summed_distance(vectors, ui, vi), ui * ui + vi * vi, ui, vi)
         if best is None or key < best[0]:
             best = (key, (ui, vi))
     return best[1]
@@ -35,6 +39,11 @@ def ref_vector_median(vectors):
 def vecs_of(vectors):
     """Pack a vector list into the (K, 2) float64 set the estimators take."""
     return np.array(vectors, np.float64).reshape(-1, 2)
+
+
+def list_of(vecs):
+    """The (u, v) float tuples of a (K, 2) set, as the oracles take them."""
+    return [tuple(v) for v in vecs.tolist()]
 
 
 def block(field, x0, y0, bw, bh):
@@ -113,6 +122,48 @@ def test_median_symmetric_tie_breaks_lexicographic():
     assert got == MotionVector(-4, 0)  # equal sums and magnitudes; smallest (u, v)
 
 
+# --- vector median at full block size ----------------------------------------------
+
+def symmetric_set(rng, center=(0.0, 0.0), scale=3.0):
+    """128 float32-derived offsets and their mirror images about `center`.
+
+    center +/- offset is exact in float64, so mirrored members have the same
+    multiset of distances and tie exactly."""
+    h = rng.normal(0, scale, (128, 2)).astype(np.float32).astype(np.float64)
+    return np.concatenate([np.add(center, h), np.subtract(center, h)])
+
+
+FULL_BLOCK_SETS = {
+    "constant": lambda rng: np.tile([1.75, -0.25], (256, 1)),
+    "two-valued": lambda rng: np.repeat([[3.0, 2.25], [0.5, -1.0]], 128, axis=0),
+    "point-symmetric": lambda rng: symmetric_set(rng)[rng.permutation(256)],
+    "noisy": lambda rng: rng.normal(-2, 4, (256, 2)).astype(np.float32).astype(np.float64),
+    "single": lambda rng: vecs_of([(2.5, -0.75)]),
+}
+
+
+@pytest.mark.parametrize("name", FULL_BLOCK_SETS)
+def test_median_matches_bruteforce_on_full_blocks(name):
+    vecs = FULL_BLOCK_SETS[name](np.random.default_rng(8))
+    assert block_vector_median(vecs) == quantize_to_quarter_pel(*ref_vector_median(list_of(vecs)))
+
+
+def test_median_one_ulp_apart_is_decided_by_exact_sums():
+    # The mirrored pair c +/- h tie; moving one component of another member
+    # by one ulp splits their sums in the last bits only, so the prefilter
+    # must keep both and the exact sums pick the winner. (With numpy 2.4 on
+    # x86-64, numpy's own row sums rank this pair the wrong way round.)
+    vecs = symmetric_set(np.random.default_rng(310), center=(30.125, -20.125), scale=0.1)
+    tied = ref_vector_median(list_of(vecs))
+    vecs[0, 0] = np.nextafter(vecs[0, 0], np.inf)
+    vectors = list_of(vecs)
+    won = ref_vector_median(vectors)
+    sums = [summed_distance(vectors, *p) for p in (tied, won)]
+    assert sums[0] != sums[1] and abs(sums[0] - sums[1]) <= sums[1] * 2.0 ** -50
+    assert block_vector_median(vecs) == quantize_to_quarter_pel(*won)
+    assert quantize_to_quarter_pel(*won) != quantize_to_quarter_pel(*tied)
+
+
 # --- shared estimator properties -----------------------------------------------
 
 def test_estimators_agree_on_constant_field():
@@ -171,6 +222,15 @@ def test_downsample_edge_blocks_use_partial_sets():
     assert blocks.vector(1, 0) == block_mean(block(field, 16, 0, 16, 16))
 
 
+def test_downsample_partial_median_blocks_match_bruteforce():
+    field = random_flow(24, 20, np.random.default_rng(9))  # blocks of 256, 128, 64, 32
+    blocks = downsample_flow(field, 16, "vector-median")
+    for r in range(2):
+        for c in range(2):
+            vectors = list_of(block(field, c * 16, r * 16, 16, 16))
+            assert blocks.vector(c, r) == quantize_to_quarter_pel(*ref_vector_median(vectors))
+
+
 def test_downsample_bimodal_block_mean_vs_median_differ():
     field = np.zeros((32, 32, 2), np.float32)
     field[:, 8:16, 0] = 8.0  # right half of block (0,0) moves, left half static
@@ -189,6 +249,15 @@ def test_downsample_validates_inputs():
         downsample_flow(np.zeros((4, 4), np.float32), 16)
     with pytest.raises(ValueError):
         downsample_flow(constant_flow(8, 8, 0, 0), 16, method="mode")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["mean", "vector-median"])
+def test_downsample_rejects_non_finite_flow(method, bad):
+    field = constant_flow(16, 16, 1.0, 0.0)
+    field[3, 5, 1] = bad
+    with pytest.raises(ValueError, match="1 non-finite"):
+        downsample_flow(field, 16, method)
 
 
 def test_expand_block_field_paints_blocks():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowcodec.metrics import PSNR_CAP, bd_psnr, bd_rate, frame_psnr, psnr
+from flowcodec.metrics import PSNR_CAP, bd_psnr, bd_rate, frame_psnr, median_aggregate, psnr
 from flowcodec.model import RDPoint
 
 from synth import random_frame
@@ -22,6 +22,30 @@ def test_bd_rate_of_curve_against_itself_is_zero():
 @pytest.mark.parametrize("k", [0.5, 0.9, 1.25, 2.0])
 def test_bd_rate_of_scaled_rates_is_k_minus_one(k):
     assert bd_rate(CURVE, _scaled(CURVE, k)) == pytest.approx((k - 1.0) * 100.0, abs=1e-6)
+
+
+def test_median_aggregate_takes_lower_median_per_q():
+    curves = [_scaled(CURVE, k) for k in (1.0, 3.0, 2.0, 4.0)]
+    curves[1] = [RDPoint(p.q, p.rate, p.psnr + 1.0) for p in reversed(curves[1])]
+    assert median_aggregate(curves) == [
+        RDPoint(p.q, p.rate * 2.0, p.psnr) for p in sorted(CURVE, key=lambda p: p.q)]
+
+
+def test_median_aggregate_rejects_mismatched_grids():
+    with pytest.raises(ValueError, match="does not match"):
+        median_aggregate([CURVE, CURVE[:3]])
+    with pytest.raises(ValueError, match="does not match"):
+        median_aggregate([CURVE, [RDPoint(45, 1.0, 1.0)] + CURVE[1:]])
+    with pytest.raises(ValueError, match="no curves"):
+        median_aggregate([])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_median_aggregate_rejects_repeated_q(which):
+    curves = [CURVE, CURVE]
+    curves[which] = CURVE + [RDPoint(30, 2200.0, 33.6)]
+    with pytest.raises(ValueError, match="repeats a q"):
+        median_aggregate(curves)
 
 
 def ref_psnr(a, b):
