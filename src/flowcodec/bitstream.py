@@ -1,10 +1,38 @@
-"""MSB-first bit packing with exponential-Golomb codes.
+"""MSB-first bit packing with exponential-Golomb codes (ITU-T H.264 §9.1).
 
 Unsigned values v map to the codeword 0^(n-1) ++ bin(v+1) where
 n = bitlength(v+1).  Signed values use the alternating mapping
 s > 0 -> 2s-1, s <= 0 -> -2s, so 0 costs a single bit.
+
+`BitWriter` and `BitReader` write and read one field at a time. Whole arrays
+of codes go through numpy, with the same bits:
+
+- Pack: `BitWriter.write_ue_array` computes every code length from the
+  values, scatters the value bits of all codes into one 0/1 array and packs
+  it with `np.packbits`. Values must be below 2**64 - 1, so that no prefix
+  is longer than `MAX_PREFIX` zeros.
+- Parse: `CodeParser` unpacks a window of `_WINDOW_BITS` bits and counts,
+  for every position, the zeros before the next one bit. That gives the
+  length of the code that starts there, and of the pair of codes that
+  starts there; it tabulates both. The caller's loop steps from code to
+  code, or from pair to pair, through one table alone and records where
+  each step starts. `CodeParser.prefixes` and `CodeParser.values` then read
+  the prefix lengths and values of all recorded codes at once, with one
+  8-byte load per code (codes of more than `_WORD_PREFIX` zeros exactly,
+  with Python ints).
+
+A code the tables cannot vouch for raises `BitstreamError` with the message
+and bit position of `BitReader.read_ue` at the same place: a prefix of more
+than `MAX_PREFIX` zeros, or a code that runs past the end of the data.
 """
 from __future__ import annotations
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+MAX_PREFIX = 63     # longest zero prefix a reader accepts: values up to 2**64 - 2
+_WINDOW_BITS = 1 << 14
+_WORD_PREFIX = 56   # longest prefix whose value bits one 8-byte load at any bit offset holds
 
 
 class BitstreamError(ValueError):
@@ -29,6 +57,43 @@ def ue_bits(value: int) -> int:
 def se_bits(value: int) -> int:
     """Code length in bits of a signed exp-Golomb value."""
     return ue_bits(se_to_ue(value))
+
+
+def se_to_ue_array(values) -> np.ndarray:
+    """`se_to_ue` of an integer array (|value| < 2**63), as uint64."""
+    values = np.asarray(values, np.int64)
+    twice = np.abs(values).astype(np.uint64) << 1
+    return np.where(values > 0, twice - 1, twice)
+
+
+def ue_to_se_array(codes: np.ndarray) -> np.ndarray:
+    """`ue_to_se` of a uint64 array (each value at most 2**64 - 2), as int64."""
+    half = (codes >> 1).astype(np.int64)
+    return np.where(codes & 1, half + 1, -half)
+
+
+def _bit_lengths(values: np.ndarray) -> np.ndarray:
+    """int.bit_length of each value of a uint64 array of positive values."""
+    lengths = np.frexp(values.astype(np.float64))[1].astype(np.int64)  # exact below 2**53
+    big = np.flatnonzero(values >= 1 << 53)
+    lengths[big] = [int(v).bit_length() for v in values[big]]
+    return lengths
+
+
+def _ue_code_bits(values) -> np.ndarray:
+    """The exp-Golomb codes of an array of unsigned values, concatenated as a
+    uint8 array of 0/1 bits."""
+    coded = np.asarray(values, np.uint64) + 1
+    ends = np.cumsum(2 * _bit_lengths(coded) - 1)
+    bits = np.zeros(int(ends[-1]) if len(ends) else 0, np.uint8)
+    at = ends - 1
+    while coded.size:  # one pass per value bit, from the last bit of every code backwards
+        bits[at] = coded & 1
+        coded >>= 1
+        at -= 1
+        more = coded != 0
+        coded, at = coded[more], at[more]
+    return bits
 
 
 class BitWriter:
@@ -59,6 +124,20 @@ class BitWriter:
 
     def write_se(self, value: int) -> None:
         self.write_ue(se_to_ue(value))
+
+    def write_ue_array(self, values) -> int:
+        """Write the codes of an array of unsigned values; returns their length
+        in bits."""
+        bits = _ue_code_bits(values)
+        written = len(bits)
+        if self._nbits:
+            pending = np.array([self._acc << (8 - self._nbits)], np.uint8)
+            bits = np.concatenate((np.unpackbits(pending)[:self._nbits], bits))
+        whole = len(bits) & ~7
+        self._bytes += np.packbits(bits[:whole]).tobytes()
+        self._nbits = len(bits) - whole
+        self._acc = int(np.packbits(bits[whole:])[0]) >> (8 - self._nbits) if self._nbits else 0
+        return written
 
     def align(self) -> int:
         """Pad with zero bits to the next byte boundary; returns pad size."""
@@ -113,7 +192,7 @@ class BitReader:
         zeros = 0
         while self._read_bit() == 0:
             zeros += 1
-            if zeros > 63:
+            if zeros > MAX_PREFIX:
                 raise BitstreamError(f"exp-Golomb prefix too long at bit {self._pos}")
         if zeros == 0:
             return 0
@@ -133,3 +212,111 @@ class BitReader:
             raise BitstreamError(f"bitstream overrun reading {count} bytes at bit {self._pos}")
         self._pos += count * 8
         return self._data[start:start + count]
+
+
+class CodeParser:
+    """Finds and reads the exp-Golomb codes of a byte string with numpy.
+
+    A window of the data starting at bit base has two tables, as bytes so
+    that a Python loop reads them at the cost of an index:
+
+    - `codes(pos)`: entry i is the length in bits of the code that starts
+      at bit base + i, or 0 where no whole code of at most `MAX_PREFIX`
+      zeros starts inside the window.
+    - `pairs(pos)`: entry i is 1 where that code is a single bit (value 0),
+      else its length plus the length of the code after it, or 0 where
+      either is not whole. It steps over lists of code pairs that a 0 in
+      the first position ends.
+    """
+
+    def __init__(self, data: bytes):
+        self.end = len(data) * 8
+        self._data = bytes(data)
+        self._bytes = np.frombuffer(self._data + bytes(8), np.uint8)  # 8-byte loads stay inside
+        self._words = sliding_window_view(self._bytes, 8)
+        self._base = 0
+        self._tables = (b"\0", b"\0")
+
+    def codes(self, pos: int) -> tuple[int, bytes]:
+        """(base, code table) of a window with a code at pos: the current
+        one if it has, else a new one from pos. Raises `BitstreamError` if
+        no valid code starts at pos."""
+        return self._window(pos, 0)
+
+    def pairs(self, pos: int) -> tuple[int, bytes]:
+        """(base, pair table) of a window with a pair at pos, like `codes`.
+        Raises the error of the first code of the pair that is not valid."""
+        return self._window(pos, 1)
+
+    def _window(self, pos: int, which: int) -> tuple[int, bytes]:
+        base, tables = self._base, self._tables
+        if 0 <= pos - base < len(tables[which]) and tables[which][pos - base]:
+            return base, tables[which]
+        tables = self._tabulate(pos)
+        if not tables[which][0]:
+            raise self._error(pos + tables[0][0])  # tables[0][0] is 0 if the first code is bad
+        self._base, self._tables = pos, tables
+        return pos, tables[which]
+
+    def _bits(self, pos: int, stop: int) -> np.ndarray:
+        first = pos >> 3
+        chunk = np.unpackbits(self._bytes[first:(stop + 7) >> 3])
+        return chunk[pos - 8 * first:stop - 8 * first]
+
+    def _tabulate(self, pos: int) -> tuple[bytes, bytes]:
+        bits = self._bits(pos, min(pos + _WINDOW_BITS, self.end))
+        n = len(bits)
+        ones = np.flatnonzero(bits.view(bool))  # much faster than on uint8
+        # Distance from each position up to the last one bit to the next one bit.
+        zeros = np.repeat(ones, np.diff(ones, prepend=-1))
+        at = np.arange(n + 1)
+        zeros -= at[:len(zeros)]
+        np.minimum(zeros, MAX_PREFIX + 1, out=zeros)
+        lengths = np.zeros(n + 1, np.uint8)  # lengths[n] stays 0
+        lengths[:len(zeros)] = 2 * zeros + 1
+        lengths[lengths > 2 * MAX_PREFIX + 1] = 0
+        tail = max(0, n - 2 * MAX_PREFIX)  # only codes from here on can run past the window
+        lengths[tail:][at[tail:] + lengths[tail:] > n] = 0
+        second = lengths[at + lengths]
+        single = lengths == 1
+        second *= ~single
+        pairs = lengths + second  # at most 2 * 127
+        pairs *= single | (second > 0)
+        return lengths.tobytes(), pairs.tobytes()
+
+    def _error(self, pos: int) -> BitstreamError:
+        """The error `BitReader.read_ue` raises for the code at pos."""
+        head = self._bits(pos, min(pos + MAX_PREFIX + 1, self.end))
+        ones = np.flatnonzero(head)
+        zeros = int(ones[0]) if ones.size else len(head)
+        if zeros > MAX_PREFIX:
+            return BitstreamError(f"exp-Golomb prefix too long at bit {pos + zeros}")
+        if zeros == len(head):
+            return BitstreamError(f"bitstream overrun at bit {self.end}")
+        return BitstreamError(f"bitstream overrun reading {zeros} bits at bit {pos + zeros + 1}")
+
+    def _load(self, pos: np.ndarray) -> np.ndarray:
+        """The 64 bits from each bit position (int64 array) as uint64; the
+        first 57 of them are always data."""
+        words = self._words[pos >> 3].view(">u8")[:, 0].astype(np.uint64)
+        return words << (pos & 7).astype(np.uint64)
+
+    def prefixes(self, starts: np.ndarray) -> np.ndarray:
+        """Zero prefix lengths (int64) of the valid codes at starts (int64)."""
+        top = self._load(starts) >> 11  # 53 bits: exact in float64
+        zeros = 53 - np.frexp(top.astype(np.float64))[1].astype(np.int64)
+        for k in np.flatnonzero(zeros == 53):  # no one bit in the first 53
+            zeros[k] = np.flatnonzero(self._bits(int(starts[k]), int(starts[k]) + 64))[0]
+        return zeros
+
+    def values(self, starts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+        """uint64 values of the valid codes at starts (int64) whose prefixes
+        are zeros (int64) long."""
+        lead = starts + zeros  # the one bit that opens the value bits
+        shift = MAX_PREFIX - np.minimum(zeros, _WORD_PREFIX)
+        words = self._load(lead) >> shift.astype(np.uint64)
+        for k in np.flatnonzero(zeros > _WORD_PREFIX):
+            lo, hi = int(lead[k]), int(lead[k] + zeros[k] + 1)
+            chunk = int.from_bytes(self._data[lo >> 3:(hi + 7) >> 3], "big")
+            words[k] = (chunk >> (-hi % 8)) & ((1 << (hi - lo)) - 1)
+        return words - 1

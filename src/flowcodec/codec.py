@@ -23,10 +23,31 @@ is, MSB first:
 Encoder and decoder both build every frame's prediction with `_prediction`
 (zero planes for intra frames, `motion_compensate` of the previous decoded
 frame otherwise) and add the dequantised residual to it the same way.
+
+The exp-Golomb codes of a frame are written and read as arrays (see
+`bitstream`), `_CHUNK_BLOCKS` blocks at a time, so that no per-code array
+grows with the frame:
+
+- The encoder records each block's vector difference during the search and
+  writes them all once the block loop is done. This is the same stream,
+  because the median predictor reads only vectors chosen earlier. Each
+  plane's run-level codes come from `np.flatnonzero` over its zig-zagged
+  levels (`_level_codes`). The frame's motion and residual bit counts are the
+  summed code lengths.
+- The decoder steps over the vector codes one at a time and over the
+  run-level codes a (level, run) pair at a time, through the tables of
+  `bitstream.CodeParser` (`_walk_codes`, `_walk_blocks`; a 1-bit code where
+  a level belongs is the EOB). It then reads every value at once, rebuilds
+  the vectors in raster order and scatters the levels into their blocks. A
+  malformed frame raises the `BitstreamError` of its first bad code or
+  symbol in stream order, as reading one code at a time would. Before any
+  of that, a header that claims more frames or blocks than the payload can
+  hold is rejected.
 """
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
@@ -34,7 +55,13 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from . import metrics
-from .bitstream import BitReader, BitstreamError, BitWriter
+from .bitstream import (
+    BitstreamError,
+    BitWriter,
+    CodeParser,
+    se_to_ue_array,
+    ue_to_se_array,
+)
 from .blockmatch import (
     SearchConfig,
     diamond_search,
@@ -171,33 +198,131 @@ def zigzag_order(n: int) -> tuple[int, ...]:
 # Per block, each nonzero coefficient in scan order is coded as
 # (signed exp-Golomb level, unsigned exp-Golomb zero run); the level is
 # written first so the 1-bit zero level can double as the end-of-block
-# symbol.
+# symbol. Blocks are coded and parsed _CHUNK_BLOCKS at a time, which bounds
+# the size of every per-code array.
+
+_CHUNK_BLOCKS = 128
+_INT32 = np.iinfo(np.int32)
 
 
-def _write_block_levels(writer: BitWriter, scanned: np.ndarray) -> None:
-    prev = -1
-    for pos in np.flatnonzero(scanned):
-        writer.write_se(int(scanned[pos]))
-        writer.write_ue(int(pos) - prev - 1)
-        prev = int(pos)
-    writer.write_se(0)
+def _level_codes(scanned: np.ndarray) -> np.ndarray:
+    """ue values of the run-level codes of blocks of scanned levels, in
+    stream order. The k-th nonzero level, in block b, has its level code at
+    2k + b and its run code at 2k + b + 1; the zeros left are the EOBs."""
+    nz = np.flatnonzero(scanned)
+    block, pos = np.divmod(nz, scanned.shape[1])
+    prev = np.empty_like(pos)  # position of the previous nonzero level in the block
+    prev[1:] = pos[:-1]
+    first = np.ones(len(nz), bool)
+    first[1:] = block[1:] != block[:-1]
+    prev[first] = -1
+    codes = np.zeros(2 * len(nz) + len(scanned), np.uint64)
+    at = 2 * np.arange(len(nz)) + block
+    codes[at] = se_to_ue_array(scanned.ravel()[nz])
+    codes[at + 1] = pos - prev - 1
+    return codes
 
 
-def _read_block_levels(reader: BitReader, count: int) -> np.ndarray:
-    scanned = np.zeros(count, np.int32)
-    pos = -1
-    while True:
-        level = reader.read_se()
-        if level == 0:
-            return scanned
-        run = reader.read_ue()
-        pos += run + 1
-        if pos >= count:
-            raise BitstreamError(f"coefficient run overflows block at bit {reader.bit_pos}")
-        try:
-            scanned[pos] = level
-        except OverflowError:
-            raise BitstreamError(f"coefficient level out of range at bit {reader.bit_pos}") from None
+def _write_levels(writer: BitWriter, scanned: np.ndarray) -> int:
+    """Write the run-level codes of blocks of scanned levels; returns the bits."""
+    return sum(writer.write_ue_array(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
+               for first in range(0, len(scanned), _CHUNK_BLOCKS))
+
+
+def _walk_codes(parser: CodeParser, p: int, count: int, starts: array):
+    """Step over count codes from bit p, appending each start to starts.
+    Returns the bit after the last whole code and the error that stopped
+    the walk, if any."""
+    append = starts.append
+    try:
+        base, table = parser.codes(p)
+        for _ in range(count):
+            length = table[p - base]
+            if not length:
+                base, table = parser.codes(p)
+                length = table[0]
+            append(p)
+            p += length
+    except BitstreamError as exc:
+        return p, exc
+    return p, None
+
+
+def _walk_blocks(parser: CodeParser, p: int, nblocks: int, size: int, starts: array,
+                 eobs: array):
+    """Step over the run-level pairs of nblocks blocks of size coefficients
+    from bit p. Appends the start of every pair and EOB (a 1-bit code where
+    a level belongs) to starts, and the index in starts of every EOB to
+    eobs. Returns like `_walk_codes`; it also stops, without an error, in a
+    block of more pairs than coefficients, one of whose runs then overflows
+    it."""
+    append, close = starts.append, eobs.append
+    try:
+        base, table = parser.pairs(p)
+        for _ in range(nblocks):
+            for _ in range(size + 1):
+                length = table[p - base]
+                if not length:
+                    base, table = parser.pairs(p)
+                    length = table[0]
+                append(p)
+                p += length
+                if length == 1:
+                    break
+            else:
+                return p, None
+            close(len(starts) - 1)
+    except BitstreamError as exc:
+        return p, exc
+    return p, None
+
+
+def _bounds(starts: array, end: int) -> np.ndarray:
+    return np.append(np.asarray(starts, np.int64), end)
+
+
+def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.ndarray, int]:
+    """Read the run-level codes of nblocks t x t blocks from bit p; returns
+    the (nblocks, t*t) levels in raster order and the bit after the codes.
+
+    Raises the error of the earliest malformed code or pair, in stream
+    order, as reading them one by one would."""
+    size = t * t
+    zz = np.asarray(zigzag_order(t))
+    levels = np.zeros((nblocks, size), np.int32)
+    for first in range(0, nblocks, _CHUNK_BLOCKS):
+        starts, eobs = array("q"), array("q")
+        p, error = _walk_blocks(parser, p, min(_CHUNK_BLOCKS, nblocks - first), size,
+                                starts, eobs)
+        bounds = _bounds(starts, p)
+        closes = np.asarray(eobs, np.int64)
+        eob = np.zeros(len(starts), bool)
+        eob[closes] = True
+        paired = np.flatnonzero(~eob)
+        pair_block = np.searchsorted(closes, paired)
+        at_level, pair_end = bounds[paired], bounds[paired + 1]
+        level_zeros = parser.prefixes(at_level)
+        at_run = at_level + 2 * level_zeros + 1
+        level = ue_to_se_array(parser.values(at_level, level_zeros))
+        run = parser.values(at_run, (pair_end - at_run - 1) >> 1)
+        # A level sits at the sum of (run + 1) over its block's pairs so far,
+        # minus one. Capping runs at the block size keeps the sums exact
+        # where it matters: a run that large overflows the block anyway.
+        step = np.minimum(run, size).astype(np.int64) + 1
+        end = np.cumsum(step)
+        opens = np.ones(len(paired), bool)
+        opens[1:] = pair_block[1:] != pair_block[:-1]
+        pos = end - 1 - np.maximum.accumulate(np.where(opens, end - step, 0))
+        overflow = pos >= size
+        bad = np.flatnonzero(overflow | (level < _INT32.min) | (level > _INT32.max))
+        if bad.size:
+            k = bad[0]
+            what = "run overflows block" if overflow[k] else "level out of range"
+            raise BitstreamError(f"coefficient {what} at bit {pair_end[k]}")
+        if error is not None:
+            raise error
+        levels[first + pair_block, zz[pos]] = level
+    return levels, p
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +356,23 @@ def _reconstruct_plane(pred: np.ndarray, levels: np.ndarray, nby: int, nbx: int,
 
 
 def _encode_plane(writer: BitWriter, cur: np.ndarray, pred: np.ndarray,
-                  t: int, q: int) -> np.ndarray:
+                  t: int, q: int) -> tuple[np.ndarray, int]:
+    """Code one plane's residual; returns its reconstruction and its bits."""
     residual = cur.astype(np.float64) - pred
     blocks, nby, nbx = _to_blocks(residual, t)
     levels = quantize(dctn(blocks, axes=(1, 2), norm="ortho"), q)
-    zz = list(zigzag_order(t))
-    for scanned in levels.reshape(len(levels), t * t)[:, zz]:
-        _write_block_levels(writer, scanned)
+    bits = _write_levels(writer, levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
     h, w = cur.shape
-    return _reconstruct_plane(pred, levels, nby, nbx, q, h, w)
+    return _reconstruct_plane(pred, levels, nby, nbx, q, h, w), bits
 
 
-def _decode_plane(reader: BitReader, pred: np.ndarray, t: int, q: int) -> np.ndarray:
+def _decode_plane(parser: CodeParser, p: int, pred: np.ndarray, t: int,
+                  q: int) -> tuple[np.ndarray, int]:
+    """Decode one plane from bit p; returns it and the bit after its codes."""
     h, w = pred.shape
     nby, nbx = -(-h // t), -(-w // t)
-    zz = list(zigzag_order(t))
-    levels = np.zeros((nby * nbx, t * t), np.int32)
-    for i in range(nby * nbx):
-        levels[i, zz] = _read_block_levels(reader, t * t)
-    return _reconstruct_plane(pred, levels.reshape(-1, t, t), nby, nbx, q, h, w)
+    levels, p = _read_levels(parser, p, nby * nbx, t)
+    return _reconstruct_plane(pred, levels.reshape(-1, t, t), nby, nbx, q, h, w), p
 
 
 def _transform_sizes(block_size: int) -> tuple[int, int, int]:
@@ -385,13 +508,14 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
         ref = None if n % config.gop_size == 0 else recon[-1]
         writer.write_bits(0 if ref is None else 1, 8)
         vectors = None
-        motion_start = writer.bit_length
+        bits_motion = 0
         if ref is not None:
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             vectors = np.zeros((rows, cols, 2), np.int32)
+            diffs = np.zeros((rows, cols, 2), np.int64)
             for r in range(rows):
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
@@ -399,15 +523,16 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                     mv = select_block_vector(mode, cur, ref, (c * bs, r * bs), config,
                                              predictor, flow_mv).mv
                     vectors[r, c] = mv
-                    writer.write_se(mv.dx - predictor.dx)
-                    writer.write_se(mv.dy - predictor.dy)
-        bits_motion = writer.bit_length - motion_start
+                    diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
+            # The predictor reads only vectors chosen earlier, so the
+            # differences can all be written once the search is done.
+            bits_motion = writer.write_ue_array(se_to_ue_array(diffs.ravel()))
 
         pred = _prediction(ref, vectors, bs, w0, h0)
-        residual_start = writer.bit_length
-        rec = Frame(*(_encode_plane(writer, plane, p, t, config.q)
-                      for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)), n)
-        bits_residual = writer.bit_length - residual_start
+        planes, bits = zip(*(_encode_plane(writer, plane, p, t, config.q)
+                             for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)))
+        rec = Frame(*planes, n)
+        bits_residual = sum(bits)
         bits_header = 8 + writer.align()
 
         recon.append(rec)
@@ -433,37 +558,77 @@ def read_bitstream_info(data: bytes) -> BitstreamInfo:
     return BitstreamInfo(w, h, q, bs, MOTION_MODES[mode_id], gop, count, fps_num, fps_den)
 
 
+def _read_vectors(parser: CodeParser, p: int, rows: int, cols: int,
+                  n: int) -> tuple[np.ndarray, int]:
+    """Read frame n's block vectors from bit p; returns them and the bit
+    after their codes."""
+    vectors = np.zeros((rows, cols, 2), np.int32)
+    flat = vectors.reshape(-1, 2)
+    for first in range(0, rows * cols, _CHUNK_BLOCKS):
+        starts = array("q")
+        p, error = _walk_codes(parser, p, 2 * min(_CHUNK_BLOCKS, rows * cols - first), starts)
+        bounds = _bounds(starts, p)
+        diffs = ue_to_se_array(parser.values(bounds[:-1], (np.diff(bounds) - 1) >> 1)).tolist()
+        for k in range(len(diffs) // 2):
+            r, c = divmod(first + k, cols)
+            predictor = median_predictor(vectors, c, r)
+            try:
+                flat[first + k] = (predictor.dx + diffs[2 * k], predictor.dy + diffs[2 * k + 1])
+            except OverflowError:
+                raise BitstreamError(f"frame {n}: motion vector out of range at "
+                                     f"bit {bounds[2 * k + 2]}") from None
+        if error is not None:
+            raise error
+    return vectors, p
+
+
+def _check_payload_size(info: BitstreamInfo, size: int) -> None:
+    """Reject a header that claims more than size payload bytes can hold:
+    every frame needs its type byte, one EOB bit per transform block and, in
+    a P frame, one bit per (zero) vector component."""
+    w, h, bs = info.width, info.height, info.block_size
+    cols, rows = block_grid(w, h, bs)
+    transforms = sum(-(-ph // t) * -(-pw // t)
+                     for (ph, pw), t in zip(((h, w), (h // 2, w // 2), (h // 2, w // 2)),
+                                            _transform_sizes(bs)))
+    intra = -(-info.frame_count // info.gop_size)
+    least = (intra * -(-(8 + transforms) // 8)
+             + (info.frame_count - intra) * -(-(8 + transforms + 2 * rows * cols) // 8))
+    if least > size:
+        raise BitstreamError(f"header claims {info.frame_count} frames of {w}x{h}, which need "
+                             f"at least {least} payload bytes; the stream has {size}")
+
+
 def decode_sequence(data: bytes) -> list[Frame]:
     """Decode a bitstream back into frames, bit-identical to the encoder's
     reconstructions."""
     info = read_bitstream_info(data)
+    _check_payload_size(info, len(data) - HEADER_SIZE)
     w0, h0, bs, q = info.width, info.height, info.block_size, info.q
     cols, rows = block_grid(w0, h0, bs)
     sizes = _transform_sizes(bs)
-    reader = BitReader(data, HEADER_SIZE * 8)
+    parser = CodeParser(data)
+    p = HEADER_SIZE * 8
     frames: list[Frame] = []
     for n in range(info.frame_count):
-        ftype = reader.read_bits(8)
+        if p + 8 > parser.end:
+            raise BitstreamError(f"bitstream overrun reading 8 bits at bit {p}")
+        ftype = data[p >> 3]
+        p += 8
         expected = 0 if n % info.gop_size == 0 else 1
         if ftype != expected:
-            raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {reader.bit_pos}")
+            raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = vectors = None
         if ftype == 1:
             ref = frames[-1]
-            vectors = np.zeros((rows, cols, 2), np.int32)
-            for r in range(rows):
-                for c in range(cols):
-                    predictor = median_predictor(vectors, c, r)
-                    try:
-                        vectors[r, c] = (predictor.dx + reader.read_se(),
-                                         predictor.dy + reader.read_se())
-                    except OverflowError:
-                        raise BitstreamError(f"frame {n}: motion vector out of range at "
-                                             f"bit {reader.bit_pos}") from None
-        pred = _prediction(ref, vectors, bs, w0, h0)
-        frames.append(Frame(*(_decode_plane(reader, p, t, q) for p, t in zip(pred, sizes)), n))
-        reader.align()
-    if reader.bit_pos != len(data) * 8:
-        raise BitstreamError(f"{len(data) - reader.bit_pos // 8} trailing bytes after "
+            vectors, p = _read_vectors(parser, p, rows, cols, n)
+        planes = []
+        for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):
+            plane, p = _decode_plane(parser, p, plane_pred, t, q)
+            planes.append(plane)
+        frames.append(Frame(*planes, n))
+        p = -(-p // 8) * 8
+    if p != parser.end:
+        raise BitstreamError(f"{len(data) - p // 8} trailing bytes after "
                              f"{info.frame_count} frames")
     return frames

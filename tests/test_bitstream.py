@@ -1,14 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from flowcodec import bitstream
 from flowcodec.bitstream import (
+    MAX_PREFIX,
     BitReader,
     BitstreamError,
     BitWriter,
+    CodeParser,
     se_bits,
     se_to_ue,
+    se_to_ue_array,
     ue_bits,
     ue_to_se,
+    ue_to_se_array,
 )
 
 
@@ -131,3 +137,137 @@ def test_interleaved_bytes_and_codes():
     assert r.read_bytes(2) == b"AB"
     assert r.read_se() == -7
     assert r.read_ue() == 3
+
+
+# --- whole arrays of codes --------------------------------------------------------
+
+# 2**k - 1 and 2**k for every k up to the longest code (63 zeros): the
+# boundaries where a code gains two bits.
+UE_BOUNDARIES = sorted({0, 2 ** 64 - 2} | {2 ** k + d for k in range(1, 64) for d in (-1, 0)})
+SE_BOUNDARIES = [0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31), 2 ** 31,
+                 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63 - 1)]
+
+
+def written(values, signed: bool, lead: int, by_array: bool) -> bytes:
+    """values coded after lead zero bits, then a closing ue(5) and padding."""
+    w = BitWriter()
+    w.write_bits(0, lead)
+    if by_array:
+        codes = se_to_ue_array(values) if signed else np.array(values, np.uint64)
+        assert w.write_ue_array(codes) == sum(map(se_bits if signed else ue_bits, values))
+    else:
+        for v in values:
+            (w.write_se if signed else w.write_ue)(v)
+    w.write_ue(5)
+    w.align()
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("lead", range(8))
+def test_array_writer_matches_per_code_writer_on_boundaries(lead):
+    assert written(UE_BOUNDARIES, False, lead, True) == written(UE_BOUNDARIES, False, lead, False)
+    assert written(SE_BOUNDARIES, True, lead, True) == written(SE_BOUNDARIES, True, lead, False)
+
+
+def test_array_writer_matches_per_code_writer_on_random_arrays():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        n = int(rng.integers(0, 300))
+        scale = 2 ** int(rng.integers(1, 63))
+        ue = [int(v) for v in rng.integers(0, scale, n, dtype=np.uint64)]
+        se = [int(v) for v in rng.integers(-scale, scale, n)]
+        lead = trial % 8
+        assert written(ue, False, lead, True) == written(ue, False, lead, False)
+        assert written(se, True, lead, True) == written(se, True, lead, False)
+
+
+def test_array_sign_mappings_match_scalar_ones():
+    assert [int(v) for v in se_to_ue_array(SE_BOUNDARIES)] == [se_to_ue(v) for v in SE_BOUNDARIES]
+    codes = np.array(UE_BOUNDARIES, np.uint64)
+    assert [int(v) for v in ue_to_se_array(codes)] == [ue_to_se(v) for v in UE_BOUNDARIES]
+
+
+def parse(data: bytes, count: int, pos: int = 0) -> list[int]:
+    """count codes from bit pos through the code table and the gather."""
+    parser = CodeParser(data)
+    starts = []
+    for _ in range(count):
+        base, table = parser.codes(pos)
+        starts.append(pos)
+        pos += table[pos - base]
+    starts = np.array(starts, np.int64)
+    zeros = parser.prefixes(starts)
+    assert list(2 * zeros[:-1] + 1) == list(np.diff(starts))
+    return [int(v) for v in parser.values(starts, zeros)]
+
+
+@pytest.mark.parametrize("lead", [0, 3, 7])
+def test_parser_reads_what_the_per_code_reader_reads(lead):
+    data = written(UE_BOUNDARIES, False, lead, False)
+    assert parse(data, len(UE_BOUNDARIES) + 1, lead) == UE_BOUNDARIES + [5]
+
+
+def test_parser_reads_across_windows():
+    values = list(range(40000))  # ~1.1 Mbit: many tables
+    assert parse(written(values, False, 0, True), len(values)) == values
+
+
+def codes_with_prefix(zeros: int) -> bytes:
+    """A code of `zeros` zeros, then a one and `zeros` one bits, padded."""
+    bits = "0" * zeros + "1" * (zeros + 1)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def reader_error(data: bytes) -> str:
+    with pytest.raises(BitstreamError) as exc:
+        BitReader(data).read_ue()
+    return str(exc.value)
+
+
+def test_prefix_of_63_zeros_parses_and_64_raise():
+    data = codes_with_prefix(MAX_PREFIX)
+    assert parse(data, 1) == [BitReader(data).read_ue()] == [2 ** 64 - 2]
+    data = codes_with_prefix(MAX_PREFIX + 1)
+    with pytest.raises(BitstreamError, match="prefix too long at bit 64") as exc:
+        parse(data, 1)
+    assert str(exc.value) == reader_error(data)
+
+
+@pytest.mark.parametrize("data", [b"", b"\x00", b"\x00\x01", b"\x01", b"\x00\x00\x00\x07"])
+def test_parser_overruns_like_the_per_code_reader(data):
+    with pytest.raises(BitstreamError, match="overrun") as exc:
+        parse(data, 1)
+    assert str(exc.value) == reader_error(data)
+
+
+def read_length(data: bytes, pos: int, pair: bool):
+    """Bits that read_ue takes from pos (pair: and, unless that code is one
+    bit, the code after it), or the message it raises."""
+    reader = BitReader(data, pos)
+    try:
+        reader.read_ue()
+        if pair and reader.bit_pos - pos > 1:
+            reader.read_ue()
+    except BitstreamError as exc:
+        return str(exc)
+    return reader.bit_pos - pos
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_tables_give_every_position_what_the_per_code_reader_reads(pair):
+    rng = np.random.default_rng(11)
+    data = bytearray(rng.integers(0, 256, 3000, dtype=np.uint8).tobytes())
+    for at in (100, 1500, 2990):  # prefixes longer than MAX_PREFIX, one at the end
+        data[at:at + 9] = bytes(9)
+    data = bytes(data)
+    assert len(data) * 8 > bitstream._WINDOW_BITS  # windows that end before the data
+    parser = CodeParser(data)
+    lookup = parser.pairs if pair else parser.codes
+    for pos in range(len(data) * 8 + 1):
+        try:
+            base, table = lookup(pos)
+            got = table[pos - base]
+        except BitstreamError as exc:
+            got = str(exc)
+        assert got == read_length(data, pos, pair), pos

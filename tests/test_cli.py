@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowcodec.cli import EXIT_INPUT, EXIT_OK, main
+from flowcodec.codec import _HEADER, MAGIC
 from flowcodec.io import read_flo_file, read_metrics_csv, write_flo_file, write_metrics
 
 from synth import constant_flow, random_flow, translating_frames, write_y4m_file
@@ -37,6 +38,14 @@ def test_decode_of_oversized_value_is_input_error(tmp_path, capsys, what):
     stream.write_bytes(oversized_stream(what))
     assert main(["decode", "--input", str(stream), "--out", str(tmp_path / "o.y4m")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_decode_of_header_larger_than_its_payload_is_input_error(tmp_path, capsys):
+    stream = tmp_path / "forged.fcl"
+    stream.write_bytes(_HEADER.pack(MAGIC, 65534, 65534, 5, 16, 0, 100, 1, 25, 1) + bytes(16))
+    assert main(["decode", "--input", str(stream), "--out", str(tmp_path / "o.y4m")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o.y4m").exists()
 
 
 def test_block_size_outside_luma_sizes_is_rejected(y4m, tmp_path):

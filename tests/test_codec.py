@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from flowcodec import bitstream, codec
 from flowcodec.bitstream import BitstreamError, BitWriter
 from flowcodec.blockmatch import median_predictor
 from flowcodec.codec import (
@@ -20,7 +22,8 @@ from flowcodec.codec import (
 from flowcodec.flowadapt import downsample_flow
 from flowcodec.model import block_grid
 
-from synth import flat_frame, translating_frames
+from oracles import decode_sequential, write_block_levels
+from synth import flat_frame, random_frame, translating_frames
 
 W, H = 40, 24  # not a multiple of 16: edge blocks are partial
 
@@ -245,3 +248,213 @@ def oversized_stream(what: str) -> bytes:
 def test_decode_rejects_values_beyond_int32(what):
     with pytest.raises(BitstreamError, match="out of range"):
         decode_sequence(oversized_stream(what))
+
+
+# --- the array coders against the sequential oracle ---------------------------------
+
+@pytest.mark.parametrize("gop", [1, 2])
+@pytest.mark.parametrize("block_size", [4, 8, 16])
+@pytest.mark.parametrize("mode", MOTION_MODES)
+def test_frame_bit_counts_equal_the_sequential_reading(frames, mode, block_size, gop):
+    result = _encode(frames, mode, block_size, gop)
+    decoded, bits = decode_sequential(result.bitstream)
+    assert [(s.bits_motion, s.bits_residual, s.bits_header) for s in result.stats] == bits
+    for rec, dec in zip(result.recon, decoded):
+        assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
+        assert np.array_equal(rec.v, dec.v)
+
+
+def test_run_level_writer_matches_the_sequential_writer():
+    rng = np.random.default_rng(3)
+    extremes = np.array([2 ** 31 - 1, -(2 ** 31), 1, -1], np.int32)
+    for size in (4, 16, 64):
+        nblocks = codec._CHUNK_BLOCKS + 37  # two chunks, the second partial
+        for density in (0.0, 0.05, 0.5, 1.0):
+            scanned = rng.integers(-40, 41, (nblocks, size)).astype(np.int32)
+            scanned[rng.random((nblocks, size)) >= density] = 0
+            scanned[::5] = 0  # empty blocks
+            scanned[1::7, -1] = rng.choice(extremes, len(scanned[1::7]))
+            fast, slow = BitWriter(), BitWriter()
+            bits = codec._write_levels(fast, scanned)
+            for block in scanned:
+                write_block_levels(slow, block)
+            assert bits == slow.bit_length == fast.bit_length
+            fast.align(), slow.align()
+            assert fast.getvalue() == slow.getvalue()
+
+
+def test_large_frames_round_trip():
+    """A payload longer than a parse window, with more blocks per plane than
+    a chunk."""
+    rng = np.random.default_rng(5)
+    frames = [random_frame(352, 288, rng, n) for n in range(2)]
+    result = encode_sequence(frames, CodecConfig("zero", q=1, block_size=16))
+    assert min(s.bits_total for s in result.stats) > 10 * bitstream._WINDOW_BITS
+    assert (288 // 8) * (352 // 8) > 4 * codec._CHUNK_BLOCKS
+    for rec, dec in zip(result.recon, decode_sequence(result.bitstream)):
+        assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
+        assert np.array_equal(rec.v, dec.v)
+
+
+def decode_outcome(decode, data: bytes):
+    """The decoded planes, or the message of the BitstreamError raised."""
+    try:
+        frames = decode(data)
+    except BitstreamError as exc:
+        return str(exc)
+    return [(f.y.tolist(), f.u.tolist(), f.v.tolist()) for f in frames]
+
+
+def decode_one_code_at_a_time(data: bytes):
+    return decode_sequential(data)[0]
+
+
+def corruptions(stream: bytes, rng, count: int):
+    """Seeded bit flips (mostly in the payload), truncations, appended bytes
+    and zeroed byte spans (long exp-Golomb prefixes)."""
+    for k in range(count):
+        data = bytearray(stream)
+        kind = k % 5
+        if kind < 2:
+            for _ in range(1 + kind * int(rng.integers(1, 4))):
+                lo = 0 if rng.random() < 0.1 else HEADER_SIZE * 8
+                bit = int(rng.integers(lo, 8 * len(data)))
+                data[bit >> 3] ^= 0x80 >> (bit & 7)
+        elif kind == 2:
+            data = data[:int(rng.integers(HEADER_SIZE, len(data)))]
+        elif kind == 3:
+            data += rng.integers(0, 256, int(rng.integers(1, 5)), dtype=np.uint8).tobytes()
+        else:
+            at = int(rng.integers(HEADER_SIZE + 1, len(data)))
+            span = min(int(rng.integers(7, 11)), len(data) - at)
+            data[at:at + span] = bytes(span)
+        yield bytes(data)
+
+
+ERROR_KINDS = ("overrun", "prefix too long", "run overflows", "level out of range",
+               "vector out of range", "frame type", "trailing", "payload bytes", "header",
+               "magic", "mode id")
+
+
+def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
+    frames = translating_frames(24, 16, 3, dx=2, dy=2, seed=3)
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for mode, block_size in (("zero", 4), ("internal-hex", 8), ("flow-median", 16),
+                             ("hybrid-mean", 4), ("flow-mean", 8), ("internal-diamond", 16)):
+        config = CodecConfig(mode, q=3, gop_size=2, block_size=block_size, search_range=4)
+        stream = encode_sequence(frames, config, StubProvider(), "seq").bitstream
+        for data in corruptions(stream, rng, 70):
+            outcome = decode_outcome(decode_sequence, data)
+            assert outcome == decode_outcome(decode_one_code_at_a_time, data)
+            if isinstance(outcome, str):
+                seen.update(kind for kind in ERROR_KINDS if kind in outcome)
+            else:
+                seen["decoded"] += 1
+    # The fuzz reaches clean decodes and the errors of every layer.
+    assert {"decoded", "overrun", "prefix too long", "run overflows", "frame type",
+            "trailing", "payload bytes"} <= seen.keys()
+
+
+# --- hand-made streams at the limits ------------------------------------------------
+
+def intra_stream(pairs, closing: int = 6) -> bytes:
+    """A one-frame 16x16 intra stream at block size 16 (four 8x8 luma and two
+    8x8 chroma transforms) whose first block holds the (level, run) pairs,
+    followed by `closing` EOBs."""
+    writer = BitWriter()
+    writer.write_bytes(_HEADER.pack(MAGIC, 16, 16, 5, 16, 0, 100, 1, 25, 1))
+    writer.write_bits(0, 8)
+    for level, run in pairs:
+        writer.write_se(level)
+        writer.write_ue(run)
+    for _ in range(closing):
+        writer.write_se(0)
+    writer.align()
+    return writer.getvalue()
+
+
+def assert_decodes_like_the_oracle(data: bytes, error: str | None = None):
+    outcome = decode_outcome(decode_sequence, data)
+    assert outcome == decode_outcome(decode_one_code_at_a_time, data)
+    if error is None:
+        assert not isinstance(outcome, str), outcome
+    else:
+        assert isinstance(outcome, str) and error in outcome, outcome
+
+
+def test_level_range_is_exactly_int32():
+    assert_decodes_like_the_oracle(intra_stream([(-(2 ** 31), 0), (2 ** 31 - 1, 0)]))
+    assert_decodes_like_the_oracle(intra_stream([(2 ** 31, 0)]), "level out of range")
+    assert_decodes_like_the_oracle(intra_stream([(-(2 ** 31) - 1, 0)]), "level out of range")
+
+
+def test_run_may_end_on_the_last_coefficient_but_not_past_it():
+    assert_decodes_like_the_oracle(intra_stream([(1, 63)]))
+    assert_decodes_like_the_oracle(intra_stream([(1, 0), (2, 62)]))
+    assert_decodes_like_the_oracle(intra_stream([(1, 64)]), "run overflows block")
+    assert_decodes_like_the_oracle(intra_stream([(1, 0), (2, 63)]), "run overflows block")
+    # More pairs than coefficients, every run 0: the 65th lands past the block.
+    assert_decodes_like_the_oracle(intra_stream([(1, 0)] * 64))
+    assert_decodes_like_the_oracle(intra_stream([(1, 0)] * 65), "run overflows block")
+
+
+def test_longest_prefix_parses_and_one_more_zero_raises():
+    # A level of 2**62 is coded with 63 zeros: it parses, then is out of range.
+    assert_decodes_like_the_oracle(intra_stream([(2 ** 62, 0)]), "level out of range")
+    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 64 - 2)]), "run overflows block")
+    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 64 - 1)]), "prefix too long")
+
+
+def test_first_error_in_stream_order_wins():
+    # The out-of-range level comes before the EOBs that are missing.
+    assert_decodes_like_the_oracle(intra_stream([(2 ** 31, 0)], closing=0), "level out of range")
+    assert_decodes_like_the_oracle(intra_stream([(1, 0)], closing=0), "overrun")
+
+
+def p_frame_stream(diffs) -> bytes:
+    """A 32x16 intra frame, then a P frame at block size 16 whose two block
+    vectors differ from their predictors by diffs, and an empty residual."""
+    intra = encode_sequence([flat_frame(32, 16)], CodecConfig("zero", block_size=16)).bitstream
+    writer = BitWriter()
+    writer.write_bytes(_with_header(intra, count=2))
+    writer.write_bits(1, 8)
+    for d in diffs:
+        writer.write_se(d)
+    for _ in range(12):  # 8 luma and 2 + 2 chroma transforms
+        writer.write_se(0)
+    writer.align()
+    return writer.getvalue()
+
+
+def test_vector_range_is_exactly_int32():
+    # The second block's predictor is (0, 0): the median of its left
+    # neighbour and two absent ones.
+    extremes = [2 ** 31 - 1, -(2 ** 31)]
+    assert_decodes_like_the_oracle(p_frame_stream(extremes + extremes[::-1]))
+    assert_decodes_like_the_oracle(p_frame_stream([2 ** 31 - 1, -(2 ** 31), 0, 2 ** 31]),
+                                   "motion vector out of range")
+    assert_decodes_like_the_oracle(p_frame_stream([-(2 ** 31) - 1, 0, 0, 0]),
+                                   "motion vector out of range")
+
+
+# --- header against payload ---------------------------------------------------------
+
+def test_header_claiming_more_than_the_payload_holds_is_rejected():
+    forged = _HEADER.pack(MAGIC, 65534, 65534, 5, 16, 0, 100, 1, 25, 1) + bytes(16)
+    assert len(forged) == 42
+    with pytest.raises(BitstreamError, match="payload bytes"):
+        decode_sequence(forged)
+
+
+@pytest.mark.parametrize("block_size, w, h", [(4, 20, 14), (8, 40, 24), (16, 34, 18)])
+def test_payload_size_check_is_tight(block_size, w, h):
+    """Black frames in zero mode code every block empty: the smallest payload
+    a header allows, which must decode, while one byte less must not."""
+    frames = [flat_frame(w, h, 0, n) for n in range(5)]
+    stream = encode_sequence(frames, CodecConfig("zero", block_size=block_size,
+                                                 gop_size=2)).bitstream
+    assert len(decode_sequence(stream)) == 5
+    least = len(stream) - HEADER_SIZE
+    with pytest.raises(BitstreamError, match=f"at least {least} payload bytes"):
+        decode_sequence(stream[:-1])
