@@ -5,7 +5,6 @@ and hybrid RD-based candidate selection."""
 from .blockmatch import (
     SearchConfig,
     diamond_search,
-    full_search,
     hex_search,
     median_predictor,
     mv_rate_bits,
@@ -35,6 +34,7 @@ from .model import (
     Frame,
     MotionVector,
     RDPoint,
+    ReferencePlane,
     block_grid,
     chroma_vector,
     quantize_to_quarter_pel,

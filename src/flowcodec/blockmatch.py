@@ -4,7 +4,9 @@ The selection criterion for every search is the rate-distortion cost
 lambda * R(v) + SAD(v), where R(v) is the exact signed exp-Golomb length
 of the vector difference against the median predictor and SAD is the sum
 of absolute luma differences against the (sub-pel, border-clamped)
-motion-compensated reference.
+motion-compensated reference. Every search reads its candidates from one
+`ReferencePlane` of the reference luma, which the caller builds once per
+frame.
 
 `SearchConfig` is the one parameter object of every search: the window,
 the block size, the quarter-pel switch and the quantiser q that sets
@@ -23,6 +25,7 @@ from .model import (
     QPEL,
     ZERO_MV,
     MotionVector,
+    ReferencePlane,
     clip_block,
     predict_block,
 )
@@ -54,7 +57,7 @@ class SearchConfig:
         return 2.0 ** (self.q / 6.0 - 2.0)
 
 
-def sad(cur_block: np.ndarray, ref_plane: np.ndarray, origin: tuple[int, int],
+def sad(cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
         mv: MotionVector) -> int:
     """Sum of absolute differences against the compensated reference block.
 
@@ -63,7 +66,9 @@ def sad(cur_block: np.ndarray, ref_plane: np.ndarray, origin: tuple[int, int],
     """
     x0, y0 = origin
     size = cur_block.shape[0]
-    pred = predict_block(ref_plane, x0, y0, size, mv)
+    pred = ref.block(x0, y0, size, mv)
+    if pred is None:
+        pred = predict_block(ref.plane, x0, y0, size, mv)
     return int(np.abs(cur_block.astype(np.int32) - pred).sum())
 
 
@@ -86,9 +91,9 @@ def _cost_key(cost: float, mv: MotionVector):
 class _Evaluator:
     """Caches RD evaluations of integer/sub-pel candidates for one block."""
 
-    def __init__(self, cur_plane, ref_plane, origin, config, predictor):
+    def __init__(self, cur_plane, ref, origin, config, predictor):
         self.cur_block = clip_block(cur_plane, *origin, config.block_size).astype(np.int32)
-        self.ref_plane = ref_plane
+        self.ref = ref
         self.origin = origin
         self.lambda_y = config.lambda_y
         self.predictor = predictor
@@ -97,7 +102,7 @@ class _Evaluator:
     def cost(self, mv: MotionVector) -> float:
         cached = self._cache.get(mv)
         if cached is None:
-            cached = rd_cost(sad(self.cur_block, self.ref_plane, self.origin, mv),
+            cached = rd_cost(sad(self.cur_block, self.ref, self.origin, mv),
                              mv, self.predictor, self.lambda_y)
             self._cache[mv] = cached
         return cached
@@ -141,33 +146,13 @@ def _refine_quarter_pel(ev: _Evaluator, mv: MotionVector, cost: float,
     return best, best_key[0]
 
 
-def full_search(cur_plane: np.ndarray, ref_plane: np.ndarray, origin: tuple[int, int],
-                config: SearchConfig,
-                predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
-    """Exhaustive RD search over the integer window, the optimality oracle.
-
-    Scans every integer-pel vector in [-R, +R]^2, then (optionally) runs the
-    local quarter-pel descent around the winner.
-    """
-    ev = _Evaluator(cur_plane, ref_plane, origin, config, predictor)
-    r = config.search_range
-    best_mv, best_cost = ev.best(
-        MotionVector(ix * QPEL, iy * QPEL)
-        for iy in range(-r, r + 1)
-        for ix in range(-r, r + 1)
-    )
-    if config.refine_subpel:
-        best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)
-    return best_mv, best_cost
-
-
 def _clamp_pel(ix: int, iy: int, r: int) -> tuple[int, int]:
     return max(-r, min(r, ix)), max(-r, min(r, iy))
 
 
-def _pattern_search(cur_plane, ref_plane, origin, config, predictor,
+def _pattern_search(cur_plane, ref, origin, config, predictor,
                     large_pattern, small_pattern):
-    ev = _Evaluator(cur_plane, ref_plane, origin, config, predictor)
+    ev = _Evaluator(cur_plane, ref, origin, config, predictor)
     r = config.search_range
 
     seed = _clamp_pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL), r)
@@ -194,17 +179,19 @@ def _pattern_search(cur_plane, ref_plane, origin, config, predictor,
     return best_mv, best_cost
 
 
-def diamond_search(cur_plane, ref_plane, origin, config: SearchConfig,
+def diamond_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+                   config: SearchConfig,
                    predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
     """Large/small diamond descent seeded at (0,0) and at the predictor."""
-    return _pattern_search(cur_plane, ref_plane, origin, config, predictor,
+    return _pattern_search(cur_plane, ref, origin, config, predictor,
                            _DIAMOND_LARGE, _DIAMOND_SMALL)
 
 
-def hex_search(cur_plane, ref_plane, origin, config: SearchConfig,
+def hex_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+               config: SearchConfig,
                predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
     """Large hexagon then small cross descent, seeded at (0,0) and at the predictor."""
-    return _pattern_search(cur_plane, ref_plane, origin, config, predictor,
+    return _pattern_search(cur_plane, ref, origin, config, predictor,
                            _HEX_LARGE, _HEX_SMALL)
 
 

@@ -22,7 +22,12 @@ is, MSB first:
 
 Encoder and decoder both build every frame's prediction with `_prediction`
 (zero planes for intra frames, `motion_compensate` of the previous decoded
-frame otherwise) and add the dequantised residual to it the same way.
+frame otherwise) and add the dequantised residual to it the same way. A P
+frame's reference is one `ReferencePlane` per plane (`_reference_planes`),
+built once per frame: it interpolates each quarter-pel phase once, so every
+search candidate and every compensated block is a slice of one phase. The
+encoder's searches, the hybrid flow candidate and `motion_compensate` share
+its luma plane.
 
 The exp-Golomb codes of a frame are written and read as arrays (see
 `bitstream`), `_CHUNK_BLOCKS` blocks at a time, so that no per-code array
@@ -77,6 +82,7 @@ from .model import (
     BlockMotionField,
     Frame,
     MotionVector,
+    ReferencePlane,
     block_grid,
     chroma_vector,
     clip_block,
@@ -386,22 +392,29 @@ def _transform_sizes(block_size: int) -> tuple[int, int, int]:
 # Motion compensation and vector selection
 
 
-def motion_compensate(ref: Frame, motion: BlockMotionField) -> Frame:
-    """Predict a whole frame from ref under one vector per block.
+def _reference_planes(frame: Frame) -> tuple[ReferencePlane, ...]:
+    return ReferencePlane(frame.y), ReferencePlane(frame.u), ReferencePlane(frame.v)
+
+
+def motion_compensate(ref: tuple[ReferencePlane, ...],
+                      motion: BlockMotionField) -> tuple[np.ndarray, ...]:
+    """Predict a frame's Y, U and V planes (uint8) from its reference planes
+    under one vector per block.
 
     Chroma uses the halved vector on the half-resolution grid. Prediction
     samples are bilinear, border-clamped, and rounded to integers.
     """
     bs = motion.block_size
-    cols, rows = block_grid(ref.width, ref.height, bs)
+    height, width = ref[0].plane.shape
+    cols, rows = block_grid(width, height, bs)
     if (motion.rows, motion.cols) != (rows, cols):
         raise ValueError(
             f"motion grid {motion.cols}x{motion.rows} does not cover "
-            f"{ref.width}x{ref.height} at block size {bs}"
+            f"{width}x{height} at block size {bs}"
         )
     planes = []
-    for plane, size, halve in ((ref.y, bs, False), (ref.u, bs // 2, True), (ref.v, bs // 2, True)):
-        h, w = plane.shape
+    for plane, size, halve in zip(ref, (bs, bs // 2, bs // 2), (False, True, True)):
+        h, w = plane.plane.shape
         out = np.empty((h, w), np.uint8)
         for r in range(rows):
             for c in range(cols):
@@ -409,18 +422,20 @@ def motion_compensate(ref: Frame, motion: BlockMotionField) -> Frame:
                 if halve:
                     mv = chroma_vector(mv)
                 x0, y0 = c * size, r * size
-                block = predict_block(plane, x0, y0, size, mv)
+                block = plane.block(x0, y0, size, mv)
+                if block is None:
+                    block = predict_block(plane.plane, x0, y0, size, mv)
                 bh = min(size, h - y0)
                 bw = min(size, w - x0)
                 out[y0 : y0 + bh, x0 : x0 + bw] = block[:bh, :bw]
         planes.append(out)
-    return Frame(planes[0], planes[1], planes[2], ref.index)
+    return tuple(planes)
 
 
-def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, int],
+def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane, origin: tuple[int, int],
                         search: SearchConfig, predictor: MotionVector,
                         flow_mv: MotionVector | None = None) -> BlockDecision:
-    """Pick the block vector for one mode.
+    """Pick the block vector for one mode; ref is the reference luma.
 
     Hybrid modes evaluate exactly two candidates under the RD cost: the
     internal hexagon search result and the flow-derived vector; ties keep
@@ -429,9 +444,9 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
     if mode == "zero":
         return BlockDecision(ZERO_MV)
     if mode == "internal-diamond":
-        return BlockDecision(diamond_search(cur.y, ref.y, origin, search, predictor)[0])
+        return BlockDecision(diamond_search(cur.y, ref, origin, search, predictor)[0])
     if mode == "internal-hex":
-        return BlockDecision(hex_search(cur.y, ref.y, origin, search, predictor)[0])
+        return BlockDecision(hex_search(cur.y, ref, origin, search, predictor)[0])
     if flow_mv is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
     if mode in ("flow-mean", "flow-median"):
@@ -439,9 +454,9 @@ def select_block_vector(mode: str, cur: Frame, ref: Frame, origin: tuple[int, in
     if mode not in HYBRID_MODES:
         raise ValueError(f"unknown motion mode {mode!r}")
 
-    internal_mv, internal_cost = hex_search(cur.y, ref.y, origin, search, predictor)
+    internal_mv, internal_cost = hex_search(cur.y, ref, origin, search, predictor)
     cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
-    flow_cost = rd_cost(sad(cur_block, ref.y, origin, flow_mv), flow_mv, predictor,
+    flow_cost = rd_cost(sad(cur_block, ref, origin, flow_mv), flow_mv, predictor,
                         search.lambda_y)
     mv = flow_mv if flow_cost < internal_cost else internal_mv
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
@@ -455,18 +470,17 @@ def _flow_method(mode: str) -> str:
 # Sequence encode/decode
 
 
-def _prediction(ref: Frame | None, vectors: np.ndarray | None, bs: int,
+def _prediction(ref: tuple[ReferencePlane, ...] | None, vectors: np.ndarray | None, bs: int,
                 w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Y, U and V prediction planes (int32) of one frame.
 
     An intra frame (ref None) predicts zeros; a P frame predicts the
-    motion-compensated ref under one vector per bs x bs block.
+    motion-compensated reference planes under one vector per bs x bs block.
     """
     if ref is None:
         return (np.zeros((h, w), np.int32), np.zeros((h // 2, w // 2), np.int32),
                 np.zeros((h // 2, w // 2), np.int32))
-    predicted = motion_compensate(ref, BlockMotionField(bs, vectors))
-    return tuple(p.astype(np.int32) for p in (predicted.y, predicted.u, predicted.v))
+    return tuple(p.astype(np.int32) for p in motion_compensate(ref, BlockMotionField(bs, vectors)))
 
 
 def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = "seq",
@@ -505,14 +519,14 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     recon: list[Frame] = []
 
     for n, cur in enumerate(frames):
-        ref = None if n % config.gop_size == 0 else recon[-1]
+        ref = None if n % config.gop_size == 0 else _reference_planes(recon[-1])
         writer.write_bits(0 if ref is None else 1, 8)
         vectors = None
         bits_motion = 0
         if ref is not None:
             flow_field = None
             if mode in FLOW_MODES:
-                dense = provider.get_flow(sequence, n, cur, ref)
+                dense = provider.get_flow(sequence, n, cur, recon[-1])
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             vectors = np.zeros((rows, cols, 2), np.int32)
             diffs = np.zeros((rows, cols, 2), np.int64)
@@ -520,7 +534,7 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
                     flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-                    mv = select_block_vector(mode, cur, ref, (c * bs, r * bs), config,
+                    mv = select_block_vector(mode, cur, ref[0], (c * bs, r * bs), config,
                                              predictor, flow_mv).mv
                     vectors[r, c] = mv
                     diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
@@ -620,7 +634,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = vectors = None
         if ftype == 1:
-            ref = frames[-1]
+            ref = _reference_planes(frames[-1])
             vectors, p = _read_vectors(parser, p, rows, cols, n)
         planes = []
         for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):

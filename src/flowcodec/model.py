@@ -137,6 +137,10 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     the weights are quarter fractions, so the exact value times 16 is an
     integer and (acc + 8) >> 4 rounds half up without any float arithmetic.
     Out-of-plane reads replicate the border.
+
+    The codec reads blocks through `ReferencePlane.block`, which gives the
+    same values; this gather is its fallback for a block that reaches past
+    the reference's padding.
     """
     h, w = plane.shape
     ix, fx = divmod(int(mv.dx), QPEL)
@@ -160,6 +164,57 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
         + fx * fy * p11
     )
     return (acc + 8) >> 4
+
+
+#: Edge padding of a `ReferencePlane` on every side, in pixels: a vector of
+#: up to DEFAULT_MV_BOUND, the bilinear tap beyond it, and a partial edge
+#: block of the largest size.
+REF_MARGIN = DEFAULT_MV_BOUND // QPEL + 1 + max(LUMA_BLOCK_SIZES)
+
+
+class ReferencePlane:
+    """A uint8 reference plane, interpolated once for all the blocks read
+    from it.
+
+    The plane is edge-padded by REF_MARGIN, and each of the 16 quarter-pel
+    phases is interpolated over the whole padded plane on first use, with
+    `predict_block`'s formula. A compensated block is then a slice of one
+    phase. Phases are uint8: the rounded samples are exactly 0..255.
+    """
+
+    def __init__(self, plane: np.ndarray):
+        if not isinstance(plane, np.ndarray) or plane.ndim != 2 or plane.dtype != np.uint8:
+            raise ValueError("reference plane must be a 2D uint8 array")
+        self.plane = plane
+        padded = np.pad(plane, REF_MARGIN, mode="edge")
+        padded.setflags(write=False)
+        self._padded = padded
+        self._phases: list[np.ndarray | None] = [padded] + [None] * (QPEL * QPEL - 1)
+        # The last padded row and column only feed the sub-pel taps.
+        self._rows, self._cols = padded.shape[0] - 1, padded.shape[1] - 1
+
+    def block(self, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray | None:
+        """Read-only view equal to `predict_block(self.plane, x0, y0, size,
+        mv)`, or None when the block's taps reach past the padding."""
+        ix, fx = divmod(mv.dx, QPEL)
+        iy, fy = divmod(mv.dy, QPEL)
+        left = x0 + ix + REF_MARGIN
+        top = y0 + iy + REF_MARGIN
+        if left < 0 or top < 0 or left + size > self._cols or top + size > self._rows:
+            return None
+        phase = self._phases[fy * QPEL + fx]
+        if phase is None:
+            phase = self._phases[fy * QPEL + fx] = self._interpolate(fx, fy)
+        return phase[top:top + size, left:left + size]
+
+    def _interpolate(self, fx: int, fy: int) -> np.ndarray:
+        # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
+        p = self._padded.astype(np.uint16)
+        rows = (QPEL - fx) * p[:, :-1] + fx * p[:, 1:]
+        acc = (QPEL - fy) * rows[:-1] + fy * rows[1:] + 8
+        phase = (acc >> 4).astype(np.uint8)
+        phase.setflags(write=False)
+        return phase
 
 
 def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:

@@ -1,25 +1,48 @@
-"""Sequential reference coders the tests hold the codec's array coders to.
+"""Reference implementations the tests hold the codec to.
 
-They read and write one exp-Golomb code at a time through `BitWriter` and
-`BitReader`, the way the stream format describes it, and share everything
-else (header, payload size check, prediction, reconstruction) with the codec.
+The sequential coders read and write one exp-Golomb code at a time through
+`BitWriter` and `BitReader`, the way the stream format describes it, and
+share everything else (header, payload size check, prediction,
+reconstruction) with the codec. `full_search` is the exhaustive block
+search that bounds the pattern searches.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from flowcodec.bitstream import BitReader, BitstreamError, BitWriter
-from flowcodec.blockmatch import median_predictor
+from flowcodec.blockmatch import SearchConfig, _Evaluator, _refine_quarter_pel, median_predictor
 from flowcodec.codec import (
     HEADER_SIZE,
     _check_payload_size,
     _prediction,
     _reconstruct_plane,
+    _reference_planes,
     _transform_sizes,
     read_bitstream_info,
     zigzag_order,
 )
-from flowcodec.model import Frame, block_grid
+from flowcodec.model import QPEL, ZERO_MV, Frame, MotionVector, ReferencePlane, block_grid
+
+
+def full_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+                config: SearchConfig,
+                predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
+    """Exhaustive RD search over the integer window, the optimality oracle.
+
+    Scans every integer-pel vector in [-R, +R]^2, then (optionally) runs the
+    local quarter-pel descent around the winner.
+    """
+    ev = _Evaluator(cur_plane, ref, origin, config, predictor)
+    r = config.search_range
+    best_mv, best_cost = ev.best(
+        MotionVector(ix * QPEL, iy * QPEL)
+        for iy in range(-r, r + 1)
+        for ix in range(-r, r + 1)
+    )
+    if config.refine_subpel:
+        best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)
+    return best_mv, best_cost
 
 
 def write_block_levels(writer: BitWriter, scanned: np.ndarray) -> None:
@@ -78,7 +101,7 @@ def decode_sequential(data: bytes) -> tuple[list[Frame], list[tuple[int, int, in
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {reader.bit_pos}")
         ref = vectors = None
         if ftype == 1:
-            ref = frames[-1]
+            ref = _reference_planes(frames[-1])
             vectors = np.zeros((rows, cols, 2), np.int32)
             for r in range(rows):
                 for c in range(cols):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowcodec import bitstream, codec
+from flowcodec import bitstream, blockmatch, codec
 from flowcodec.bitstream import BitstreamError, BitWriter
 from flowcodec.blockmatch import median_predictor
 from flowcodec.codec import (
@@ -20,7 +20,7 @@ from flowcodec.codec import (
     select_block_vector,
 )
 from flowcodec.flowadapt import downsample_flow
-from flowcodec.model import block_grid
+from flowcodec.model import Frame, ReferencePlane, block_grid
 
 from oracles import decode_sequential, write_block_levels
 from synth import flat_frame, random_frame, translating_frames
@@ -125,6 +125,55 @@ def test_16px_median_stream_bytes_are_pinned(frames, mode, noise):
     assert hashlib.sha256(stream).hexdigest() == GOLDEN_SHA256_BLOCK16[mode, noise]
 
 
+class ConstantFlow:
+    def __init__(self, u: float, v: float):
+        self.u, self.v = u, v
+
+    def get_flow(self, sequence, n, cur, ref):
+        return np.broadcast_to(np.float32([self.u, self.v]), (cur.height, cur.width, 2))
+
+
+def rising_ramp(w, h, count, step):
+    """Frames of a vertical luma ramp moving up step px per frame."""
+    th = h + step * count
+    ramp = np.repeat(np.arange(th) * 250 // th, w).reshape(th, w).astype(np.uint8)
+    frames = []
+    for t in range(count):
+        y = ramp[step * t:step * t + h].copy()
+        frames.append(Frame(y, y[::2, ::2].copy(), y[::2, ::2].copy(), t))
+    return frames
+
+
+# Streams of content moving 38 px per frame, searched at range 40. The
+# median predictor carries the 38 px vector down to the partial bottom row
+# (98 = 6 * 16 + 2), whose candidates and chosen vectors reach past the
+# padding of `ReferencePlane`, so the searches and `motion_compensate` read
+# those blocks through `predict_block`. Recorded before the padded reference
+# existed.
+GOLDEN_SHA256_FAR = {
+    "internal-diamond": "dafc3ddf9a6827bea29c52883363e74c29df14f2d61daf1b09852299c6f74683",
+    "hybrid-mean": "eb1e330bfbc03c66eeb478c1400a821c2838055c1aedd19899f3330b5eb38d4e",
+}
+
+
+@pytest.mark.parametrize("mode", GOLDEN_SHA256_FAR)
+def test_vectors_past_the_padding_keep_the_stream_bytes(mode, monkeypatch):
+    fallbacks = Counter()
+    for owner in (blockmatch, codec):
+        def counted(*args, _name=owner.__name__, _gather=owner.predict_block):
+            fallbacks[_name] += 1
+            return _gather(*args)
+        monkeypatch.setattr(owner, "predict_block", counted)
+    frames = rising_ramp(64, 98, 3, 38)
+    config = CodecConfig(mode, q=6, block_size=16, search_range=40)
+    result = encode_sequence(frames, config, ConstantFlow(0.0, 38.0), "seq")
+    assert hashlib.sha256(result.bitstream).hexdigest() == GOLDEN_SHA256_FAR[mode]
+    assert fallbacks[blockmatch.__name__] and fallbacks[codec.__name__]
+    for rec, dec in zip(result.recon, decode_sequence(result.bitstream), strict=True):
+        for a, b in ((rec.y, dec.y), (rec.u, dec.u), (rec.v, dec.v)):
+            assert np.array_equal(a, b)
+
+
 def test_encode_is_deterministic(frames):
     assert _encode(frames, "hybrid-median").bitstream == _encode(frames, "hybrid-median").bitstream
 
@@ -140,11 +189,12 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
     cols, rows = block_grid(W, H, bs)
     vectors = np.zeros((rows, cols, 2), np.int32)
     flow_wins = 0
+    luma = ReferencePlane(ref.y)
     for r in range(rows):
         for c in range(cols):
             predictor = median_predictor(vectors, c, r)
             flow_mv = field.vector(c, r)
-            decision = select_block_vector("hybrid-mean", cur, ref, (c * bs, r * bs),
+            decision = select_block_vector("hybrid-mean", cur, luma, (c * bs, r * bs),
                                            config, predictor, flow_mv)
             assert decision.internal_mv is not None
             if decision.flow_cost < decision.internal_cost:
@@ -161,8 +211,9 @@ def test_non_hybrid_decisions_have_no_candidates(frames):
     config = CodecConfig("zero", block_size=8, search_range=8)
     predictor = median_predictor(np.zeros((1, 1, 2), np.int32), 0, 0)
     flow_mv = downsample_flow(StubProvider().get_flow("s", 1, cur, ref), 8, "mean").vector(1, 1)
+    luma = ReferencePlane(ref.y)
     for mode in MOTION_MODES:
-        decision = select_block_vector(mode, cur, ref, (8, 8), config, predictor, flow_mv)
+        decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv)
         assert (decision.internal_mv is None) == (mode not in HYBRID_MODES)
         if mode.startswith("flow"):
             assert decision.mv == flow_mv

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 from flowcodec.model import (
     DEFAULT_MV_BOUND,
+    QPEL,
+    REF_MARGIN,
     MotionVector,
+    ReferencePlane,
     ZERO_MV,
     block_grid,
     chroma_vector,
@@ -103,6 +106,51 @@ def test_predict_subpel_matches_bilinear_rounding():
                 want = math.floor(
                     ref_bilinear(plane, x0 + i + mv.dx / 4, y0 + j + mv.dy / 4) + 0.5)
                 assert got[j, i] == want, (x0, y0, mv, i, j)
+
+
+# --- ReferencePlane (padded, pre-interpolated predict_block) ----------------
+
+@pytest.mark.parametrize("w, h", [(40, 24), (20, 12), (36, 20), (18, 10)])
+@pytest.mark.parametrize("size", [2, 4, 8, 16])
+def test_reference_plane_blocks_match_predict_block(w, h, size):
+    """Every block of the grid, at vectors out to REF_MARGIN + 3 px, either
+    slices to predict_block's values or reports that it reaches past the
+    padding. Vectors within DEFAULT_MV_BOUND always slice."""
+    rng = np.random.default_rng(100 * w + size)
+    plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    ref = ReferencePlane(plane)
+    cols, rows = block_grid(w, h, size)
+    reach = (REF_MARGIN + 3) * QPEL
+    sliced = fallbacks = checked = 0
+    for _ in range(300):
+        x0 = size * int(rng.integers(0, cols))
+        y0 = size * int(rng.integers(0, rows))
+        mv = MotionVector(int(rng.integers(-reach, reach + 1)),
+                          int(rng.integers(-reach, reach + 1)))
+        got = ref.block(x0, y0, size, mv)
+        if got is None:
+            assert max(abs(mv.dx), abs(mv.dy)) > DEFAULT_MV_BOUND
+            fallbacks += 1
+            continue
+        sliced += 1
+        assert got.dtype == np.uint8 and not got.flags.writeable
+        assert np.array_equal(got, predict_block(plane, x0, y0, size, mv)), (x0, y0, mv)
+        if (mv.dx % QPEL or mv.dy % QPEL) and checked < 10:
+            checked += 1
+            for j in range(size):
+                for i in range(size):
+                    want = math.floor(
+                        ref_bilinear(plane, x0 + i + mv.dx / 4, y0 + j + mv.dy / 4) + 0.5)
+                    assert got[j, i] == want, (x0, y0, mv, i, j)
+    assert sliced and fallbacks and checked
+
+
+def test_reference_plane_takes_only_2d_uint8_planes():
+    # Wider samples would overflow the uint16 interpolation.
+    with pytest.raises(ValueError):
+        ReferencePlane(np.full((8, 8), 300, np.int32))
+    with pytest.raises(ValueError):
+        ReferencePlane(np.zeros(8, np.uint8))
 
 
 # --- quantize_to_quarter_pel -------------------------------------------------
