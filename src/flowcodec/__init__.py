@@ -38,6 +38,7 @@ from .model import (
     block_grid,
     chroma_vector,
     quantize_to_quarter_pel,
+    reference_planes,
 )
 
 __version__ = "0.1.0"

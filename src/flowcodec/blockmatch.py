@@ -27,7 +27,7 @@ from .model import (
     MotionVector,
     ReferencePlane,
     clip_block,
-    predict_block,
+    predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
 
 # Large/small patterns for the two descent searches, in integer pixels.
@@ -67,8 +67,6 @@ def sad(cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
     x0, y0 = origin
     size = cur_block.shape[0]
     pred = ref.block(x0, y0, size, mv)
-    if pred is None:
-        pred = predict_block(ref.plane, x0, y0, size, mv)
     return int(np.abs(cur_block.astype(np.int32) - pred).sum())
 
 

@@ -23,7 +23,7 @@ is, MSB first:
 Encoder and decoder both build every frame's prediction with `_prediction`
 (zero planes for intra frames, `motion_compensate` of the previous decoded
 frame otherwise) and add the dequantised residual to it the same way. A P
-frame's reference is one `ReferencePlane` per plane (`_reference_planes`),
+frame's reference is one `ReferencePlane` per plane (`reference_planes`),
 built once per frame: it interpolates each quarter-pel phase once, so every
 search candidate and every compensated block is a slice of one phase. The
 encoder's searches, the hybrid flow candidate and `motion_compensate` share
@@ -86,7 +86,8 @@ from .model import (
     block_grid,
     chroma_vector,
     clip_block,
-    predict_block,
+    predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
+    reference_planes,
 )
 
 MOTION_MODES = (
@@ -392,15 +393,11 @@ def _transform_sizes(block_size: int) -> tuple[int, int, int]:
 # Motion compensation and vector selection
 
 
-def _reference_planes(frame: Frame) -> tuple[ReferencePlane, ...]:
-    return ReferencePlane(frame.y), ReferencePlane(frame.u), ReferencePlane(frame.v)
-
-
 def motion_compensate(ref: tuple[ReferencePlane, ...],
                       motion: BlockMotionField) -> tuple[np.ndarray, ...]:
-    """Predict a frame's Y, U and V planes (uint8) from its reference planes
-    under one vector per block.
+    """Predict a frame's Y, U and V planes (uint8) under one vector per block.
 
+    ref is the reference frame's `reference_planes`: Y, U, V in that order.
     Chroma uses the halved vector on the half-resolution grid. Prediction
     samples are bilinear, border-clamped, and rounded to integers.
     """
@@ -423,8 +420,6 @@ def motion_compensate(ref: tuple[ReferencePlane, ...],
                     mv = chroma_vector(mv)
                 x0, y0 = c * size, r * size
                 block = plane.block(x0, y0, size, mv)
-                if block is None:
-                    block = predict_block(plane.plane, x0, y0, size, mv)
                 bh = min(size, h - y0)
                 bw = min(size, w - x0)
                 out[y0 : y0 + bh, x0 : x0 + bw] = block[:bh, :bw]
@@ -519,7 +514,7 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     recon: list[Frame] = []
 
     for n, cur in enumerate(frames):
-        ref = None if n % config.gop_size == 0 else _reference_planes(recon[-1])
+        ref = None if n % config.gop_size == 0 else reference_planes(recon[-1])
         writer.write_bits(0 if ref is None else 1, 8)
         vectors = None
         bits_motion = 0
@@ -634,7 +629,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = vectors = None
         if ftype == 1:
-            ref = _reference_planes(frames[-1])
+            ref = reference_planes(frames[-1])
             vectors, p = _read_vectors(parser, p, rows, cols, n)
         planes = []
         for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):

@@ -139,8 +139,8 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     Out-of-plane reads replicate the border.
 
     The codec reads blocks through `ReferencePlane.block`, which gives the
-    same values; this gather is its fallback for a block that reaches past
-    the reference's padding.
+    same values from a pre-interpolated plane; this gather is the
+    definition the tests hold it to.
     """
     h, w = plane.shape
     ix, fx = divmod(int(mv.dx), QPEL)
@@ -166,10 +166,10 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     return (acc + 8) >> 4
 
 
-#: Edge padding of a `ReferencePlane` on every side, in pixels: a vector of
-#: up to DEFAULT_MV_BOUND, the bilinear tap beyond it, and a partial edge
-#: block of the largest size.
-REF_MARGIN = DEFAULT_MV_BOUND // QPEL + 1 + max(LUMA_BLOCK_SIZES)
+#: Edge padding of a `ReferencePlane` on every side, in pixels: the largest
+#: block, so a partial edge block and its sub-pel taps stay inside it, and a
+#: block that leaves it lies wholly beyond the plane's border.
+REF_MARGIN = max(LUMA_BLOCK_SIZES)
 
 
 class ReferencePlane:
@@ -193,15 +193,19 @@ class ReferencePlane:
         # The last padded row and column only feed the sub-pel taps.
         self._rows, self._cols = padded.shape[0] - 1, padded.shape[1] - 1
 
-    def block(self, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray | None:
+    def block(self, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
         """Read-only view equal to `predict_block(self.plane, x0, y0, size,
-        mv)`, or None when the block's taps reach past the padding."""
+        mv)`, for any vector and any size up to REF_MARGIN.
+
+        A block that leaves the padding lies wholly beyond one border of the
+        plane, so every tap `predict_block` reads on that axis clamps to the
+        border row or column. Clamping the slice into the padding reads only
+        copies of that border, and equal taps interpolate to the same value.
+        """
         ix, fx = divmod(mv.dx, QPEL)
         iy, fy = divmod(mv.dy, QPEL)
-        left = x0 + ix + REF_MARGIN
-        top = y0 + iy + REF_MARGIN
-        if left < 0 or top < 0 or left + size > self._cols or top + size > self._rows:
-            return None
+        left = min(max(x0 + ix + REF_MARGIN, 0), self._cols - size)
+        top = min(max(y0 + iy + REF_MARGIN, 0), self._rows - size)
         phase = self._phases[fy * QPEL + fx]
         if phase is None:
             phase = self._phases[fy * QPEL + fx] = self._interpolate(fx, fy)
@@ -215,6 +219,11 @@ class ReferencePlane:
         phase = (acc >> 4).astype(np.uint8)
         phase.setflags(write=False)
         return phase
+
+
+def reference_planes(frame: Frame) -> tuple[ReferencePlane, ReferencePlane, ReferencePlane]:
+    """The Y, U and V `ReferencePlane`s of a frame, in that order."""
+    return ReferencePlane(frame.y), ReferencePlane(frame.u), ReferencePlane(frame.v)
 
 
 def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:

@@ -17,12 +17,19 @@ from flowcodec.codec import (
     _check_payload_size,
     _prediction,
     _reconstruct_plane,
-    _reference_planes,
     _transform_sizes,
     read_bitstream_info,
     zigzag_order,
 )
-from flowcodec.model import QPEL, ZERO_MV, Frame, MotionVector, ReferencePlane, block_grid
+from flowcodec.model import (
+    QPEL,
+    ZERO_MV,
+    Frame,
+    MotionVector,
+    ReferencePlane,
+    block_grid,
+    reference_planes,
+)
 
 
 def full_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
@@ -101,7 +108,7 @@ def decode_sequential(data: bytes) -> tuple[list[Frame], list[tuple[int, int, in
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {reader.bit_pos}")
         ref = vectors = None
         if ftype == 1:
-            ref = _reference_planes(frames[-1])
+            ref = reference_planes(frames[-1])
             vectors = np.zeros((rows, cols, 2), np.int32)
             for r in range(rows):
                 for c in range(cols):

@@ -113,26 +113,25 @@ def test_predict_subpel_matches_bilinear_rounding():
 @pytest.mark.parametrize("w, h", [(40, 24), (20, 12), (36, 20), (18, 10)])
 @pytest.mark.parametrize("size", [2, 4, 8, 16])
 def test_reference_plane_blocks_match_predict_block(w, h, size):
-    """Every block of the grid, at vectors out to REF_MARGIN + 3 px, either
-    slices to predict_block's values or reports that it reaches past the
-    padding. Vectors within DEFAULT_MV_BOUND always slice."""
+    """Every block of the grid slices to predict_block's values, at vectors
+    out to DEFAULT_MV_BOUND plus the padding plus 3 px, where the slice is
+    clamped, and at the int32 extremes the decoder accepts."""
     rng = np.random.default_rng(100 * w + size)
     plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
     ref = ReferencePlane(plane)
     cols, rows = block_grid(w, h, size)
-    reach = (REF_MARGIN + 3) * QPEL
-    sliced = fallbacks = checked = 0
-    for _ in range(300):
+    reach = DEFAULT_MV_BOUND + (REF_MARGIN + 3) * QPEL
+    extremes = [-2**31, -2**31 + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1]
+    checked = 0
+    for trial in range(400):
         x0 = size * int(rng.integers(0, cols))
         y0 = size * int(rng.integers(0, rows))
-        mv = MotionVector(int(rng.integers(-reach, reach + 1)),
-                          int(rng.integers(-reach, reach + 1)))
+        if trial < 50:
+            mv = MotionVector(int(rng.choice(extremes)), int(rng.choice(extremes)))
+        else:
+            mv = MotionVector(int(rng.integers(-reach, reach + 1)),
+                              int(rng.integers(-reach, reach + 1)))
         got = ref.block(x0, y0, size, mv)
-        if got is None:
-            assert max(abs(mv.dx), abs(mv.dy)) > DEFAULT_MV_BOUND
-            fallbacks += 1
-            continue
-        sliced += 1
         assert got.dtype == np.uint8 and not got.flags.writeable
         assert np.array_equal(got, predict_block(plane, x0, y0, size, mv)), (x0, y0, mv)
         if (mv.dx % QPEL or mv.dy % QPEL) and checked < 10:
@@ -142,7 +141,7 @@ def test_reference_plane_blocks_match_predict_block(w, h, size):
                     want = math.floor(
                         ref_bilinear(plane, x0 + i + mv.dx / 4, y0 + j + mv.dy / 4) + 0.5)
                     assert got[j, i] == want, (x0, y0, mv, i, j)
-    assert sliced and fallbacks and checked
+    assert checked
 
 
 def test_reference_plane_takes_only_2d_uint8_planes():
