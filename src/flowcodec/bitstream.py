@@ -14,14 +14,15 @@ of codes go through numpy, with the same bits:
 - Parse: `CodeParser` unpacks a window of `_WINDOW_BITS` bits and counts,
   for every position, the zeros before the next one bit. That gives the
   length of the code that starts there, and of the pair of codes that
-  starts there; it tabulates both. The caller's loop steps from code to
-  code, or from pair to pair, through one table alone and records where
-  each step starts. `CodeParser.prefixes` and `CodeParser.values` then read
-  the prefix lengths and values of all recorded codes at once, with one
-  8-byte load per code (codes of more than `_WORD_PREFIX` zeros exactly,
-  with Python ints).
+  starts there; it tabulates the pair lengths. The caller's loop steps from
+  pair to pair through that table and records where each step starts.
+  `CodeParser.prefixes` and `CodeParser.values` then read the prefix lengths
+  and values of all recorded codes at once, with one 8-byte load per code
+  (codes of more than `_WORD_PREFIX` zeros exactly, with Python ints).
+  The codec parses its run-level (level, run) pairs this way; it reads the
+  few vector codes of a P frame one at a time with `BitReader`.
 
-A code the tables cannot vouch for raises `BitstreamError` with the message
+A code the table cannot vouch for raises `BitstreamError` with the message
 and bit position of `BitReader.read_ue` at the same place: a prefix of more
 than `MAX_PREFIX` zeros, or a code that runs past the end of the data.
 """
@@ -181,21 +182,25 @@ class BitReader:
         self._pos += count
         return (chunk >> shift) & ((1 << count) - 1)
 
-    def _read_bit(self) -> int:
-        if self._pos >= self._end:
-            raise BitstreamError(f"bitstream overrun at bit {self._pos}")
-        bit = (self._data[self._pos >> 3] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
     def read_ue(self) -> int:
-        zeros = 0
-        while self._read_bit() == 0:
-            zeros += 1
-            if zeros > MAX_PREFIX:
-                raise BitstreamError(f"exp-Golomb prefix too long at bit {self._pos}")
-        if zeros == 0:
-            return 0
+        """Read one unsigned code; one `int.bit_length` over the next 9
+        bytes finds its zero prefix."""
+        pos = self._pos
+        if pos >= self._end:
+            raise BitstreamError(f"bitstream overrun at bit {pos}")
+        chunk = self._data[pos >> 3:(pos >> 3) + 9]
+        avail = 8 * len(chunk) - (pos & 7)  # room for MAX_PREFIX + 1 zeros unless the data ends
+        head = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
+        zeros = avail - head.bit_length()
+        if zeros > MAX_PREFIX:
+            raise BitstreamError(f"exp-Golomb prefix too long at bit {pos + MAX_PREFIX + 1}")
+        if not head:
+            raise BitstreamError(f"bitstream overrun at bit {self._end}")
+        length = 2 * zeros + 1
+        if length <= avail:
+            self._pos = pos + length
+            return (head >> (avail - length)) - 1
+        self._pos = pos + zeros + 1
         return ((1 << zeros) | self.read_bits(zeros)) - 1
 
     def read_se(self) -> int:
@@ -215,18 +220,15 @@ class BitReader:
 
 
 class CodeParser:
-    """Finds and reads the exp-Golomb codes of a byte string with numpy.
+    """Finds the exp-Golomb code pairs of a byte string and reads their codes
+    with numpy.
 
-    A window of the data starting at bit base has two tables, as bytes so
-    that a Python loop reads them at the cost of an index:
-
-    - `codes(pos)`: entry i is the length in bits of the code that starts
-      at bit base + i, or 0 where no whole code of at most `MAX_PREFIX`
-      zeros starts inside the window.
-    - `pairs(pos)`: entry i is 1 where that code is a single bit (value 0),
-      else its length plus the length of the code after it, or 0 where
-      either is not whole. It steps over lists of code pairs that a 0 in
-      the first position ends.
+    A window of the data starting at bit base has one table, as bytes so that
+    a Python loop reads it at the cost of an index: entry i is 1 where the
+    code that starts at bit base + i is a single bit (value 0), else that
+    code's length plus the length of the code after it, or 0 where either is
+    not a whole code of at most `MAX_PREFIX` zeros inside the window. It steps
+    over lists of code pairs that a 0 in the first position ends.
     """
 
     def __init__(self, data: bytes):
@@ -235,35 +237,29 @@ class CodeParser:
         self._bytes = np.frombuffer(self._data + bytes(8), np.uint8)  # 8-byte loads stay inside
         self._words = sliding_window_view(self._bytes, 8)
         self._base = 0
-        self._tables = (b"\0", b"\0")
-
-    def codes(self, pos: int) -> tuple[int, bytes]:
-        """(base, code table) of a window with a code at pos: the current
-        one if it has, else a new one from pos. Raises `BitstreamError` if
-        no valid code starts at pos."""
-        return self._window(pos, 0)
+        self._table = b"\0"
 
     def pairs(self, pos: int) -> tuple[int, bytes]:
-        """(base, pair table) of a window with a pair at pos, like `codes`.
-        Raises the error of the first code of the pair that is not valid."""
-        return self._window(pos, 1)
-
-    def _window(self, pos: int, which: int) -> tuple[int, bytes]:
-        base, tables = self._base, self._tables
-        if 0 <= pos - base < len(tables[which]) and tables[which][pos - base]:
-            return base, tables[which]
-        tables = self._tabulate(pos)
-        if not tables[which][0]:
-            raise self._error(pos + tables[0][0])  # tables[0][0] is 0 if the first code is bad
-        self._base, self._tables = pos, tables
-        return pos, tables[which]
+        """(base, pair table) of a window with a pair at pos: the current one
+        if it has, else a new one from pos. Raises the `BitstreamError` of the
+        first code of the pair that is not valid."""
+        base, table = self._base, self._table
+        if 0 <= pos - base < len(table) and table[pos - base]:
+            return base, table
+        first, table = self._tabulate(pos)
+        if not table[0]:
+            raise self._error(pos + first)  # first is 0 if the first code is bad
+        self._base, self._table = pos, table
+        return pos, table
 
     def _bits(self, pos: int, stop: int) -> np.ndarray:
         first = pos >> 3
         chunk = np.unpackbits(self._bytes[first:(stop + 7) >> 3])
         return chunk[pos - 8 * first:stop - 8 * first]
 
-    def _tabulate(self, pos: int) -> tuple[bytes, bytes]:
+    def _tabulate(self, pos: int) -> tuple[int, bytes]:
+        """The length of the code at pos (0 if it is not valid) and the pair
+        table of the window from pos."""
         bits = self._bits(pos, min(pos + _WINDOW_BITS, self.end))
         n = len(bits)
         ones = np.flatnonzero(bits.view(bool))  # much faster than on uint8
@@ -282,7 +278,7 @@ class CodeParser:
         second *= ~single
         pairs = lengths + second  # at most 2 * 127
         pairs *= single | (second > 0)
-        return lengths.tobytes(), pairs.tobytes()
+        return int(lengths[0]), pairs.tobytes()
 
     def _error(self, pos: int) -> BitstreamError:
         """The error `BitReader.read_ue` raises for the code at pos."""

@@ -197,16 +197,20 @@ def _median3(a: int, b: int, c: int) -> int:
     return max(min(a, b), min(max(a, b), c))
 
 
-def median_predictor(vectors: np.ndarray, col: int, row: int) -> MotionVector:
+def median_predictor(vectors, col: int, row: int) -> MotionVector:
     """Component-wise median of the left, top, and top-right neighbours.
 
-    Must be queried in raster order; neighbours outside the grid count as
-    zero vectors.
+    vectors[row][col] is a block's (dx, dy): an (rows, cols, 2) array, or
+    the rows decoded so far as lists of pairs. Must be queried in raster
+    order; neighbours outside the grid count as zero vectors.
     """
-    rows, cols = vectors.shape[:2]
-    left = vectors[row, col - 1] if col > 0 else (0, 0)
-    top = vectors[row - 1, col] if row > 0 else (0, 0)
-    topright = vectors[row - 1, col + 1] if row > 0 and col + 1 < cols else (0, 0)
+    left = vectors[row][col - 1] if col > 0 else (0, 0)
+    top = topright = (0, 0)
+    if row > 0:
+        above = vectors[row - 1]
+        top = above[col]
+        if col + 1 < len(above):
+            topright = above[col + 1]
     return MotionVector(
         _median3(int(left[0]), int(top[0]), int(topright[0])),
         _median3(int(left[1]), int(top[1]), int(topright[1])),

@@ -29,25 +29,25 @@ search candidate and every compensated block is a slice of one phase. The
 encoder's searches, the hybrid flow candidate and `motion_compensate` share
 its luma plane.
 
-The exp-Golomb codes of a frame are written and read as arrays (see
-`bitstream`), `_CHUNK_BLOCKS` blocks at a time, so that no per-code array
-grows with the frame:
+The encoder writes a frame's exp-Golomb codes as arrays (see `bitstream`).
+It records each block's vector difference during the search and writes them
+all once the block loop is done. This is the same stream, because the median
+predictor reads only vectors chosen earlier. Each plane's run-level codes
+come from `np.flatnonzero` over its zig-zagged levels (`_level_codes`),
+`_CHUNK_BLOCKS` blocks at a time, so that no per-code array grows with the
+frame. The frame's motion and residual bit counts are the summed code
+lengths.
 
-- The encoder records each block's vector difference during the search and
-  writes them all once the block loop is done. This is the same stream,
-  because the median predictor reads only vectors chosen earlier. Each
-  plane's run-level codes come from `np.flatnonzero` over its zig-zagged
-  levels (`_level_codes`). The frame's motion and residual bit counts are the
-  summed code lengths.
-- The decoder steps over the vector codes one at a time and over the
-  run-level codes a (level, run) pair at a time, through the tables of
-  `bitstream.CodeParser` (`_walk_codes`, `_walk_blocks`; a 1-bit code where
-  a level belongs is the EOB). It then reads every value at once, rebuilds
-  the vectors in raster order and scatters the levels into their blocks. A
-  malformed frame raises the `BitstreamError` of its first bad code or
-  symbol in stream order, as reading one code at a time would. Before any
-  of that, a header that claims more frames or blocks than the payload can
-  hold is rejected.
+The decoder reads the vector codes one at a time with a `BitReader`, block
+by block under the median predictor (`_read_vectors`); they are about 1% of
+a P frame's bits. It steps over the run-level codes a (level, run) pair at a
+time through the pair table of `bitstream.CodeParser` (`_walk_blocks`; a
+1-bit code where a level belongs is the EOB), `_CHUNK_BLOCKS` blocks at a
+time, then reads every value at once and scatters the levels into their
+blocks. A malformed frame raises the `BitstreamError` of its first bad code
+or symbol in stream order, as reading one code at a time would. Before any
+of that, a header that claims more frames or blocks than the payload can
+hold is rejected.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ from scipy.fft import dctn, idctn
 
 from . import metrics
 from .bitstream import (
+    BitReader,
     BitstreamError,
     BitWriter,
     CodeParser,
@@ -236,33 +237,14 @@ def _write_levels(writer: BitWriter, scanned: np.ndarray) -> int:
                for first in range(0, len(scanned), _CHUNK_BLOCKS))
 
 
-def _walk_codes(parser: CodeParser, p: int, count: int, starts: array):
-    """Step over count codes from bit p, appending each start to starts.
-    Returns the bit after the last whole code and the error that stopped
-    the walk, if any."""
-    append = starts.append
-    try:
-        base, table = parser.codes(p)
-        for _ in range(count):
-            length = table[p - base]
-            if not length:
-                base, table = parser.codes(p)
-                length = table[0]
-            append(p)
-            p += length
-    except BitstreamError as exc:
-        return p, exc
-    return p, None
-
-
 def _walk_blocks(parser: CodeParser, p: int, nblocks: int, size: int, starts: array,
                  eobs: array):
     """Step over the run-level pairs of nblocks blocks of size coefficients
     from bit p. Appends the start of every pair and EOB (a 1-bit code where
     a level belongs) to starts, and the index in starts of every EOB to
-    eobs. Returns like `_walk_codes`; it also stops, without an error, in a
-    block of more pairs than coefficients, one of whose runs then overflows
-    it."""
+    eobs. Returns the bit after the last whole pair and the error that
+    stopped the walk, if any. It also stops, without an error, in a block of
+    more pairs than coefficients, one of whose runs then overflows it."""
     append, close = starts.append, eobs.append
     try:
         base, table = parser.pairs(p)
@@ -284,10 +266,6 @@ def _walk_blocks(parser: CodeParser, p: int, nblocks: int, size: int, starts: ar
     return p, None
 
 
-def _bounds(starts: array, end: int) -> np.ndarray:
-    return np.append(np.asarray(starts, np.int64), end)
-
-
 def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.ndarray, int]:
     """Read the run-level codes of nblocks t x t blocks from bit p; returns
     the (nblocks, t*t) levels in raster order and the bit after the codes.
@@ -301,7 +279,7 @@ def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.n
         starts, eobs = array("q"), array("q")
         p, error = _walk_blocks(parser, p, min(_CHUNK_BLOCKS, nblocks - first), size,
                                 starts, eobs)
-        bounds = _bounds(starts, p)
+        bounds = np.append(np.asarray(starts, np.int64), p)
         closes = np.asarray(eobs, np.int64)
         eob = np.zeros(len(starts), bool)
         eob[closes] = True
@@ -467,15 +445,15 @@ def _flow_method(mode: str) -> str:
 
 def _prediction(ref: tuple[ReferencePlane, ...] | None, vectors: np.ndarray | None, bs: int,
                 w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y, U and V prediction planes (int32) of one frame.
+    """Y, U and V prediction planes (uint8) of one frame.
 
     An intra frame (ref None) predicts zeros; a P frame predicts the
     motion-compensated reference planes under one vector per bs x bs block.
     """
     if ref is None:
-        return (np.zeros((h, w), np.int32), np.zeros((h // 2, w // 2), np.int32),
-                np.zeros((h // 2, w // 2), np.int32))
-    return tuple(p.astype(np.int32) for p in motion_compensate(ref, BlockMotionField(bs, vectors)))
+        return (np.zeros((h, w), np.uint8), np.zeros((h // 2, w // 2), np.uint8),
+                np.zeros((h // 2, w // 2), np.uint8))
+    return motion_compensate(ref, BlockMotionField(bs, vectors))
 
 
 def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = "seq",
@@ -567,28 +545,24 @@ def read_bitstream_info(data: bytes) -> BitstreamInfo:
     return BitstreamInfo(w, h, q, bs, MOTION_MODES[mode_id], gop, count, fps_num, fps_den)
 
 
-def _read_vectors(parser: CodeParser, p: int, rows: int, cols: int,
+def _read_vectors(data: bytes, p: int, rows: int, cols: int,
                   n: int) -> tuple[np.ndarray, int]:
-    """Read frame n's block vectors from bit p; returns them and the bit
-    after their codes."""
-    vectors = np.zeros((rows, cols, 2), np.int32)
-    flat = vectors.reshape(-1, 2)
-    for first in range(0, rows * cols, _CHUNK_BLOCKS):
-        starts = array("q")
-        p, error = _walk_codes(parser, p, 2 * min(_CHUNK_BLOCKS, rows * cols - first), starts)
-        bounds = _bounds(starts, p)
-        diffs = ue_to_se_array(parser.values(bounds[:-1], (np.diff(bounds) - 1) >> 1)).tolist()
-        for k in range(len(diffs) // 2):
-            r, c = divmod(first + k, cols)
-            predictor = median_predictor(vectors, c, r)
-            try:
-                flat[first + k] = (predictor.dx + diffs[2 * k], predictor.dy + diffs[2 * k + 1])
-            except OverflowError:
+    """Read frame n's block vectors from bit p, one code at a time; returns
+    them and the bit after their codes."""
+    reader = BitReader(data, p)
+    lo, hi = _INT32.min, _INT32.max
+    field: list[list[tuple[int, int]]] = []
+    for r in range(rows):
+        row: list[tuple[int, int]] = []
+        field.append(row)
+        for c in range(cols):
+            pdx, pdy = median_predictor(field, c, r)
+            dx, dy = pdx + reader.read_se(), pdy + reader.read_se()
+            if not (lo <= dx <= hi and lo <= dy <= hi):
                 raise BitstreamError(f"frame {n}: motion vector out of range at "
-                                     f"bit {bounds[2 * k + 2]}") from None
-        if error is not None:
-            raise error
-    return vectors, p
+                                     f"bit {reader.bit_pos}")
+            row.append((dx, dy))
+    return np.array(field, np.int32), reader.bit_pos
 
 
 def _check_payload_size(info: BitstreamInfo, size: int) -> None:
@@ -630,7 +604,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
         ref = vectors = None
         if ftype == 1:
             ref = reference_planes(frames[-1])
-            vectors, p = _read_vectors(parser, p, rows, cols, n)
+            vectors, p = _read_vectors(data, p, rows, cols, n)
         planes = []
         for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):
             plane, p = _decode_plane(parser, p, plane_pred, t, q)

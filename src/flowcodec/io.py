@@ -8,7 +8,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from io import BytesIO, StringIO
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,15 +68,9 @@ class SequenceHeader:
         return " ".join(tokens).encode("ascii") + b"\n"
 
 
-def _as_stream(source: bytes | bytearray | BinaryIO) -> BinaryIO:
-    if isinstance(source, (bytes, bytearray)):
-        return BytesIO(bytes(source))
-    return source
-
-
-def read_y4m(source: bytes | BinaryIO) -> tuple[SequenceHeader, Iterator[Frame]]:
+def read_y4m(data: bytes) -> tuple[SequenceHeader, Iterator[Frame]]:
     """Parse a Y4M stream into its header and a lazy frame iterator."""
-    stream = _as_stream(source)
+    stream = BytesIO(data)
     line = stream.readline()
     if not line.startswith(Y4M_MAGIC + b" ") and line.rstrip(b"\n") != Y4M_MAGIC:
         raise Y4MError("missing YUV4MPEG2 signature")
@@ -106,7 +100,7 @@ def read_y4m(source: bytes | BinaryIO) -> tuple[SequenceHeader, Iterator[Frame]]
     return header, _frame_iter(stream, header)
 
 
-def _frame_iter(stream: BinaryIO, header: SequenceHeader) -> Iterator[Frame]:
+def _frame_iter(stream: BytesIO, header: SequenceHeader) -> Iterator[Frame]:
     w, h = header.width, header.height
     y_size = w * h
     c_size = (w // 2) * (h // 2)
@@ -150,13 +144,12 @@ def write_y4m(header: SequenceHeader, frames: Iterable[Frame]) -> bytes:
     return bytes(out)
 
 
-def read_flo(source: bytes | BinaryIO) -> FlowField:
+def read_flo(data: bytes) -> FlowField:
     """Parse a Middlebury .flo file into an (h, w, 2) float32 field.
 
     Components beyond the "unknown" sentinel magnitude are replaced by zero
     motion (counted in a warning); NaN components are rejected.
     """
-    data = _as_stream(source).read()
     if len(data) < 12:
         raise FloError(f"file too short for a .flo header ({len(data)} bytes)")
     magic = np.frombuffer(data, "<f4", count=1)[0]
@@ -211,9 +204,8 @@ def write_pgm(plane: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + plane.tobytes()
 
 
-def read_pgm(source: bytes | BinaryIO) -> np.ndarray:
+def read_pgm(data: bytes) -> np.ndarray:
     """Parse a binary PGM (P5, maxval 255); companion of write_pgm."""
-    data = _as_stream(source).read()
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4 and pos < len(data):

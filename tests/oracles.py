@@ -14,6 +14,7 @@ from flowcodec.bitstream import BitReader, BitstreamError, BitWriter
 from flowcodec.blockmatch import SearchConfig, _Evaluator, _refine_quarter_pel, median_predictor
 from flowcodec.codec import (
     HEADER_SIZE,
+    _INT32,
     _check_payload_size,
     _prediction,
     _reconstruct_plane,
@@ -73,10 +74,9 @@ def read_block_levels(reader: BitReader, count: int) -> np.ndarray:
         pos += run + 1
         if pos >= count:
             raise BitstreamError(f"coefficient run overflows block at bit {reader.bit_pos}")
-        try:
-            scanned[pos] = level
-        except OverflowError:
-            raise BitstreamError(f"coefficient level out of range at bit {reader.bit_pos}") from None
+        if not _INT32.min <= level <= _INT32.max:
+            raise BitstreamError(f"coefficient level out of range at bit {reader.bit_pos}")
+        scanned[pos] = level
 
 
 def _decode_plane(reader: BitReader, pred: np.ndarray, t: int, q: int) -> np.ndarray:
@@ -113,12 +113,11 @@ def decode_sequential(data: bytes) -> tuple[list[Frame], list[tuple[int, int, in
             for r in range(rows):
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
-                    try:
-                        vectors[r, c] = (predictor.dx + reader.read_se(),
-                                         predictor.dy + reader.read_se())
-                    except OverflowError:
+                    mv = (predictor.dx + reader.read_se(), predictor.dy + reader.read_se())
+                    if not all(_INT32.min <= v <= _INT32.max for v in mv):
                         raise BitstreamError(f"frame {n}: motion vector out of range at "
-                                             f"bit {reader.bit_pos}") from None
+                                             f"bit {reader.bit_pos}")
+                    vectors[r, c] = mv
         motion_end = reader.bit_pos
         pred = _prediction(ref, vectors, bs, w0, h0)
         frames.append(Frame(*(_decode_plane(reader, p, t, q) for p, t in zip(pred, sizes)), n))

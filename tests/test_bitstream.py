@@ -188,14 +188,15 @@ def test_array_sign_mappings_match_scalar_ones():
 
 
 def parse(data: bytes, count: int, pos: int = 0) -> list[int]:
-    """count codes from bit pos through the code table and the gather."""
-    parser = CodeParser(data)
+    """count codes from bit pos: their starts from the per-code reader, their
+    prefixes and values from the parser's gather."""
+    reader = BitReader(data, pos)
     starts = []
     for _ in range(count):
-        base, table = parser.codes(pos)
-        starts.append(pos)
-        pos += table[pos - base]
+        starts.append(reader.bit_pos)
+        reader.read_ue()
     starts = np.array(starts, np.int64)
+    parser = CodeParser(data)
     zeros = parser.prefixes(starts)
     assert list(2 * zeros[:-1] + 1) == list(np.diff(starts))
     return [int(v) for v in parser.values(starts, zeros)]
@@ -208,7 +209,7 @@ def test_parser_reads_what_the_per_code_reader_reads(lead):
 
 
 def test_parser_reads_across_windows():
-    values = list(range(40000))  # ~1.1 Mbit: many tables
+    values = list(range(40000))  # ~1.1 Mbit: many parse windows long
     assert parse(written(values, False, 0, True), len(values)) == values
 
 
@@ -225,37 +226,42 @@ def reader_error(data: bytes) -> str:
     return str(exc.value)
 
 
+def pair_table_error(data: bytes) -> str:
+    with pytest.raises(BitstreamError) as exc:
+        CodeParser(data).pairs(0)
+    return str(exc.value)
+
+
 def test_prefix_of_63_zeros_parses_and_64_raise():
     data = codes_with_prefix(MAX_PREFIX)
     assert parse(data, 1) == [BitReader(data).read_ue()] == [2 ** 64 - 2]
     data = codes_with_prefix(MAX_PREFIX + 1)
     with pytest.raises(BitstreamError, match="prefix too long at bit 64") as exc:
         parse(data, 1)
-    assert str(exc.value) == reader_error(data)
+    assert str(exc.value) == reader_error(data) == pair_table_error(data)
 
 
 @pytest.mark.parametrize("data", [b"", b"\x00", b"\x00\x01", b"\x01", b"\x00\x00\x00\x07"])
 def test_parser_overruns_like_the_per_code_reader(data):
     with pytest.raises(BitstreamError, match="overrun") as exc:
         parse(data, 1)
-    assert str(exc.value) == reader_error(data)
+    assert str(exc.value) == reader_error(data) == pair_table_error(data)
 
 
-def read_length(data: bytes, pos: int, pair: bool):
-    """Bits that read_ue takes from pos (pair: and, unless that code is one
-    bit, the code after it), or the message it raises."""
+def read_length(data: bytes, pos: int):
+    """Bits that read_ue takes from pos and, unless that code is one bit,
+    the code after it, or the message it raises."""
     reader = BitReader(data, pos)
     try:
         reader.read_ue()
-        if pair and reader.bit_pos - pos > 1:
+        if reader.bit_pos - pos > 1:
             reader.read_ue()
     except BitstreamError as exc:
         return str(exc)
     return reader.bit_pos - pos
 
 
-@pytest.mark.parametrize("pair", [False, True])
-def test_tables_give_every_position_what_the_per_code_reader_reads(pair):
+def test_pair_table_gives_every_position_what_the_per_code_reader_reads():
     rng = np.random.default_rng(11)
     data = bytearray(rng.integers(0, 256, 3000, dtype=np.uint8).tobytes())
     for at in (100, 1500, 2990):  # prefixes longer than MAX_PREFIX, one at the end
@@ -263,11 +269,10 @@ def test_tables_give_every_position_what_the_per_code_reader_reads(pair):
     data = bytes(data)
     assert len(data) * 8 > bitstream._WINDOW_BITS  # windows that end before the data
     parser = CodeParser(data)
-    lookup = parser.pairs if pair else parser.codes
     for pos in range(len(data) * 8 + 1):
         try:
-            base, table = lookup(pos)
+            base, table = parser.pairs(pos)
             got = table[pos - base]
         except BitstreamError as exc:
             got = str(exc)
-        assert got == read_length(data, pos, pair), pos
+        assert got == read_length(data, pos), pos

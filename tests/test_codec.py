@@ -353,12 +353,24 @@ def decode_one_code_at_a_time(data: bytes):
     return decode_sequential(data)[0]
 
 
+def vector_sections(stream: bytes) -> list[tuple[int, int]]:
+    """The bit range of every P frame's vector codes."""
+    sections, p = [], HEADER_SIZE * 8
+    for motion, residual, header in decode_sequential(stream)[1]:
+        if motion:
+            sections.append((p + 8, p + 8 + motion))
+        p += motion + residual + header
+    return sections
+
+
 def corruptions(stream: bytes, rng, count: int):
-    """Seeded bit flips (mostly in the payload), truncations, appended bytes
-    and zeroed byte spans (long exp-Golomb prefixes)."""
+    """Seeded bit flips (mostly in the payload), truncations, appended bytes,
+    zeroed byte spans (long exp-Golomb prefixes), and bit flips or zeroed
+    spans in a P frame's vector codes."""
+    sections = vector_sections(stream)
     for k in range(count):
         data = bytearray(stream)
-        kind = k % 5
+        kind = k % 6
         if kind < 2:
             for _ in range(1 + kind * int(rng.integers(1, 4))):
                 lo = 0 if rng.random() < 0.1 else HEADER_SIZE * 8
@@ -368,10 +380,20 @@ def corruptions(stream: bytes, rng, count: int):
             data = data[:int(rng.integers(HEADER_SIZE, len(data)))]
         elif kind == 3:
             data += rng.integers(0, 256, int(rng.integers(1, 5)), dtype=np.uint8).tobytes()
-        else:
+        elif kind == 4:
             at = int(rng.integers(HEADER_SIZE + 1, len(data)))
             span = min(int(rng.integers(7, 11)), len(data) - at)
             data[at:at + span] = bytes(span)
+        else:
+            lo, hi = sections[int(rng.integers(len(sections)))]
+            if rng.random() < 0.5:
+                for _ in range(int(rng.integers(1, 4))):
+                    bit = int(rng.integers(lo, hi))
+                    data[bit >> 3] ^= 0x80 >> (bit & 7)
+            else:
+                at = int(rng.integers(lo, hi)) >> 3
+                span = min(int(rng.integers(4, 7)), len(data) - at)
+                data[at:at + span] = bytes(span)
         yield bytes(data)
 
 
@@ -388,7 +410,7 @@ def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
                              ("hybrid-mean", 4), ("flow-mean", 8), ("internal-diamond", 16)):
         config = CodecConfig(mode, q=3, gop_size=2, block_size=block_size, search_range=4)
         stream = encode_sequence(frames, config, StubProvider(), "seq").bitstream
-        for data in corruptions(stream, rng, 70):
+        for data in corruptions(stream, rng, 84):
             outcome = decode_outcome(decode_sequence, data)
             assert outcome == decode_outcome(decode_one_code_at_a_time, data)
             if isinstance(outcome, str):
@@ -396,8 +418,8 @@ def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
             else:
                 seen["decoded"] += 1
     # The fuzz reaches clean decodes and the errors of every layer.
-    assert {"decoded", "overrun", "prefix too long", "run overflows", "frame type",
-            "trailing", "payload bytes"} <= seen.keys()
+    assert {"decoded", "overrun", "prefix too long", "run overflows", "vector out of range",
+            "frame type", "trailing", "payload bytes"} <= seen.keys()
 
 
 # --- hand-made streams at the limits ------------------------------------------------
