@@ -15,16 +15,16 @@ of codes go through numpy, with the same bits:
   for every position, the zeros before the next one bit. That gives the
   length of the code that starts there, and of the pair of codes that
   starts there; it tabulates the pair lengths. The caller's loop steps from
-  pair to pair through that table and records where each step starts.
+  pair to pair through that table and records where each step ends.
   `CodeParser.prefixes` and `CodeParser.values` then read the prefix lengths
   and values of all recorded codes at once, with one 8-byte load per code
   (codes of more than `_WORD_PREFIX` zeros exactly, with Python ints).
   The codec parses its run-level (level, run) pairs this way; it reads the
   few vector codes of a P frame one at a time with `BitReader`.
 
-A code the table cannot vouch for raises `BitstreamError` with the message
-and bit position of `BitReader.read_ue` at the same place: a prefix of more
-than `MAX_PREFIX` zeros, or a code that runs past the end of the data.
+A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
+runs past the end of the data) raises its error from `BitReader.read_ue`
+itself: `CodeParser.pairs` re-reads a pair that its table refuses.
 """
 from __future__ import annotations
 
@@ -241,14 +241,18 @@ class CodeParser:
 
     def pairs(self, pos: int) -> tuple[int, bytes]:
         """(base, pair table) of a window with a pair at pos: the current one
-        if it has, else a new one from pos. Raises the `BitstreamError` of the
-        first code of the pair that is not valid."""
+        if it has, else a new one from pos. Raises the `BitstreamError` that
+        `BitReader.read_ue` raises for the pair's first bad code."""
         base, table = self._base, self._table
         if 0 <= pos - base < len(table) and table[pos - base]:
             return base, table
-        first, table = self._tabulate(pos)
+        table = self._tabulate(pos)
         if not table[0]:
-            raise self._error(pos + first)  # first is 0 if the first code is bad
+            reader = BitReader(self._data, pos)
+            reader.read_ue()
+            reader.read_ue()
+            # Unreachable: a window holds any pair (at most 254 bits) at its base.
+            raise AssertionError(f"pair table refused the valid pair at bit {pos}")
         self._base, self._table = pos, table
         return pos, table
 
@@ -257,9 +261,8 @@ class CodeParser:
         chunk = np.unpackbits(self._bytes[first:(stop + 7) >> 3])
         return chunk[pos - 8 * first:stop - 8 * first]
 
-    def _tabulate(self, pos: int) -> tuple[int, bytes]:
-        """The length of the code at pos (0 if it is not valid) and the pair
-        table of the window from pos."""
+    def _tabulate(self, pos: int) -> bytes:
+        """The pair table of the window from pos."""
         bits = self._bits(pos, min(pos + _WINDOW_BITS, self.end))
         n = len(bits)
         ones = np.flatnonzero(bits.view(bool))  # much faster than on uint8
@@ -278,18 +281,7 @@ class CodeParser:
         second *= ~single
         pairs = lengths + second  # at most 2 * 127
         pairs *= single | (second > 0)
-        return int(lengths[0]), pairs.tobytes()
-
-    def _error(self, pos: int) -> BitstreamError:
-        """The error `BitReader.read_ue` raises for the code at pos."""
-        head = self._bits(pos, min(pos + MAX_PREFIX + 1, self.end))
-        ones = np.flatnonzero(head)
-        zeros = int(ones[0]) if ones.size else len(head)
-        if zeros > MAX_PREFIX:
-            return BitstreamError(f"exp-Golomb prefix too long at bit {pos + zeros}")
-        if zeros == len(head):
-            return BitstreamError(f"bitstream overrun at bit {self.end}")
-        return BitstreamError(f"bitstream overrun reading {zeros} bits at bit {pos + zeros + 1}")
+        return pairs.tobytes()
 
     def _load(self, pos: np.ndarray) -> np.ndarray:
         """The 64 bits from each bit position (int64 array) as uint64; the

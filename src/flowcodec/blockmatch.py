@@ -11,7 +11,8 @@ frame.
 `SearchConfig` is the one parameter object of every search: the window,
 the block size, the quarter-pel switch and the quantiser q that sets
 lambda. The diamond and hexagon descents start from the better of (0,0)
-and the median predictor.
+and the median predictor; every step takes the best of a ring under
+`_cost_key`, which ends in the vector itself, so candidates never tie.
 """
 from __future__ import annotations
 
@@ -106,46 +107,33 @@ class _Evaluator:
         return cached
 
     def best(self, candidates) -> tuple[MotionVector, float]:
-        best_mv = None
-        best_key = None
-        for mv in candidates:
-            key = _cost_key(self.cost(mv), mv)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_mv = mv
-        return best_mv, best_key[0]
+        """The candidate of least `_cost_key`, and its cost."""
+        mv = min(candidates, key=lambda mv: _cost_key(self.cost(mv), mv))
+        return mv, self.cost(mv)
 
 
 def _refine_quarter_pel(ev: _Evaluator, mv: MotionVector, cost: float,
                         bound: int) -> tuple[MotionVector, float]:
     # Greedy descent over the 8 quarter-pel neighbours, at most 3 steps,
-    # so the vector moves at most +/-0.75 px off the integer optimum.
+    # so the vector moves at most +/-0.75 px off the integer optimum. A win
+    # re-centres the rest of its step; the (cached) centre never beats itself.
     best_key = _cost_key(cost, mv)
     best = mv
     for _ in range(3):
-        moved = False
+        start = best
         for oy in (-1, 0, 1):
             for ox in (-1, 0, 1):
-                if ox == 0 and oy == 0:
-                    continue
                 cand = MotionVector(
                     max(-bound, min(bound, best.dx + ox)),
                     max(-bound, min(bound, best.dy + oy)),
                 )
-                if cand == best:
-                    continue
                 key = _cost_key(ev.cost(cand), cand)
                 if key < best_key:
                     best_key = key
                     best = cand
-                    moved = True
-        if not moved:
+        if best == start:
             break
     return best, best_key[0]
-
-
-def _clamp_pel(ix: int, iy: int, r: int) -> tuple[int, int]:
-    return max(-r, min(r, ix)), max(-r, min(r, iy))
 
 
 def _pattern_search(cur_plane, ref, origin, config, predictor,
@@ -153,24 +141,18 @@ def _pattern_search(cur_plane, ref, origin, config, predictor,
     ev = _Evaluator(cur_plane, ref, origin, config, predictor)
     r = config.search_range
 
-    seed = _clamp_pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL), r)
-    starts = {(0, 0), seed}
-    center, _ = ev.best(MotionVector(ix * QPEL, iy * QPEL) for ix, iy in starts)
+    def pel(ix: int, iy: int) -> MotionVector:
+        return MotionVector(max(-r, min(r, ix)) * QPEL, max(-r, min(r, iy)) * QPEL)
 
-    # Large-pattern descent: recenter while any neighbour beats the center.
-    while True:
+    def ring(center: MotionVector, pattern) -> tuple[MotionVector, float]:
         cx, cy = center.dx // QPEL, center.dy // QPEL
-        ring = {_clamp_pel(cx + ox, cy + oy, r) for ox, oy in large_pattern}
-        ring.add((cx, cy))
-        best, _ = ev.best(MotionVector(ix * QPEL, iy * QPEL) for ix, iy in sorted(ring))
-        if best == center:
-            break
-        center = best
+        return ev.best([center] + [pel(cx + ox, cy + oy) for ox, oy in pattern])
 
-    cx, cy = center.dx // QPEL, center.dy // QPEL
-    final = {_clamp_pel(cx + ox, cy + oy, r) for ox, oy in small_pattern}
-    final.add((cx, cy))
-    best_mv, best_cost = ev.best(MotionVector(ix * QPEL, iy * QPEL) for ix, iy in sorted(final))
+    center, _ = ev.best([ZERO_MV, pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL))])
+    # Large-pattern descent: recentre while a ring beats its centre.
+    while (best := ring(center, large_pattern)[0]) != center:
+        center = best
+    best_mv, best_cost = ring(center, small_pattern)
 
     if config.refine_subpel:
         best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)

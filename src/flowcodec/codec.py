@@ -41,13 +41,13 @@ lengths.
 The decoder reads the vector codes one at a time with a `BitReader`, block
 by block under the median predictor (`_read_vectors`); they are about 1% of
 a P frame's bits. It steps over the run-level codes a (level, run) pair at a
-time through the pair table of `bitstream.CodeParser` (`_walk_blocks`; a
-1-bit code where a level belongs is the EOB), `_CHUNK_BLOCKS` blocks at a
-time, then reads every value at once and scatters the levels into their
-blocks. A malformed frame raises the `BitstreamError` of its first bad code
-or symbol in stream order, as reading one code at a time would. Before any
-of that, a header that claims more frames or blocks than the payload can
-hold is rejected.
+time through the pair table of `bitstream.CodeParser`, keeping the bit after
+every step (`_walk_blocks`; a 1-bit step is the EOB), `_CHUNK_BLOCKS` blocks
+at a time, then reads every value at once and scatters the levels into their
+blocks (`_read_levels`). A malformed frame raises the `BitstreamError` of its
+first bad code or symbol in stream order, as reading one code at a time
+would. Before any of that, a header that claims more frames or blocks than
+the payload can hold is rejected.
 """
 from __future__ import annotations
 
@@ -237,33 +237,27 @@ def _write_levels(writer: BitWriter, scanned: np.ndarray) -> int:
                for first in range(0, len(scanned), _CHUNK_BLOCKS))
 
 
-def _walk_blocks(parser: CodeParser, p: int, nblocks: int, size: int, starts: array,
-                 eobs: array):
-    """Step over the run-level pairs of nblocks blocks of size coefficients
-    from bit p. Appends the start of every pair and EOB (a 1-bit code where
-    a level belongs) to starts, and the index in starts of every EOB to
-    eobs. Returns the bit after the last whole pair and the error that
-    stopped the walk, if any. It also stops, without an error, in a block of
-    more pairs than coefficients, one of whose runs then overflows it."""
-    append, close = starts.append, eobs.append
-    try:
-        base, table = parser.pairs(p)
-        for _ in range(nblocks):
-            for _ in range(size + 1):
-                length = table[p - base]
-                if not length:
-                    base, table = parser.pairs(p)
-                    length = table[0]
-                append(p)
-                p += length
-                if length == 1:
-                    break
-            else:
-                return p, None
-            close(len(starts) - 1)
-    except BitstreamError as exc:
-        return p, exc
-    return p, None
+def _walk_blocks(parser: CodeParser, nblocks: int, size: int, ends: array) -> None:
+    """Step over the run-level codes of nblocks blocks of size coefficients
+    from bit ends[-1], a (level, run) pair or an EOB (a 1-bit code where a
+    level belongs) at a time, appending the bit after every step to ends.
+    Raises the `BitstreamError` of a malformed pair. Stops early in a block
+    of more pairs than coefficients, one of whose runs then overflows it."""
+    p = ends[-1]
+    append = ends.append
+    base, table = parser.pairs(p)
+    for _ in range(nblocks):
+        for _ in range(size + 1):
+            length = table[p - base]
+            if not length:
+                base, table = parser.pairs(p)
+                length = table[0]
+            p += length
+            append(p)
+            if length == 1:
+                break
+        else:
+            return
 
 
 def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.ndarray, int]:
@@ -276,15 +270,17 @@ def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.n
     zz = np.asarray(zigzag_order(t))
     levels = np.zeros((nblocks, size), np.int32)
     for first in range(0, nblocks, _CHUNK_BLOCKS):
-        starts, eobs = array("q"), array("q")
-        p, error = _walk_blocks(parser, p, min(_CHUNK_BLOCKS, nblocks - first), size,
-                                starts, eobs)
-        bounds = np.append(np.asarray(starts, np.int64), p)
-        closes = np.asarray(eobs, np.int64)
-        eob = np.zeros(len(starts), bool)
-        eob[closes] = True
+        ends = array("q", [p])
+        error = None
+        try:
+            _walk_blocks(parser, min(_CHUNK_BLOCKS, nblocks - first), size, ends)
+        except BitstreamError as exc:
+            error = exc
+        bounds = np.asarray(ends, np.int64)
+        p = int(bounds[-1])
+        eob = np.diff(bounds) == 1  # a pair is at least 4 bits
         paired = np.flatnonzero(~eob)
-        pair_block = np.searchsorted(closes, paired)
+        pair_block = np.cumsum(eob)[paired]
         at_level, pair_end = bounds[paired], bounds[paired + 1]
         level_zeros = parser.prefixes(at_level)
         at_run = at_level + 2 * level_zeros + 1
@@ -295,8 +291,7 @@ def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.n
         # where it matters: a run that large overflows the block anyway.
         step = np.minimum(run, size).astype(np.int64) + 1
         end = np.cumsum(step)
-        opens = np.ones(len(paired), bool)
-        opens[1:] = pair_block[1:] != pair_block[:-1]
+        opens = np.append(True, eob)[paired]  # the chunk's first step, or after an EOB
         pos = end - 1 - np.maximum.accumulate(np.where(opens, end - step, 0))
         overflow = pos >= size
         bad = np.flatnonzero(overflow | (level < _INT32.min) | (level > _INT32.max))

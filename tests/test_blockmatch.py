@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowcodec import blockmatch
 from flowcodec.blockmatch import (
     SearchConfig,
     diamond_search,
@@ -224,6 +225,40 @@ def test_search_is_deterministic():
     cfg = SearchConfig(search_range=4, block_size=8, q=25)
     runs = [hex_search(cur, ref, (8, 8), cfg) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+# SAD evaluations over the grid below. The golden stream hashes pin the
+# winners; these totals pin the candidates scored to find them, which the
+# benchmark reports as blockmatch.sad.calls.
+PATTERN_SEARCH_SADS = {
+    ("diamond_search", False): 730,
+    ("diamond_search", True): 1030,
+    ("hex_search", False): 556,
+    ("hex_search", True): 876,
+}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("search", [diamond_search, hex_search])
+def test_pattern_search_scores_the_same_candidates(monkeypatch, search, refine):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sad(*args)
+
+    monkeypatch.setattr(blockmatch, "sad", counted)
+    rng = np.random.default_rng(11)
+    tex = smooth_texture(64, 64, rng)
+    ref = ReferencePlane(tex[8:56, 8:56])
+    cur = tex[6:54, 11:59]  # moved 3 px left and 2 px down
+    cfg = SearchConfig(search_range=5, block_size=8, refine_subpel=refine, q=10)
+    for y0 in range(0, 48, 8):
+        for x0 in range(0, 48, 8):
+            dx, dy = (int(v) for v in rng.integers(-40, 41, 2))  # some past the window
+            search(cur, ref, (x0, y0), cfg, predictor=MotionVector(dx, dy))
+    assert calls == PATTERN_SEARCH_SADS[search.__name__, refine]
 
 
 # --- median predictor ----------------------------------------------------------

@@ -365,12 +365,13 @@ def vector_sections(stream: bytes) -> list[tuple[int, int]]:
 
 def corruptions(stream: bytes, rng, count: int):
     """Seeded bit flips (mostly in the payload), truncations, appended bytes,
-    zeroed byte spans (long exp-Golomb prefixes), and bit flips or zeroed
-    spans in a P frame's vector codes."""
+    zeroed byte spans (long exp-Golomb prefixes), bit flips or zeroed spans
+    in a P frame's vector codes, and a header that claims more frames: a few
+    more overrun after the last one, far more fail the payload-size check."""
     sections = vector_sections(stream)
     for k in range(count):
         data = bytearray(stream)
-        kind = k % 6
+        kind = k % 7
         if kind < 2:
             for _ in range(1 + kind * int(rng.integers(1, 4))):
                 lo = 0 if rng.random() < 0.1 else HEADER_SIZE * 8
@@ -384,7 +385,7 @@ def corruptions(stream: bytes, rng, count: int):
             at = int(rng.integers(HEADER_SIZE + 1, len(data)))
             span = min(int(rng.integers(7, 11)), len(data) - at)
             data[at:at + span] = bytes(span)
-        else:
+        elif kind == 5:
             lo, hi = sections[int(rng.integers(len(sections)))]
             if rng.random() < 0.5:
                 for _ in range(int(rng.integers(1, 4))):
@@ -394,6 +395,10 @@ def corruptions(stream: bytes, rng, count: int):
                 at = int(rng.integers(lo, hi)) >> 3
                 span = min(int(rng.integers(4, 7)), len(data) - at)
                 data[at:at + span] = bytes(span)
+        else:
+            fields = list(_HEADER.unpack_from(data))  # fields[7] is the frame count
+            fields[7] += int(rng.integers(1, 5) if rng.random() < 0.5 else rng.integers(1000, 1 << 20))
+            data[:HEADER_SIZE] = _HEADER.pack(*fields)
         yield bytes(data)
 
 
@@ -410,7 +415,7 @@ def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
                              ("hybrid-mean", 4), ("flow-mean", 8), ("internal-diamond", 16)):
         config = CodecConfig(mode, q=3, gop_size=2, block_size=block_size, search_range=4)
         stream = encode_sequence(frames, config, StubProvider(), "seq").bitstream
-        for data in corruptions(stream, rng, 84):
+        for data in corruptions(stream, rng, 98):
             outcome = decode_outcome(decode_sequence, data)
             assert outcome == decode_outcome(decode_one_code_at_a_time, data)
             if isinstance(outcome, str):
