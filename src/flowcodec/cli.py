@@ -53,10 +53,6 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _make_provider(args) -> FlowProvider | None:
     if args.provenance is None:
         return None
@@ -129,17 +125,25 @@ def _sweep_job(job) -> dict:
             "rate_bits_per_frame": rate, "psnr_db": psnr}
 
 
+def _distinct(values: list, what: str) -> list:
+    """values, unless the sweep would write no RD rows from them, or rows
+    that cannot be told apart."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if not values or repeated:
+        raise ValueError(f"repeated {what} {repeated}; the RD rows would be indistinguishable"
+                         if values else f"no {what} given")
+    return values
+
+
 def cmd_rd_sweep(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    modes = _distinct([m.strip() for m in args.modes.split(",") if m.strip()], "motion modes")
     for mode in modes:
         if mode not in MOTION_MODES:
             raise ValueError(f"unknown motion mode {mode!r}")
-    q_list = _parse_int_list(args.q_list)
-    sequences = [Path(path).stem for path in args.inputs]
-    repeated = sorted({s for s in sequences if sequences.count(s) > 1})
-    if repeated:
-        raise ValueError(f"inputs share the sequence name(s) {repeated}; "
-                         "the RD rows would be indistinguishable")
+    q_list = _distinct([int(tok) for tok in args.q_list.split(",") if tok.strip()], "quantisers")
+    sequences = _distinct([Path(path).stem for path in args.inputs], "sequence names")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     argd = vars(args).copy()
     jobs = []
     for path, sequence in zip(args.inputs, sequences):

@@ -22,12 +22,13 @@ is, MSB first:
 
 Encoder and decoder both build every frame's prediction with `_prediction`
 (zero planes for intra frames, `motion_compensate` of the previous decoded
-frame otherwise) and add the dequantised residual to it the same way. A P
-frame's reference is one `ReferencePlane` per plane (`reference_planes`),
-built once per frame: it interpolates each quarter-pel phase once, so every
-search candidate and every compensated block is a slice of one phase. The
-encoder's searches, the hybrid flow candidate and `motion_compensate` share
-its luma plane.
+frame otherwise) and add the dequantised residual to it the same way.
+`motion_compensate` is `predict_block` over whole planes of the reference
+`Frame`: it broadcasts each block's vector over its pixels and gathers the
+four bilinear taps of every pixel at once. Only the encoder searches: it
+reads the reference luma through one `ReferencePlane` per P frame, which
+interpolates each quarter-pel phase once, so every candidate is a slice of
+one phase.
 
 The encoder writes a frame's exp-Golomb codes as arrays (see `bitstream`).
 It records each block's vector difference during the search and writes them
@@ -79,16 +80,16 @@ from .blockmatch import (
 from .flowadapt import downsample_flow
 from .model import (
     LUMA_BLOCK_SIZES,
+    QPEL,
     ZERO_MV,
     BlockMotionField,
     Frame,
     MotionVector,
     ReferencePlane,
     block_grid,
-    chroma_vector,
+    chroma_vectors,
     clip_block,
     predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
-    reference_planes,
 )
 
 MOTION_MODES = (
@@ -366,38 +367,37 @@ def _transform_sizes(block_size: int) -> tuple[int, int, int]:
 # Motion compensation and vector selection
 
 
-def motion_compensate(ref: tuple[ReferencePlane, ...],
-                      motion: BlockMotionField) -> tuple[np.ndarray, ...]:
-    """Predict a frame's Y, U and V planes (uint8) under one vector per block.
-
-    ref is the reference frame's `reference_planes`: Y, U, V in that order.
-    Chroma uses the halved vector on the half-resolution grid. Prediction
-    samples are bilinear, border-clamped, and rounded to integers.
-    """
+def motion_compensate(ref: Frame, motion: BlockMotionField) -> tuple[np.ndarray, ...]:
+    """Predict a frame's Y, U and V planes (uint8) from the reference frame:
+    `predict_block` of every block under its vector, at once. Chroma uses the
+    halved vectors on the half-resolution grid. Raises ValueError when the
+    motion grid does not cover the frame."""
+    motion.check_covers(ref.width, ref.height)
     bs = motion.block_size
-    height, width = ref[0].plane.shape
-    cols, rows = block_grid(width, height, bs)
-    if (motion.rows, motion.cols) != (rows, cols):
-        raise ValueError(
-            f"motion grid {motion.cols}x{motion.rows} does not cover "
-            f"{width}x{height} at block size {bs}"
-        )
-    planes = []
-    for plane, size, halve in zip(ref, (bs, bs // 2, bs // 2), (False, True, True)):
-        h, w = plane.plane.shape
-        out = np.empty((h, w), np.uint8)
-        for r in range(rows):
-            for c in range(cols):
-                mv = motion.vector(c, r)
-                if halve:
-                    mv = chroma_vector(mv)
-                x0, y0 = c * size, r * size
-                block = plane.block(x0, y0, size, mv)
-                bh = min(size, h - y0)
-                bw = min(size, w - x0)
-                out[y0 : y0 + bh, x0 : x0 + bw] = block[:bh, :bw]
-        planes.append(out)
-    return tuple(planes)
+    chroma = chroma_vectors(motion.vectors)
+    return (_compensate_plane(ref.y, np.asarray(motion.vectors, np.int64), bs),
+            _compensate_plane(ref.u, chroma, bs // 2),
+            _compensate_plane(ref.v, chroma, bs // 2))
+
+
+def _compensate_plane(plane: np.ndarray, vectors: np.ndarray, size: int) -> np.ndarray:
+    """`predict_block` of every size x size block of plane under its int64
+    vector, as (rows, size, cols, size) tiles: pixel (a, b) of block (r, c)
+    reads its taps at x = c*size + b + ix and y = r*size + a + iy, clamped."""
+    h, w = plane.shape
+    rows, cols = vectors.shape[:2]
+    i, f = np.divmod(vectors[:, None, :, None], QPEL)
+    x = i[..., 0] + np.arange(cols * size).reshape(cols, size)
+    y = i[..., 1] + np.arange(rows * size).reshape(rows, size, 1, 1)
+    x0, x1 = np.clip(x, 0, w - 1), np.clip(x + 1, 0, w - 1)
+    y0, y1 = np.clip(y, 0, h - 1) * w, np.clip(y + 1, 0, h - 1) * w
+    # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
+    fx, fy = f[..., 0].astype(np.uint16), f[..., 1].astype(np.uint16)
+    gx, gy = QPEL - fx, QPEL - fy
+    flat = plane.ravel()
+    acc = (gy * (gx * flat.take(y0 + x0) + fx * flat.take(y0 + x1))
+           + fy * (gx * flat.take(y1 + x0) + fx * flat.take(y1 + x1)))
+    return ((acc + 8) >> 4).astype(np.uint8).reshape(rows * size, cols * size)[:h, :w]
 
 
 def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane, origin: tuple[int, int],
@@ -438,12 +438,12 @@ def _flow_method(mode: str) -> str:
 # Sequence encode/decode
 
 
-def _prediction(ref: tuple[ReferencePlane, ...] | None, vectors: np.ndarray | None, bs: int,
+def _prediction(ref: Frame | None, vectors: np.ndarray | None, bs: int,
                 w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Y, U and V prediction planes (uint8) of one frame.
 
     An intra frame (ref None) predicts zeros; a P frame predicts the
-    motion-compensated reference planes under one vector per bs x bs block.
+    motion-compensated reference frame under one vector per bs x bs block.
     """
     if ref is None:
         return (np.zeros((h, w), np.uint8), np.zeros((h // 2, w // 2), np.uint8),
@@ -487,14 +487,15 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     recon: list[Frame] = []
 
     for n, cur in enumerate(frames):
-        ref = None if n % config.gop_size == 0 else reference_planes(recon[-1])
+        ref = None if n % config.gop_size == 0 else recon[-1]
         writer.write_bits(0 if ref is None else 1, 8)
         vectors = None
         bits_motion = 0
         if ref is not None:
+            luma = ReferencePlane(ref.y)
             flow_field = None
             if mode in FLOW_MODES:
-                dense = provider.get_flow(sequence, n, cur, recon[-1])
+                dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             vectors = np.zeros((rows, cols, 2), np.int32)
             diffs = np.zeros((rows, cols, 2), np.int64)
@@ -502,7 +503,7 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                 for c in range(cols):
                     predictor = median_predictor(vectors, c, r)
                     flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-                    mv = select_block_vector(mode, cur, ref[0], (c * bs, r * bs), config,
+                    mv = select_block_vector(mode, cur, luma, (c * bs, r * bs), config,
                                              predictor, flow_mv).mv
                     vectors[r, c] = mv
                     diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
@@ -598,7 +599,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = vectors = None
         if ftype == 1:
-            ref = reference_planes(frames[-1])
+            ref = frames[-1]
             vectors, p = _read_vectors(data, p, rows, cols, n)
         planes = []
         for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .model import (
     LUMA_BLOCK_SIZES,
+    QPEL,
     BlockMotionField,
     FlowField,
     MotionVector,
@@ -99,10 +100,8 @@ def downsample_flow(field: FlowField, block_size: int,
 
 
 def expand_block_field(field: BlockMotionField, width: int, height: int) -> FlowField:
-    """Paint each block vector back over its block as a dense (u, v) field."""
+    """Paint each block vector back over its block as a dense (u, v) field;
+    ValueError if the field's grid does not cover width x height."""
+    field.check_covers(width, height)
     bs = field.block_size
-    dense = np.zeros((height, width, 2), np.float32)
-    for r in range(field.rows):
-        for c in range(field.cols):
-            dense[r * bs : (r + 1) * bs, c * bs : (c + 1) * bs] = field.vector(c, r).to_pixels()
-    return dense
+    return (field.vectors / QPEL).astype(np.float32).repeat(bs, 0).repeat(bs, 1)[:height, :width]

@@ -20,9 +20,6 @@ class MotionVector(NamedTuple):
     dx: int
     dy: int
 
-    def to_pixels(self) -> tuple[float, float]:
-        return self.dx / QPEL, self.dy / QPEL
-
 
 ZERO_MV = MotionVector(0, 0)
 
@@ -30,14 +27,11 @@ ZERO_MV = MotionVector(0, 0)
 FlowField: TypeAlias = np.ndarray
 
 
-def chroma_vector(mv: MotionVector) -> MotionVector:
-    """Luma vector halved for the 4:2:0 chroma grid, ties away from zero."""
-    return MotionVector(_half_away(mv.dx), _half_away(mv.dy))
-
-
-def _half_away(c: int) -> int:
-    q = (abs(int(c)) + 1) // 2
-    return q if c >= 0 else -q
+def chroma_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Luma vectors halved for the 4:2:0 chroma grid, ties away from zero,
+    as int64: abs(-2**31) overflows int32."""
+    v = np.asarray(vectors, np.int64)
+    return np.sign(v) * ((np.abs(v) + 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +83,8 @@ class BlockMotionField:
             raise ValueError("vectors must have shape (rows, cols, 2)")
         if not np.issubdtype(v.dtype, np.integer):
             raise ValueError("vectors must be integer quarter-pel units")
+        if v.size and not -2**31 <= int(v.min()) <= int(v.max()) < 2**31:
+            raise ValueError("vectors must lie in the int32 range of the stream format")
         v.setflags(write=False)
 
     @property
@@ -102,6 +98,12 @@ class BlockMotionField:
     def vector(self, col: int, row: int) -> MotionVector:
         dx, dy = self.vectors[row, col]
         return MotionVector(int(dx), int(dy))
+
+    def check_covers(self, width: int, height: int) -> None:
+        """Raise ValueError unless the grid is the one covering width x height."""
+        if (self.cols, self.rows) != block_grid(width, height, self.block_size):
+            raise ValueError(f"motion grid {self.cols}x{self.rows} does not cover "
+                             f"{width}x{height} at block size {self.block_size}")
 
 
 def block_grid(width: int, height: int, block_size: int) -> tuple[int, int]:
@@ -138,9 +140,9 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     integer and (acc + 8) >> 4 rounds half up without any float arithmetic.
     Out-of-plane reads replicate the border.
 
-    The codec reads blocks through `ReferencePlane.block`, which gives the
-    same values from a pre-interpolated plane; this gather is the
-    definition the tests hold it to.
+    The searches read blocks through `ReferencePlane.block`, and
+    `codec.motion_compensate` computes every block of a frame at once; both
+    give this gather's values, and the tests hold them to it.
     """
     h, w = plane.shape
     ix, fx = divmod(int(mv.dx), QPEL)
@@ -185,7 +187,6 @@ class ReferencePlane:
     def __init__(self, plane: np.ndarray):
         if not isinstance(plane, np.ndarray) or plane.ndim != 2 or plane.dtype != np.uint8:
             raise ValueError("reference plane must be a 2D uint8 array")
-        self.plane = plane
         padded = np.pad(plane, REF_MARGIN, mode="edge")
         padded.setflags(write=False)
         self._padded = padded
@@ -194,8 +195,8 @@ class ReferencePlane:
         self._rows, self._cols = padded.shape[0] - 1, padded.shape[1] - 1
 
     def block(self, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
-        """Read-only view equal to `predict_block(self.plane, x0, y0, size,
-        mv)`, for any vector and any size up to REF_MARGIN.
+        """Read-only view equal to `predict_block(plane, x0, y0, size, mv)`
+        of the built plane, for any vector and any size up to REF_MARGIN.
 
         A block that leaves the padding lies wholly beyond one border of the
         plane, so every tap `predict_block` reads on that axis clamps to the
@@ -219,11 +220,6 @@ class ReferencePlane:
         phase = (acc >> 4).astype(np.uint8)
         phase.setflags(write=False)
         return phase
-
-
-def reference_planes(frame: Frame) -> tuple[ReferencePlane, ReferencePlane, ReferencePlane]:
-    """The Y, U and V `ReferencePlane`s of a frame, in that order."""
-    return ReferencePlane(frame.y), ReferencePlane(frame.u), ReferencePlane(frame.v)
 
 
 def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:

@@ -2,9 +2,10 @@
 
 The sequential coders read and write one exp-Golomb code at a time through
 `BitWriter` and `BitReader`, the way the stream format describes it, and
-share everything else (header, payload size check, prediction,
-reconstruction) with the codec. `full_search` is the exhaustive block
-search that bounds the pattern searches.
+share everything else with the codec: the header, the payload size check,
+the prediction (`_prediction` of the previous decoded `Frame`) and the
+reconstruction. `full_search` is the exhaustive block search that bounds
+the pattern searches.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from flowcodec.model import (
     MotionVector,
     ReferencePlane,
     block_grid,
-    reference_planes,
 )
 
 
@@ -108,7 +108,7 @@ def decode_sequential(data: bytes) -> tuple[list[Frame], list[tuple[int, int, in
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {reader.bit_pos}")
         ref = vectors = None
         if ftype == 1:
-            ref = reference_planes(frames[-1])
+            ref = frames[-1]
             vectors = np.zeros((rows, cols, 2), np.int32)
             for r in range(rows):
                 for c in range(cols):

@@ -105,6 +105,29 @@ def test_rd_sweep_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--modes", "zero,zero", "repeated motion modes ['zero']"),
+    ("--modes", ",", "no motion modes given"),
+    ("--q-list", "4,4,8,16", "repeated quantisers [4]"),
+    ("--q-list", ",", "no quantisers given"),
+    ("--jobs", "-3", "--jobs must be at least 1"),
+    ("--jobs", "0", "--jobs must be at least 1"),
+])
+def test_rd_sweep_rejects_sweeps_without_distinct_rd_rows(y4m, tmp_path, capsys, monkeypatch,
+                                                          flag, value, message):
+    """Rejected before any encode, so neither output is written."""
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded before the arguments were checked")
+
+    monkeypatch.setattr("flowcodec.cli.encode_sequence", no_encode)
+    out, agg = tmp_path / "rd.csv", tmp_path / "agg.csv"
+    argv = {"--modes": "zero", "--q-list": "4,8", "--jobs": "1", flag: value}
+    assert main(["rd-sweep", "--inputs", y4m, "--out", str(out), "--aggregate-out", str(agg),
+                 *(f"{k}={v}" for k, v in argv.items())]) == EXIT_INPUT
+    assert message in capsys.readouterr().err.split("error:", 1)[1]
+    assert not out.exists() and not agg.exists()
+
+
 def test_bdrate_rejects_repeated_rd_records(rd_csv, tmp_path, capsys):
     _, out, _ = rd_csv
     records = read_metrics_csv(out.read_bytes())

@@ -20,7 +20,15 @@ from flowcodec.codec import (
     select_block_vector,
 )
 from flowcodec.flowadapt import downsample_flow
-from flowcodec.model import Frame, ReferencePlane, block_grid
+from flowcodec.model import (
+    LUMA_BLOCK_SIZES,
+    BlockMotionField,
+    Frame,
+    MotionVector,
+    ReferencePlane,
+    block_grid,
+    predict_block,
+)
 
 from oracles import decode_sequential, write_block_levels
 from synth import flat_frame, random_frame, translating_frames
@@ -147,9 +155,9 @@ def rising_ramp(w, h, count, step):
 # Streams of content moving 38 px per frame, searched at range 40. The
 # median predictor carries the 38 px vector down to the partial bottom row
 # (98 = 6 * 16 + 2), whose candidates and chosen vectors reach past the
-# padding of `ReferencePlane`, so the searches and `motion_compensate` read
-# clamped slices there. Recorded with `predict_block`'s gather, before the
-# padded reference existed.
+# padding of `ReferencePlane`, so the searches read clamped slices there and
+# `motion_compensate` reads clamped taps. Recorded with `predict_block`'s
+# gather, before the padded reference existed.
 GOLDEN_SHA256_FAR = {
     "internal-diamond": "dafc3ddf9a6827bea29c52883363e74c29df14f2d61daf1b09852299c6f74683",
     "hybrid-mean": "eb1e330bfbc03c66eeb478c1400a821c2838055c1aedd19899f3330b5eb38d4e",
@@ -210,6 +218,49 @@ def test_non_hybrid_decisions_have_no_candidates(frames):
         assert (decision.internal_mv is None) == (mode not in HYBRID_MODES)
         if mode.startswith("flow"):
             assert decision.mv == flow_mv
+
+
+# --- motion compensation against predict_block ---------------------------------------
+
+def _half_away(c):
+    """A luma vector component halved for chroma, ties away from zero."""
+    q = (abs(c) + 1) // 2
+    return q if c >= 0 else -q
+
+
+_INT32_EXTREMES = (-2**31, -2**31 + 1, -2**31 + 3, -5, -1, 0, 3, 2**31 - 4, 2**31 - 1)
+
+
+@pytest.mark.parametrize("vectors", ["random", "int32-extremes"])
+@pytest.mark.parametrize("w, h", [(48, 32), (40, 26), (18, 10)])
+@pytest.mark.parametrize("bs", LUMA_BLOCK_SIZES)
+def test_motion_compensate_is_predict_block_of_every_block(bs, w, h, vectors):
+    rng = np.random.default_rng(bs * 1000 + w * 10 + h)
+    ref = random_frame(w, h, rng)
+    cols, rows = block_grid(w, h, bs)
+    if vectors == "random":
+        mvs = rng.integers(-200, 201, (rows, cols, 2)).astype(np.int32)
+    else:
+        mvs = rng.choice(_INT32_EXTREMES, (rows, cols, 2)).astype(np.int32)
+    pred = codec.motion_compensate(ref, BlockMotionField(bs, mvs))
+    for plane, got, size in zip((ref.y, ref.u, ref.v), pred, (bs, bs // 2, bs // 2)):
+        assert got.dtype == np.uint8 and got.shape == plane.shape
+        ph, pw = plane.shape
+        for r in range(rows):
+            for c in range(cols):
+                dx, dy = (int(v) for v in mvs[r, c])
+                if size < bs:
+                    dx, dy = _half_away(dx), _half_away(dy)
+                x0, y0 = c * size, r * size
+                want = predict_block(plane, x0, y0, size, MotionVector(dx, dy))
+                assert np.array_equal(got[y0:y0 + size, x0:x0 + size],
+                                      want[:ph - y0, :pw - x0]), (size, c, r, dx, dy)
+
+
+def test_motion_compensate_rejects_a_grid_that_does_not_cover_the_frame():
+    ref = random_frame(40, 26, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="motion grid 5x3 does not cover 40x26"):
+        codec.motion_compensate(ref, BlockMotionField(8, np.zeros((3, 5, 2), np.int32)))
 
 
 # --- config limits ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from flowcodec.flowadapt import (
     downsample_flow,
     expand_block_field,
 )
-from flowcodec.model import MotionVector, quantize_to_quarter_pel
+from flowcodec.model import BlockMotionField, MotionVector, quantize_to_quarter_pel
 
 from synth import constant_flow, random_flow
 
@@ -266,3 +266,15 @@ def test_expand_block_field_paints_blocks():
     dense = expand_block_field(blocks, 32, 32)
     assert dense.shape == (32, 32, 2)
     assert np.all(dense[..., 0] == 2.0) and np.all(dense[..., 1] == 0.0)
+
+    # A 3x2 grid of 8 px blocks over 20x12: the last column and row are partial.
+    vectors = np.arange(12, dtype=np.int32).reshape(2, 3, 2) - 5
+    dense = expand_block_field(BlockMotionField(8, vectors), 20, 12)
+    assert dense.shape == (12, 20, 2) and dense.dtype == np.float32
+    for y in range(12):
+        for x in range(20):
+            assert dense[y, x].tolist() == [v / 4 for v in vectors[y // 8, x // 8]], (x, y)
+    with pytest.raises(ValueError, match="does not cover 20x18"):
+        expand_block_field(BlockMotionField(8, vectors), 20, 18)
+    with pytest.raises(ValueError, match="does not cover 28x12"):
+        expand_block_field(BlockMotionField(8, vectors), 28, 12)

@@ -8,11 +8,11 @@ from flowcodec.model import (
     DEFAULT_MV_BOUND,
     QPEL,
     REF_MARGIN,
+    BlockMotionField,
     MotionVector,
     ReferencePlane,
-    ZERO_MV,
     block_grid,
-    chroma_vector,
+    chroma_vectors,
     clip_block,
     predict_block,
     quantize_to_quarter_pel,
@@ -194,21 +194,27 @@ def test_quantize_roundtrip_error_bound(u, v):
 
 # --- misc model helpers -------------------------------------------------------
 
-def test_chroma_vector_halves_with_ties_away():
-    assert chroma_vector(MotionVector(3, -3)) == MotionVector(2, -2)
-    assert chroma_vector(MotionVector(1, 2)) == MotionVector(1, 1)
-    assert chroma_vector(MotionVector(4, -4)) == MotionVector(2, -2)
-    assert chroma_vector(ZERO_MV) == ZERO_MV
+def test_chroma_vectors_halve_with_ties_away():
+    luma = np.array([[3, -3], [1, 2], [4, -4], [0, 0], [-2**31, 2**31 - 1]], np.int32)
+    chroma = chroma_vectors(luma)
+    assert chroma.dtype == np.int64  # abs(-2**31) overflows int32
+    assert chroma.tolist() == [[2, -2], [1, 1], [2, -2], [0, 0], [-2**30, 2**30]]
+
+
+@pytest.mark.parametrize("dtype, value", [(np.int64, -2**31 - 1), (np.int64, 2**31),
+                                          (np.uint64, 2**63)])
+def test_block_motion_field_rejects_vectors_beyond_int32(dtype, value):
+    vectors = np.zeros((1, 2, 2), dtype)
+    vectors[0, 1, 0] = value
+    with pytest.raises(ValueError, match="int32 range"):
+        BlockMotionField(16, vectors)
+    BlockMotionField(16, np.array([[[-2**31, 2**31 - 1]]], np.int64))
 
 
 def test_block_grid_ceils():
     assert block_grid(64, 64, 16) == (4, 4)
     assert block_grid(20, 12, 16) == (2, 1)
     assert block_grid(1024, 436, 16) == (64, 28)
-
-
-def test_motion_vector_to_pixels():
-    assert MotionVector(5, -2).to_pixels() == (1.25, -0.5)
 
 
 def test_frame_validation():
