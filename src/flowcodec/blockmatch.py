@@ -22,11 +22,11 @@ import numpy as np
 
 from .bitstream import se_bits
 from .model import (
-    LUMA_BLOCK_SIZES,
     QPEL,
     ZERO_MV,
     MotionVector,
     ReferencePlane,
+    check_block_size,
     clip_block,
     predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
@@ -48,8 +48,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.search_range < 1:
             raise ValueError("search_range must be >= 1")
-        if self.block_size not in LUMA_BLOCK_SIZES:
-            raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
+        check_block_size(self.block_size)
         if self.q < 1:
             raise ValueError("quantiser must be >= 1")
 
@@ -114,9 +113,10 @@ class _Evaluator:
 
 def _refine_quarter_pel(ev: _Evaluator, mv: MotionVector, cost: float,
                         bound: int) -> tuple[MotionVector, float]:
-    # Greedy descent over the 8 quarter-pel neighbours, at most 3 steps,
-    # so the vector moves at most +/-0.75 px off the integer optimum. A win
-    # re-centres the rest of its step; the (cached) centre never beats itself.
+    # Greedy descent over the 8 quarter-pel neighbours, at most 3 steps. A
+    # win re-centres the rest of its step, so one step can move the vector up
+    # to 3 quarter-pels per axis and the descent up to 9 (2.25 px) off the
+    # integer optimum. The (cached) centre never beats itself.
     best_key = _cost_key(cost, mv)
     best = mv
     for _ in range(3):

@@ -221,6 +221,9 @@ def read_pgm(data: bytes) -> np.ndarray:
         fields.append(data[start:pos])
     if len(fields) != 4 or fields[0] != b"P5":
         raise ValueError("not a binary PGM (P5) file")
+    if not all(f.isdigit() and int(f) > 0 for f in fields[1:3]):
+        raise ValueError("PGM width and height must be positive integers, got "
+                         + b" x ".join(fields[1:3]).decode("ascii", "replace"))
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"only maxval 255 supported, got {maxval}")

@@ -14,6 +14,12 @@ DEFAULT_MV_BOUND = 128   # quarter-pel units; 128 = a 32 px displacement budget
 LUMA_BLOCK_SIZES = (4, 8, 16)
 
 
+def check_block_size(block_size: int) -> None:
+    """ValueError unless block_size is one of LUMA_BLOCK_SIZES."""
+    if block_size not in LUMA_BLOCK_SIZES:
+        raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
+
+
 class MotionVector(NamedTuple):
     """Block displacement in quarter-pel units (dx right, dy down)."""
 
@@ -76,8 +82,7 @@ class BlockMotionField:
     vectors: np.ndarray  # (rows, cols, 2) integer array of (dx, dy) quarter-pel
 
     def __post_init__(self):
-        if self.block_size not in LUMA_BLOCK_SIZES:
-            raise ValueError(f"block_size must be one of {LUMA_BLOCK_SIZES}")
+        check_block_size(self.block_size)
         v = self.vectors
         if not isinstance(v, np.ndarray) or v.ndim != 3 or v.shape[2] != 2:
             raise ValueError("vectors must have shape (rows, cols, 2)")

@@ -261,6 +261,17 @@ def test_pattern_search_scores_the_same_candidates(monkeypatch, search, refine):
     assert calls == PATTERN_SEARCH_SADS[search.__name__, refine]
 
 
+def test_quarter_pel_refinement_recentres_within_a_step():
+    # Each win re-centres the rest of its step: from (0, 0) toward (-10, -10)
+    # one step moves (-1, -3), so three steps reach (-3, -9), 2.25 px in dy.
+    class Stub:
+        def cost(self, mv):
+            return abs(mv.dx + 10) + abs(mv.dy + 10)
+
+    mv, cost = blockmatch._refine_quarter_pel(Stub(), ZERO_MV, 20, 64)
+    assert (mv, cost) == (MotionVector(-3, -9), 8)
+
+
 # --- median predictor ----------------------------------------------------------
 
 def _field(rows, cols, entries):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowcodec import flowadapt
 from flowcodec.flowadapt import (
     block_mean,
     block_vector_median,
@@ -124,12 +125,12 @@ def test_median_symmetric_tie_breaks_lexicographic():
 
 # --- vector median at full block size ----------------------------------------------
 
-def symmetric_set(rng, center=(0.0, 0.0), scale=3.0):
-    """128 float32-derived offsets and their mirror images about `center`.
+def symmetric_set(rng, center=(0.0, 0.0), scale=3.0, half=128):
+    """`half` float32-derived offsets and their mirror images about `center`.
 
     center +/- offset is exact in float64, so mirrored members have the same
     multiset of distances and tie exactly."""
-    h = rng.normal(0, scale, (128, 2)).astype(np.float32).astype(np.float64)
+    h = rng.normal(0, scale, (half, 2)).astype(np.float32).astype(np.float64)
     return np.concatenate([np.add(center, h), np.subtract(center, h)])
 
 
@@ -152,16 +153,61 @@ def test_median_one_ulp_apart_is_decided_by_exact_sums():
     # The mirrored pair c +/- h tie; moving one component of another member
     # by one ulp splits their sums in the last bits only, so the prefilter
     # must keep both and the exact sums pick the winner. (With numpy 2.4 on
-    # x86-64, numpy's own row sums rank this pair the wrong way round.)
-    vecs = symmetric_set(np.random.default_rng(310), center=(30.125, -20.125), scale=0.1)
-    tied = ref_vector_median(list_of(vecs))
-    vecs[0, 0] = np.nextafter(vecs[0, 0], np.inf)
-    vectors = list_of(vecs)
-    won = ref_vector_median(vectors)
-    sums = [summed_distance(vectors, *p) for p in (tied, won)]
-    assert sums[0] != sums[1] and abs(sums[0] - sums[1]) <= sums[1] * 2.0 ** -50
-    assert block_vector_median(vecs) == quantize_to_quarter_pel(*won)
-    assert quantize_to_quarter_pel(*won) != quantize_to_quarter_pel(*tied)
+    # x86-64, the prefilter's `dist @ counts` gives the pair equal sums, and
+    # the first of them is the loser.)
+    def split_tie(vecs):
+        tied = ref_vector_median(list_of(vecs))
+        vecs[0, 0] = np.nextafter(vecs[0, 0], np.inf)
+        vectors = list_of(vecs)
+        won = ref_vector_median(vectors)
+        sums = [summed_distance(vectors, *p) for p in (tied, won)]
+        assert sums[0] != sums[1] and abs(sums[0] - sums[1]) <= sums[1] * 2.0 ** -50
+        assert block_vector_median(vecs) == quantize_to_quarter_pel(*won)
+        assert quantize_to_quarter_pel(*won) != quantize_to_quarter_pel(*tied)
+        return tied, won, vectors
+
+    center = (30.125, -20.125)
+    split_tie(symmetric_set(np.random.default_rng(310), center, scale=0.1))
+
+    # Every member twice, and one copy moved: the exact sums still differ in
+    # the last bits, but summed once per distinct vector (counts dropped) the
+    # moved copy weighs as much as a pair, and the sums rank the tie the
+    # other way round.
+    vecs = np.repeat(symmetric_set(np.random.default_rng(2), center, scale=0.1, half=64), 2, axis=0)
+    tied, won, vectors = split_tie(vecs)
+    distinct = sorted(set(vectors))
+    assert summed_distance(distinct, *tied) < summed_distance(distinct, *won)
+
+
+# --- vector median over repeated vectors -----------------------------------------
+
+def test_median_of_copies_and_one_outlier():
+    vecs = np.concatenate([np.tile([0.75, -1.5], (255, 1)), [[40.0, 33.25]]])
+    for order in (vecs, vecs[::-1]):
+        assert ref_vector_median(list_of(order)) == (0.75, -1.5)
+        assert block_vector_median(order) == MotionVector(3, -6)
+
+
+def test_median_of_few_distinct_vectors_matches_bruteforce():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k = int(rng.integers(2, 4))
+        values = rng.normal(0, 3, (k, 2)).astype(np.float32).astype(np.float64)
+        n = int(rng.choice([16, 64, 128, 256]))
+        vecs = values[rng.choice(k, n, p=rng.dirichlet(np.ones(k)))]
+        assert block_vector_median(vecs) == quantize_to_quarter_pel(*ref_vector_median(list_of(vecs)))
+
+
+def test_median_with_signed_zero_components_matches_bruteforce():
+    # Grouping merges 0.0 and -0.0: their distances and quantisation agree.
+    rng = np.random.default_rng(13)
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    for vecs in (zeros,
+                 np.concatenate([zeros, [[1.0, -0.0], [-0.0, 1.0], [1.0, 0.0]]]),
+                 np.concatenate([zeros[rng.choice(4, 60)], [[-0.0, 2.5]] * 70, [[3.0, -0.0]] * 70])):
+        want = quantize_to_quarter_pel(*ref_vector_median(list_of(vecs)))
+        assert block_vector_median(vecs) == want
+        assert block_vector_median(vecs[rng.permutation(len(vecs))]) == want
 
 
 # --- shared estimator properties -----------------------------------------------
@@ -231,6 +277,25 @@ def test_downsample_partial_median_blocks_match_bruteforce():
             assert blocks.vector(c, r) == quantize_to_quarter_pel(*ref_vector_median(vectors))
 
 
+def test_downsample_median_blocks_of_one_and_of_256_distinct_vectors():
+    # Blocks alternate constant and noisy flow, so each block's distance
+    # matrix is 1x1 or 256x256 in the same scratch buffer; the last column
+    # and row are partial (128, 64 and 32 members).
+    rng = np.random.default_rng(14)
+    field = rng.normal(1, 3, (36, 40, 2)).astype(np.float32)
+    for r in range(3):
+        for c in range(3):
+            if (r + c) % 2:
+                field[r * 16:(r + 1) * 16, c * 16:(c + 1) * 16] = (-2.5 + r, 0.75 * c)
+    blocks = downsample_flow(field, 16, "vector-median")
+    assert (blocks.rows, blocks.cols) == (3, 3)
+    for r in range(3):
+        for c in range(3):
+            vectors = list_of(block(field, c * 16, r * 16, 16, 16))
+            assert len(set(vectors)) == (1 if (r + c) % 2 else len(vectors)), (r, c)
+            assert blocks.vector(c, r) == quantize_to_quarter_pel(*ref_vector_median(vectors)), (r, c)
+
+
 def test_downsample_bimodal_block_mean_vs_median_differ():
     field = np.zeros((32, 32, 2), np.float32)
     field[:, 8:16, 0] = 8.0  # right half of block (0,0) moves, left half static
@@ -249,6 +314,17 @@ def test_downsample_validates_inputs():
         downsample_flow(np.zeros((4, 4), np.float32), 16)
     with pytest.raises(ValueError):
         downsample_flow(constant_flow(8, 8, 0, 0), 16, method="mode")
+
+
+@pytest.mark.parametrize("size", [0, -4, 5, 32])
+@pytest.mark.parametrize("method", ["mean", "vector-median"])
+def test_downsample_rejects_block_sizes_before_estimating(monkeypatch, method, size):
+    def estimated(u, v):
+        raise AssertionError("estimated a block")
+
+    monkeypatch.setattr(flowadapt, "quantize_to_quarter_pel", estimated)
+    with pytest.raises(ValueError, match=r"block_size must be one of \(4, 8, 16\)"):
+        downsample_flow(random_flow(64, 64, np.random.default_rng(15)), size, method)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -188,6 +188,12 @@ def test_read_pgm_rejects_other_formats():
         read_pgm(b"P2\n2 2\n255\n....")
 
 
+@pytest.mark.parametrize("dims", [b"-1 1", b"0 5", b"5 0", b"x 2", b"2 +2", b"1.5 2"])
+def test_read_pgm_rejects_non_positive_or_non_integer_dimensions(dims):
+    with pytest.raises(ValueError, match="width and height must be positive integers"):
+        read_pgm(b"P5\n" + dims + b"\n255\n" + bytes(64))
+
+
 # --- metrics records ----------------------------------------------------------
 
 RECORDS = [
