@@ -4,21 +4,25 @@ Unsigned values v map to the codeword 0^(n-1) ++ bin(v+1) where
 n = bitlength(v+1).  Signed values use the alternating mapping
 s > 0 -> 2s-1, s <= 0 -> -2s, so 0 costs a single bit.
 
+A code has at most `MAX_PREFIX` = 32 zeros, the longest an FCL1 stream
+holds: a level is an int32 (se value at most 2**32), a run is below 64, and
+a vector difference, an int32 vector minus an int32 median predictor, has
+size at most 2**32 - 1, whose se value 2**33 - 2 takes exactly 32 zeros.
+
 `BitWriter` and `BitReader` write and read one field at a time. Whole arrays
 of codes go through numpy, with the same bits:
 
-- Pack: `BitWriter.write_ue_array` computes every code length from the
-  values, scatters the value bits of all codes into one 0/1 array and packs
-  it with `np.packbits`. Values must be below 2**64 - 1, so that no prefix
-  is longer than `MAX_PREFIX` zeros.
+- Pack: `ue_code_bits` computes every code length from the values and
+  scatters the value bits of all codes into one 0/1 array, which the caller
+  packs with `np.packbits`. It refuses a value whose code is longer than a
+  reader takes.
 - Parse: `CodeParser` unpacks a window of `_WINDOW_BITS` bits and counts,
   for every position, the zeros before the next one bit. That gives the
   length of the code that starts there, and of the pair of codes that
   starts there; it tabulates the pair lengths. The caller's loop steps from
   pair to pair through that table and records where each step ends.
   `CodeParser.prefixes` and `CodeParser.values` then read the prefix lengths
-  and values of all recorded codes at once, with one 8-byte load per code
-  (codes of more than `_WORD_PREFIX` zeros exactly, with Python ints).
+  and values of all recorded codes at once, with one 8-byte load per code.
   The codec parses its run-level (level, run) pairs this way; it reads the
   few vector codes of a P frame one at a time with `BitReader`.
 
@@ -31,9 +35,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-MAX_PREFIX = 63     # longest zero prefix a reader accepts: values up to 2**64 - 2
+MAX_PREFIX = 32     # longest zero prefix a reader accepts: values up to 2**33 - 2
 _WINDOW_BITS = 1 << 14
-_WORD_PREFIX = 56   # longest prefix whose value bits one 8-byte load at any bit offset holds
 
 
 class BitstreamError(ValueError):
@@ -61,31 +64,28 @@ def se_bits(value: int) -> int:
 
 
 def se_to_ue_array(values) -> np.ndarray:
-    """`se_to_ue` of an integer array (|value| < 2**63), as uint64."""
+    """`se_to_ue` of an integer array (|value| < 2**32 to be codable), as uint64."""
     values = np.asarray(values, np.int64)
     twice = np.abs(values).astype(np.uint64) << 1
     return np.where(values > 0, twice - 1, twice)
 
 
 def ue_to_se_array(codes: np.ndarray) -> np.ndarray:
-    """`ue_to_se` of a uint64 array (each value at most 2**64 - 2), as int64."""
+    """`ue_to_se` of a uint64 array (each value at most 2**33 - 2), as int64."""
     half = (codes >> 1).astype(np.int64)
     return np.where(codes & 1, half + 1, -half)
 
 
-def _bit_lengths(values: np.ndarray) -> np.ndarray:
-    """int.bit_length of each value of a uint64 array of positive values."""
-    lengths = np.frexp(values.astype(np.float64))[1].astype(np.int64)  # exact below 2**53
-    big = np.flatnonzero(values >= 1 << 53)
-    lengths[big] = [int(v).bit_length() for v in values[big]]
-    return lengths
-
-
-def _ue_code_bits(values) -> np.ndarray:
+def ue_code_bits(values) -> np.ndarray:
     """The exp-Golomb codes of an array of unsigned values, concatenated as a
-    uint8 array of 0/1 bits."""
-    coded = np.asarray(values, np.uint64) + 1
-    ends = np.cumsum(2 * _bit_lengths(coded) - 1)
+    uint8 array of 0/1 bits. Raises ValueError on a value above 2**33 - 2,
+    whose code a reader refuses."""
+    values = np.asarray(values, np.uint64)
+    if (values > (1 << (MAX_PREFIX + 1)) - 2).any():
+        raise ValueError(f"exp-Golomb code longer than {MAX_PREFIX} zeros: {values.max()}")
+    coded = values + 1
+    lengths = np.frexp(coded.astype(np.float64))[1]  # int.bit_length: exact below 2**53
+    ends = np.cumsum(2 * lengths.astype(np.int64) - 1)
     bits = np.zeros(int(ends[-1]) if len(ends) else 0, np.uint8)
     at = ends - 1
     while coded.size:  # one pass per value bit, from the last bit of every code backwards
@@ -125,20 +125,6 @@ class BitWriter:
 
     def write_se(self, value: int) -> None:
         self.write_ue(se_to_ue(value))
-
-    def write_ue_array(self, values) -> int:
-        """Write the codes of an array of unsigned values; returns their length
-        in bits."""
-        bits = _ue_code_bits(values)
-        written = len(bits)
-        if self._nbits:
-            pending = np.array([self._acc << (8 - self._nbits)], np.uint8)
-            bits = np.concatenate((np.unpackbits(pending)[:self._nbits], bits))
-        whole = len(bits) & ~7
-        self._bytes += np.packbits(bits[:whole]).tobytes()
-        self._nbits = len(bits) - whole
-        self._acc = int(np.packbits(bits[whole:])[0]) >> (8 - self._nbits) if self._nbits else 0
-        return written
 
     def align(self) -> int:
         """Pad with zero bits to the next byte boundary; returns pad size."""
@@ -189,7 +175,7 @@ class BitReader:
         if pos >= self._end:
             raise BitstreamError(f"bitstream overrun at bit {pos}")
         chunk = self._data[pos >> 3:(pos >> 3) + 9]
-        avail = 8 * len(chunk) - (pos & 7)  # room for MAX_PREFIX + 1 zeros unless the data ends
+        avail = 8 * len(chunk) - (pos & 7)  # room for a whole code unless the data ends
         head = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
         zeros = avail - head.bit_length()
         if zeros > MAX_PREFIX:
@@ -197,11 +183,10 @@ class BitReader:
         if not head:
             raise BitstreamError(f"bitstream overrun at bit {self._end}")
         length = 2 * zeros + 1
-        if length <= avail:
-            self._pos = pos + length
-            return (head >> (avail - length)) - 1
-        self._pos = pos + zeros + 1
-        return ((1 << zeros) | self.read_bits(zeros)) - 1
+        if length > avail:
+            raise BitstreamError(f"bitstream overrun reading {zeros} bits at bit {pos + zeros + 1}")
+        self._pos = pos + length
+        return (head >> (avail - length)) - 1
 
     def read_se(self) -> int:
         return ue_to_se(self.read_ue())
@@ -251,7 +236,7 @@ class CodeParser:
             reader = BitReader(self._data, pos)
             reader.read_ue()
             reader.read_ue()
-            # Unreachable: a window holds any pair (at most 254 bits) at its base.
+            # Unreachable: a window holds any pair (at most 130 bits) at its base.
             raise AssertionError(f"pair table refused the valid pair at bit {pos}")
         self._base, self._table = pos, table
         return pos, table
@@ -279,7 +264,7 @@ class CodeParser:
         second = lengths[at + lengths]
         single = lengths == 1
         second *= ~single
-        pairs = lengths + second  # at most 2 * 127
+        pairs = lengths + second  # at most 2 * 65
         pairs *= single | (second > 0)
         return pairs.tobytes()
 
@@ -291,20 +276,11 @@ class CodeParser:
 
     def prefixes(self, starts: np.ndarray) -> np.ndarray:
         """Zero prefix lengths (int64) of the valid codes at starts (int64)."""
-        top = self._load(starts) >> 11  # 53 bits: exact in float64
-        zeros = 53 - np.frexp(top.astype(np.float64))[1].astype(np.int64)
-        for k in np.flatnonzero(zeros == 53):  # no one bit in the first 53
-            zeros[k] = np.flatnonzero(self._bits(int(starts[k]), int(starts[k]) + 64))[0]
-        return zeros
+        top = self._load(starts) >> 11  # 53 bits, exact in float64, that hold the one bit
+        return 53 - np.frexp(top.astype(np.float64))[1].astype(np.int64)
 
     def values(self, starts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
         """uint64 values of the valid codes at starts (int64) whose prefixes
         are zeros (int64) long."""
-        lead = starts + zeros  # the one bit that opens the value bits
-        shift = MAX_PREFIX - np.minimum(zeros, _WORD_PREFIX)
-        words = self._load(lead) >> shift.astype(np.uint64)
-        for k in np.flatnonzero(zeros > _WORD_PREFIX):
-            lo, hi = int(lead[k]), int(lead[k] + zeros[k] + 1)
-            chunk = int.from_bytes(self._data[lo >> 3:(hi + 7) >> 3], "big")
-            words[k] = (chunk >> (-hi % 8)) & ((1 << (hi - lo)) - 1)
-        return words - 1
+        lead = starts + zeros  # the one bit that opens the zeros + 1 value bits
+        return (self._load(lead) >> (63 - zeros).astype(np.uint64)) - 1

@@ -30,14 +30,15 @@ reads the reference luma through one `ReferencePlane` per P frame, which
 interpolates each quarter-pel phase once, so every candidate is a slice of
 one phase.
 
-The encoder writes a frame's exp-Golomb codes as arrays (see `bitstream`).
-It records each block's vector difference during the search and writes them
-all once the block loop is done. This is the same stream, because the median
-predictor reads only vectors chosen earlier. Each plane's run-level codes
-come from `np.flatnonzero` over its zig-zagged levels (`_level_codes`),
+A frame payload is one `np.packbits` of its codes as 0/1 bit arrays
+(`bitstream.ue_code_bits`); its zero padding is the byte alignment. The
+encoder records each block's vector difference during the search and codes
+them all once the block loop is done. This is the same stream, because the
+median predictor reads only vectors chosen earlier. Each plane's run-level
+codes come from `np.flatnonzero` over its zig-zagged levels (`_level_codes`),
 `_CHUNK_BLOCKS` blocks at a time, so that no per-code array grows with the
-frame. The frame's motion and residual bit counts are the summed code
-lengths.
+frame. The frame's motion and residual bit counts are the lengths of its
+code bits.
 
 The decoder reads the vector codes one at a time with a `BitReader`, block
 by block under the median predictor (`_read_vectors`); they are about 1% of
@@ -64,9 +65,9 @@ from . import metrics
 from .bitstream import (
     BitReader,
     BitstreamError,
-    BitWriter,
     CodeParser,
     se_to_ue_array,
+    ue_code_bits,
     ue_to_se_array,
 )
 from .blockmatch import (
@@ -232,10 +233,10 @@ def _level_codes(scanned: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _write_levels(writer: BitWriter, scanned: np.ndarray) -> int:
-    """Write the run-level codes of blocks of scanned levels; returns the bits."""
-    return sum(writer.write_ue_array(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
-               for first in range(0, len(scanned), _CHUNK_BLOCKS))
+def _write_levels(scanned: np.ndarray) -> list[np.ndarray]:
+    """The run-level code bits of blocks of scanned levels, one array per chunk."""
+    return [ue_code_bits(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
+            for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
 def _walk_blocks(parser: CodeParser, nblocks: int, size: int, ends: array) -> None:
@@ -288,9 +289,8 @@ def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.n
         level = ue_to_se_array(parser.values(at_level, level_zeros))
         run = parser.values(at_run, (pair_end - at_run - 1) >> 1)
         # A level sits at the sum of (run + 1) over its block's pairs so far,
-        # minus one. Capping runs at the block size keeps the sums exact
-        # where it matters: a run that large overflows the block anyway.
-        step = np.minimum(run, size).astype(np.int64) + 1
+        # minus one; runs below 2**33 keep a chunk's sums far inside int64.
+        step = run.astype(np.int64) + 1
         end = np.cumsum(step)
         opens = np.append(True, eob)[paired]  # the chunk's first step, or after an EOB
         pos = end - 1 - np.maximum.accumulate(np.where(opens, end - step, 0))
@@ -336,13 +336,13 @@ def _reconstruct_plane(pred: np.ndarray, levels: np.ndarray, nby: int, nbx: int,
     return np.clip(np.floor(pred + res_full + 0.5), 0, 255).astype(np.uint8)
 
 
-def _encode_plane(writer: BitWriter, cur: np.ndarray, pred: np.ndarray,
-                  t: int, q: int) -> tuple[np.ndarray, int]:
-    """Code one plane's residual; returns its reconstruction and its bits."""
+def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
+                  q: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Code one plane's residual; returns its reconstruction and its code bits."""
     residual = cur.astype(np.float64) - pred
     blocks, nby, nbx = _to_blocks(residual, t)
     levels = quantize(dctn(blocks, axes=(1, 2), norm="ortho"), q)
-    bits = _write_levels(writer, levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
+    bits = _write_levels(levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
     h, w = cur.shape
     return _reconstruct_plane(pred, levels, nby, nbx, q, h, w), bits
 
@@ -481,16 +481,15 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                               config.gop_size, len(frames), fps[0], fps[1])
     except struct.error as exc:
         raise ValueError(f"sequence does not fit the stream header: {exc}") from None
-    writer = BitWriter()
-    writer.write_bytes(header)
     stats: list[FrameStats] = []
     recon: list[Frame] = []
+    payloads: list[np.ndarray] = []  # uint8, one per frame
 
     for n, cur in enumerate(frames):
         ref = None if n % config.gop_size == 0 else recon[-1]
-        writer.write_bits(0 if ref is None else 1, 8)
+        type_bits = np.unpackbits(np.array([0 if ref is None else 1], np.uint8))
         vectors = None
-        bits_motion = 0
+        vector_bits = np.zeros(0, np.uint8)
         if ref is not None:
             luma = ReferencePlane(ref.y)
             flow_field = None
@@ -508,15 +507,18 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                     vectors[r, c] = mv
                     diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
             # The predictor reads only vectors chosen earlier, so the
-            # differences can all be written once the search is done.
-            bits_motion = writer.write_ue_array(se_to_ue_array(diffs.ravel()))
+            # differences can all be coded once the search is done.
+            vector_bits = ue_code_bits(se_to_ue_array(diffs.ravel()))
 
         pred = _prediction(ref, vectors, bs, w0, h0)
-        planes, bits = zip(*(_encode_plane(writer, plane, p, t, config.q)
-                             for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)))
+        planes, chunks = zip(*(_encode_plane(plane, p, t, config.q)
+                               for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)))
         rec = Frame(*planes, n)
-        bits_residual = sum(bits)
-        bits_header = 8 + writer.align()
+        level_bits = sum(chunks, [])
+        payloads.append(np.packbits(np.concatenate([type_bits, vector_bits, *level_bits])))
+        bits_motion = len(vector_bits)
+        bits_residual = sum(map(len, level_bits))
+        bits_header = 8 * len(payloads[-1]) - bits_motion - bits_residual
 
         recon.append(rec)
         psnr_y, psnr_u, psnr_v, psnr_c = metrics.frame_psnr(cur, rec)
@@ -524,7 +526,7 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
                                 bits_motion + bits_residual + bits_header,
                                 psnr_y, psnr_u, psnr_v, psnr_c))
 
-    return EncodeResult(stats, recon, writer.getvalue())
+    return EncodeResult(stats, recon, header + b"".join(payloads))
 
 
 def read_bitstream_info(data: bytes) -> BitstreamInfo:

@@ -224,9 +224,9 @@ def read_pgm(data: bytes) -> np.ndarray:
     if not all(f.isdigit() and int(f) > 0 for f in fields[1:3]):
         raise ValueError("PGM width and height must be positive integers, got "
                          + b" x ".join(fields[1:3]).decode("ascii", "replace"))
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
+    if not (fields[3].isdigit() and int(fields[3]) == 255):
+        raise ValueError("only maxval 255 supported, got " + fields[3].decode("ascii", "replace"))
+    w, h = int(fields[1]), int(fields[2])
     pos += 1  # single whitespace after maxval
     if len(data) - pos < w * h:
         raise ValueError("truncated PGM payload")

@@ -13,6 +13,7 @@ from flowcodec.bitstream import (
     se_to_ue,
     se_to_ue_array,
     ue_bits,
+    ue_code_bits,
     ue_to_se,
     ue_to_se_array,
 )
@@ -141,23 +142,26 @@ def test_interleaved_bytes_and_codes():
 
 # --- whole arrays of codes --------------------------------------------------------
 
-# 2**k - 1 and 2**k for every k up to the longest code (63 zeros): the
-# boundaries where a code gains two bits.
-UE_BOUNDARIES = sorted({0, 2 ** 64 - 2} | {2 ** k + d for k in range(1, 64) for d in (-1, 0)})
+# 2**k - 1 and 2**k for every k up to the longest code (MAX_PREFIX = 32
+# zeros): the boundaries where a code gains two bits.
+UE_BOUNDARIES = sorted({0, 2 ** 33 - 2} | {2 ** k + d for k in range(1, 33) for d in (-1, 0)})
 SE_BOUNDARIES = [0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31), 2 ** 31,
-                 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63 - 1)]
+                 2 ** 32 - 1, -(2 ** 32 - 1)]
 
 
 def written(values, signed: bool, lead: int, by_array: bool) -> bytes:
-    """values coded after lead zero bits, then a closing ue(5) and padding."""
-    w = BitWriter()
-    w.write_bits(0, lead)
+    """values coded after lead zero bits, then a closing ue(5) and padding:
+    by `ue_code_bits` and `np.packbits`, or by `BitWriter`."""
     if by_array:
         codes = se_to_ue_array(values) if signed else np.array(values, np.uint64)
-        assert w.write_ue_array(codes) == sum(map(se_bits if signed else ue_bits, values))
-    else:
-        for v in values:
-            (w.write_se if signed else w.write_ue)(v)
+        bits = ue_code_bits(codes)
+        assert len(bits) == sum(map(se_bits if signed else ue_bits, values))
+        return np.packbits(np.concatenate([np.zeros(lead, np.uint8), bits,
+                                           ue_code_bits([5])])).tobytes()
+    w = BitWriter()
+    w.write_bits(0, lead)
+    for v in values:
+        (w.write_se if signed else w.write_ue)(v)
     w.write_ue(5)
     w.align()
     return w.getvalue()
@@ -173,12 +177,19 @@ def test_array_writer_matches_per_code_writer_on_random_arrays():
     rng = np.random.default_rng(7)
     for trial in range(200):
         n = int(rng.integers(0, 300))
-        scale = 2 ** int(rng.integers(1, 63))
-        ue = [int(v) for v in rng.integers(0, scale, n, dtype=np.uint64)]
-        se = [int(v) for v in rng.integers(-scale, scale, n)]
+        scale = 2 ** int(rng.integers(1, MAX_PREFIX + 1))
+        ue = [int(v) for v in rng.integers(0, 2 * scale - 1, n, dtype=np.uint64)]
+        se = [int(v) for v in rng.integers(1 - scale, scale, n)]
         lead = trial % 8
         assert written(ue, False, lead, True) == written(ue, False, lead, False)
         assert written(se, True, lead, True) == written(se, True, lead, False)
+
+
+def test_array_coder_refuses_codes_longer_than_the_reader_takes():
+    assert len(ue_code_bits([2 ** 33 - 2])) == 2 * MAX_PREFIX + 1
+    for values in ([2 ** 33 - 1], [0, 2 ** 64 - 1], np.array([-1], np.int64)):
+        with pytest.raises(ValueError, match="longer than 32 zeros"):
+            ue_code_bits(values)
 
 
 def test_array_sign_mappings_match_scalar_ones():
@@ -232,11 +243,11 @@ def pair_table_error(data: bytes) -> str:
     return str(exc.value)
 
 
-def test_prefix_of_63_zeros_parses_and_64_raise():
+def test_prefix_of_32_zeros_parses_and_33_raise():
     data = codes_with_prefix(MAX_PREFIX)
-    assert parse(data, 1) == [BitReader(data).read_ue()] == [2 ** 64 - 2]
+    assert parse(data, 1) == [BitReader(data).read_ue()] == [2 ** 33 - 2]
     data = codes_with_prefix(MAX_PREFIX + 1)
-    with pytest.raises(BitstreamError, match="prefix too long at bit 64") as exc:
+    with pytest.raises(BitstreamError, match="prefix too long at bit 33") as exc:
         parse(data, 1)
     assert str(exc.value) == reader_error(data) == pair_table_error(data)
 
@@ -246,6 +257,11 @@ def test_parser_overruns_like_the_per_code_reader(data):
     with pytest.raises(BitstreamError, match="overrun") as exc:
         parse(data, 1)
     assert str(exc.value) == reader_error(data) == pair_table_error(data)
+
+
+def test_code_cut_short_by_the_data_overruns_at_its_value_bits():
+    # 29 zeros, then the data ends 26 bits into the code's 30 value bits.
+    assert reader_error(b"\x00\x00\x00\x07") == "bitstream overrun reading 29 bits at bit 30"
 
 
 def read_length(data: bytes, pos: int):

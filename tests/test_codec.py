@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from flowcodec import bitstream, codec
-from flowcodec.bitstream import BitstreamError, BitWriter
+from flowcodec.bitstream import (
+    MAX_PREFIX,
+    BitstreamError,
+    BitWriter,
+    se_to_ue,
+    ue_bits,
+)
 from flowcodec.blockmatch import median_predictor
 from flowcodec.codec import (
     _HEADER,
@@ -369,13 +375,15 @@ def test_run_level_writer_matches_the_sequential_writer():
             scanned[rng.random((nblocks, size)) >= density] = 0
             scanned[::5] = 0  # empty blocks
             scanned[1::7, -1] = rng.choice(extremes, len(scanned[1::7]))
-            fast, slow = BitWriter(), BitWriter()
-            bits = codec._write_levels(fast, scanned)
+            chunks = codec._write_levels(scanned)
+            assert len(chunks) == 2
+            bits = np.concatenate(chunks)
+            slow = BitWriter()
             for block in scanned:
                 write_block_levels(slow, block)
-            assert bits == slow.bit_length == fast.bit_length
-            fast.align(), slow.align()
-            assert fast.getvalue() == slow.getvalue()
+            assert len(bits) == slow.bit_length
+            slow.align()
+            assert np.packbits(bits).tobytes() == slow.getvalue()
 
 
 def test_large_frames_round_trip():
@@ -522,10 +530,10 @@ def test_run_may_end_on_the_last_coefficient_but_not_past_it():
 
 
 def test_longest_prefix_parses_and_one_more_zero_raises():
-    # A level of 2**62 is coded with 63 zeros: it parses, then is out of range.
-    assert_decodes_like_the_oracle(intra_stream([(2 ** 62, 0)]), "level out of range")
-    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 64 - 2)]), "run overflows block")
-    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 64 - 1)]), "prefix too long")
+    # A level of 2**31 is coded with 32 zeros: it parses, then is out of range.
+    assert_decodes_like_the_oracle(intra_stream([(2 ** 31, 0)]), "level out of range")
+    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 33 - 2)]), "run overflows block")
+    assert_decodes_like_the_oracle(intra_stream([(1, 2 ** 33 - 1)]), "prefix too long")
 
 
 def test_first_error_in_stream_order_wins():
@@ -534,16 +542,18 @@ def test_first_error_in_stream_order_wins():
     assert_decodes_like_the_oracle(intra_stream([(1, 0)], closing=0), "overrun")
 
 
-def p_frame_stream(diffs) -> bytes:
-    """A 32x16 intra frame, then a P frame at block size 16 whose two block
-    vectors differ from their predictors by diffs, and an empty residual."""
-    intra = encode_sequence([flat_frame(32, 16)], CodecConfig("zero", block_size=16)).bitstream
+def p_frame_stream(diffs, rows: int = 1) -> bytes:
+    """A 32 x 16*rows intra frame, then a P frame at block size 16 whose
+    2 x rows block vectors differ from their predictors by diffs, and an
+    empty residual."""
+    intra = encode_sequence([flat_frame(32, 16 * rows)],
+                            CodecConfig("zero", block_size=16)).bitstream
     writer = BitWriter()
     writer.write_bytes(_with_header(intra, count=2))
     writer.write_bits(1, 8)
     for d in diffs:
         writer.write_se(d)
-    for _ in range(12):  # 8 luma and 2 + 2 chroma transforms
+    for _ in range(12 * rows):  # 8 luma and 2 + 2 chroma transforms per row
         writer.write_se(0)
     writer.align()
     return writer.getvalue()
@@ -558,6 +568,22 @@ def test_vector_range_is_exactly_int32():
                                    "motion vector out of range")
     assert_decodes_like_the_oracle(p_frame_stream([-(2 ** 31) - 1, 0, 0, 0]),
                                    "motion vector out of range")
+
+
+@pytest.mark.parametrize("top, bottom", [(-(2 ** 31), 2 ** 31 - 1), (2 ** 31 - 1, -(2 ** 31))])
+def test_largest_vector_difference_takes_the_longest_code(top, bottom):
+    """A row of int32 extremes above the other extreme: the second row's
+    first predictor is the row above, so its difference is 2**32 - 1 in
+    size, the largest value a valid stream carries."""
+    assert ue_bits(se_to_ue(-(2 ** 32 - 1))) == 2 * MAX_PREFIX + 1
+    field = [[(top, top)] * 2, [(bottom, bottom)] * 2]
+    diffs = []
+    for r, row in enumerate(field):
+        for c, (dx, dy) in enumerate(row):
+            p = median_predictor(field, c, r)
+            diffs += [dx - p.dx, dy - p.dy]
+    assert max(map(abs, diffs)) == 2 ** 32 - 1
+    assert_decodes_like_the_oracle(p_frame_stream(diffs, rows=2))
 
 
 # --- header against payload ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -192,6 +193,17 @@ def test_read_pgm_rejects_other_formats():
 def test_read_pgm_rejects_non_positive_or_non_integer_dimensions(dims):
     with pytest.raises(ValueError, match="width and height must be positive integers"):
         read_pgm(b"P5\n" + dims + b"\n255\n" + bytes(64))
+
+
+@pytest.mark.parametrize("maxval", [b"x", b"65535", b"-255", b"+255", b"25.5"])
+def test_read_pgm_rejects_maxvals_other_than_255(maxval):
+    message = f"only maxval 255 supported, got {maxval.decode()}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_pgm(b"P5\n2 2\n" + maxval + b"\n" + bytes(4))
+
+
+def test_read_pgm_takes_a_zero_padded_maxval():
+    assert read_pgm(b"P5\n2 2\n0255\n" + bytes([1, 2, 3, 4])).tolist() == [[1, 2], [3, 4]]
 
 
 # --- metrics records ----------------------------------------------------------
