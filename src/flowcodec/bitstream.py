@@ -63,6 +63,14 @@ def se_bits(value: int) -> int:
     return ue_bits(se_to_ue(value))
 
 
+def se_bits_array(values) -> np.ndarray:
+    """`se_bits` of an integer array (|value| < 2**53). s codes as ue(2s - 1)
+    for s > 0 and ue(-2s) otherwise; either ue value plus one has exactly one
+    bit more than |s|, so the length 2 * bitlength(ue + 1) - 1 is
+    2 * bitlength(|s|) + 1."""
+    return 2 * np.frexp(np.abs(values))[1] + 1  # bit lengths, exact below 2**53
+
+
 def se_to_ue_array(values) -> np.ndarray:
     """`se_to_ue` of an integer array (|value| < 2**32 to be codable), as uint64."""
     values = np.asarray(values, np.int64)

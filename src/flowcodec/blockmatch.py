@@ -13,6 +13,30 @@ the block size, the quarter-pel switch and the quantiser q that sets
 lambda. The diamond and hexagon descents start from the better of (0,0)
 and the median predictor; every step takes the best of a ring under
 `_cost_key`, which ends in the vector itself, so candidates never tie.
+
+The searches run a wave of blocks in lockstep:
+
+- **Waves.** A block's median predictor reads its left, top and top-right
+  neighbours, so the blocks on one anti-diagonal c + 2r = k depend only on
+  earlier ones (`wavefronts`; the two-block lag of wavefront parallel
+  processing). The caller searches the waves in order of k.
+- **One batched step.** Each step of the start pair, of the large-ring
+  descent and of the small ring scores every still-moving block of the wave
+  at once: one fancy index of the reference phases (`ReferencePlane.blocks`),
+  one SAD over the (blocks, candidates) array, one vectorised exp-Golomb
+  rate (`se_bits_array`) and one `np.lexsort` on the `_cost_key` fields. A
+  block leaves the descent when its ring keeps its centre.
+- **Quarter-pel steps, replayed.** A step of the quarter-pel descent
+  re-centres on every win, so its later candidates depend on its earlier
+  ones. Each step scores the 3x3 neighbourhood of every moving block at
+  once, then replays `_quarter_pel_step`, the one definition of the step,
+  over those cached costs block by block. A candidate outside the 3x3 is
+  scored alone with `sad`.
+- **Same costs.** A batched cost is lambda_y * bits + sad in float64, from
+  exact integer bits and SAD: the same two IEEE operations on the same
+  values as `rd_cost`'s Python floats. So the batched and the one-block
+  searches compare the same keys and pick the same vector and cost, which
+  the tests check against the one-block searches in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -20,22 +44,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import se_bits
+from .bitstream import se_bits, se_bits_array
 from .model import (
     QPEL,
-    ZERO_MV,
     MotionVector,
     ReferencePlane,
     check_block_size,
-    clip_block,
     predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
 
-# Large/small patterns for the two descent searches, in integer pixels.
-_DIAMOND_LARGE = ((0, 2), (0, -2), (2, 0), (-2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
-_DIAMOND_SMALL = ((0, 1), (0, -1), (1, 0), (-1, 0))
-_HEX_LARGE = ((2, 0), (-2, 0), (1, 2), (1, -2), (-1, 2), (-1, -2))
-_HEX_SMALL = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# Large/small patterns for the two descent searches, in integer pixels; each
+# ring scores its centre first.
+_DIAMOND_LARGE = np.array(((0, 0), (0, 2), (0, -2), (2, 0), (-2, 0),
+                           (1, 1), (1, -1), (-1, 1), (-1, -1)))
+_DIAMOND_SMALL = np.array(((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)))
+_HEX_LARGE = np.array(((0, 0), (2, 0), (-2, 0), (1, 2), (1, -2), (-1, 2), (-1, -2)))
+_HEX_SMALL = _DIAMOND_SMALL
+# The quarter-pel descent: at most _QPEL_STEPS steps over the 3x3
+# neighbourhood of the best vector, in this order.
+_QPEL_STEPS = 3
+_QPEL_OFFSETS = tuple((ox, oy) for oy in (-1, 0, 1) for ox in (-1, 0, 1))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -87,13 +115,15 @@ def _cost_key(cost: float, mv: MotionVector):
 
 
 class _Evaluator:
-    """Caches RD evaluations of integer/sub-pel candidates for one block."""
+    """Caches the RD costs of one block's candidates; a miss scores the
+    candidate alone with `sad`."""
 
-    def __init__(self, cur_plane, ref, origin, config, predictor):
-        self.cur_block = clip_block(cur_plane, *origin, config.block_size).astype(np.int32)
+    def __init__(self, cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+                 lambda_y: float, predictor: MotionVector):
+        self.cur_block = cur_block
         self.ref = ref
         self.origin = origin
-        self.lambda_y = config.lambda_y
+        self.lambda_y = lambda_y
         self.predictor = predictor
         self._cache: dict[MotionVector, float] = {}
 
@@ -105,74 +135,130 @@ class _Evaluator:
             self._cache[mv] = cached
         return cached
 
-    def best(self, candidates) -> tuple[MotionVector, float]:
-        """The candidate of least `_cost_key`, and its cost."""
-        mv = min(candidates, key=lambda mv: _cost_key(self.cost(mv), mv))
-        return mv, self.cost(mv)
+
+def _quarter_pel_step(ev, best: MotionVector, best_key: tuple,
+                      bound: int) -> tuple[MotionVector, tuple]:
+    # One step of the quarter-pel descent over the 8 neighbours of best. A
+    # win re-centres the rest of its step, so one step can move the vector
+    # up to 3 quarter-pels per axis. The (cached) centre never beats itself.
+    for ox, oy in _QPEL_OFFSETS:
+        cand = MotionVector(max(-bound, min(bound, best.dx + ox)),
+                            max(-bound, min(bound, best.dy + oy)))
+        key = _cost_key(ev.cost(cand), cand)
+        if key < best_key:
+            best_key = key
+            best = cand
+    return best, best_key
 
 
-def _refine_quarter_pel(ev: _Evaluator, mv: MotionVector, cost: float,
+def _refine_quarter_pel(ev, mv: MotionVector, cost: float,
                         bound: int) -> tuple[MotionVector, float]:
-    # Greedy descent over the 8 quarter-pel neighbours, at most 3 steps. A
-    # win re-centres the rest of its step, so one step can move the vector up
-    # to 3 quarter-pels per axis and the descent up to 9 (2.25 px) off the
-    # integer optimum. The (cached) centre never beats itself.
-    best_key = _cost_key(cost, mv)
-    best = mv
-    for _ in range(3):
+    # Greedy descent of at most 3 steps, up to 9 quarter-pels (2.25 px) off
+    # the integer optimum.
+    best, best_key = mv, _cost_key(cost, mv)
+    for _ in range(_QPEL_STEPS):
         start = best
-        for oy in (-1, 0, 1):
-            for ox in (-1, 0, 1):
-                cand = MotionVector(
-                    max(-bound, min(bound, best.dx + ox)),
-                    max(-bound, min(bound, best.dy + oy)),
-                )
-                key = _cost_key(ev.cost(cand), cand)
-                if key < best_key:
-                    best_key = key
-                    best = cand
+        best, best_key = _quarter_pel_step(ev, best, best_key, bound)
         if best == start:
             break
     return best, best_key[0]
 
 
-def _pattern_search(cur_plane, ref, origin, config, predictor,
-                    large_pattern, small_pattern):
-    ev = _Evaluator(cur_plane, ref, origin, config, predictor)
-    r = config.search_range
+def _wave_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
+                 config: SearchConfig, predictors: np.ndarray,
+                 large_pattern: np.ndarray, small_pattern: np.ndarray,
+                 ) -> list[tuple[MotionVector, float]]:
+    n, size = len(cur), config.block_size
+    r, lambda_y = config.search_range, config.lambda_y
+    cur16 = cur.astype(np.int16)
 
-    def pel(ix: int, iy: int) -> MotionVector:
-        return MotionVector(max(-r, min(r, ix)) * QPEL, max(-r, min(r, iy)) * QPEL)
+    def score(idx: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        # RD costs of the (blocks, candidates, 2) vectors cand of blocks idx.
+        pred = ref.blocks(origins[idx, None], size, cand)
+        distortion = np.abs(pred - cur16[idx, None]).reshape(*cand.shape[:2], -1).sum(-1)
+        return lambda_y * se_bits_array(cand - predictors[idx, None]).sum(-1) + distortion
 
-    def ring(center: MotionVector, pattern) -> tuple[MotionVector, float]:
-        cx, cy = center.dx // QPEL, center.dy // QPEL
-        return ev.best([center] + [pel(cx + ox, cy + oy) for ox, oy in pattern])
+    def best(idx: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Each block's candidate of least `_cost_key`, and its cost.
+        cost = score(idx, cand)
+        dx, dy = cand[..., 0], cand[..., 1]
+        pick = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), cost), axis=-1)[:, 0]
+        at = np.arange(len(idx))
+        return cand[at, pick], cost[at, pick]
 
-    center, _ = ev.best([ZERO_MV, pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL))])
+    def ring(idx: np.ndarray, center: np.ndarray, pattern: np.ndarray):
+        return best(idx, np.minimum(np.maximum(center[:, None] // QPEL + pattern, -r), r) * QPEL)
+
+    every = np.arange(n)
+    pel = np.minimum(np.maximum(np.rint(predictors / QPEL), -r), r).astype(np.int64)
+    center = best(every, np.stack([np.zeros_like(predictors), pel * QPEL], 1))[0]
     # Large-pattern descent: recentre while a ring beats its centre.
-    while (best := ring(center, large_pattern)[0]) != center:
-        center = best
-    best_mv, best_cost = ring(center, small_pattern)
+    active = every
+    while active.size:
+        moved, _ = ring(active, center[active], large_pattern)
+        still = (moved != center[active]).any(axis=1)
+        center[active] = moved
+        active = active[still]
+    center, cost = ring(every, center, small_pattern)
+    found = [(MotionVector(dx, dy), c) for (dx, dy), c in zip(center.tolist(), cost.tolist())]
+    if not config.refine_subpel:
+        return found
 
-    if config.refine_subpel:
-        best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)
-    return best_mv, best_cost
+    # Quarter-pel descent in lockstep: each step scores the 3x3 neighbourhood
+    # of every moving block at once, then replays the step over those costs.
+    bound = r * QPEL
+    evs = [_Evaluator(cur16[i], ref, (x0, y0), lambda_y, MotionVector(pdx, pdy))
+           for i, (x0, y0), (pdx, pdy) in zip(range(n), origins.tolist(), predictors.tolist())]
+    keys = [_cost_key(c, mv) for mv, c in found]
+    active = every
+    for _ in range(_QPEL_STEPS):
+        cand = np.minimum(np.maximum(center[active, None] + _QPEL_OFFSETS, -bound), bound)
+        costs = score(active, cand).tolist()
+        moving = []
+        for i, vectors, vcosts in zip(active.tolist(), cand.tolist(), costs):
+            ev = evs[i]
+            ev._cache.update(zip(map(tuple, vectors), vcosts))
+            start = found[i][0]
+            mv, keys[i] = _quarter_pel_step(ev, start, keys[i], bound)
+            found[i] = (mv, keys[i][0])
+            if mv != start:
+                center[i] = mv
+                moving.append(i)
+        if not moving:
+            break
+        active = np.array(moving)
+    return found
 
 
-def diamond_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                    config: SearchConfig,
-                   predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
-    """Large/small diamond descent seeded at (0,0) and at the predictor."""
-    return _pattern_search(cur_plane, ref, origin, config, predictor,
-                           _DIAMOND_LARGE, _DIAMOND_SMALL)
+                   predictors: np.ndarray) -> list[tuple[MotionVector, float]]:
+    """Large/small diamond descent of a wave of blocks, each seeded at (0,0)
+    and at its predictor. cur holds the blocks' (n, size, size) pixels,
+    origins their (n, 2) top-left corners and predictors their (n, 2) median
+    predictors, as int64; returns each block's vector and RD cost."""
+    return _wave_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL)
 
 
-def hex_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+def hex_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                config: SearchConfig,
-               predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
-    """Large hexagon then small cross descent, seeded at (0,0) and at the predictor."""
-    return _pattern_search(cur_plane, ref, origin, config, predictor,
-                           _HEX_LARGE, _HEX_SMALL)
+               predictors: np.ndarray) -> list[tuple[MotionVector, float]]:
+    """Large hexagon then small cross descent of a wave of blocks, each
+    seeded at (0,0) and at its predictor; arguments as `diamond_search`."""
+    return _wave_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL)
+
+
+def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:
+    """The (row, col) blocks of a grid in waves c + 2r = k, k ascending,
+    without the empty ones.
+
+    A block's median predictor reads its left, top and top-right
+    neighbours, which all lie on earlier waves, so the blocks of one wave
+    can be searched together once the waves before it are done.
+    """
+    waves = ([(r, k - 2 * r) for r in range((k - cols + 2) // 2, k // 2 + 1) if 0 <= r < rows]
+             for k in range(cols + 2 * rows - 2))
+    return [wave for wave in waves if wave]  # a one-column grid has no odd waves
 
 
 def _median3(a: int, b: int, c: int) -> int:

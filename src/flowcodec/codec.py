@@ -25,16 +25,20 @@ Encoder and decoder both build every frame's prediction with `_prediction`
 frame otherwise) and add the dequantised residual to it the same way.
 `motion_compensate` is `predict_block` over whole planes of the reference
 `Frame`: it broadcasts each block's vector over its pixels and gathers the
-four bilinear taps of every pixel at once. Only the encoder searches: it
-reads the reference luma through one `ReferencePlane` per P frame, which
-interpolates each quarter-pel phase once, so every candidate is a slice of
-one phase.
+four bilinear taps of every pixel at once. Only the encoder searches, and
+only in the internal and hybrid modes: it reads the reference luma through
+one `ReferencePlane` per P frame, which interpolates all 16 quarter-pel
+phases once. It visits the blocks wave by wave (`blockmatch.wavefronts`):
+a block's median predictor reads only blocks of earlier waves, so one
+`diamond_search` or `hex_search` call searches every block of a wave
+together, and `select_block_vector` then decides each block from its
+searched vector and cost.
 
 A frame payload is one `np.packbits` of its codes as 0/1 bit arrays
 (`bitstream.ue_code_bits`); its zero padding is the byte alignment. The
-encoder records each block's vector difference during the search and codes
-them all once the block loop is done. This is the same stream, because the
-median predictor reads only vectors chosen earlier. Each plane's run-level
+encoder records each block's vector difference as it decides the block and
+codes them all, in raster order, once every wave is done. This is the same
+stream, because the median predictor reads only vectors chosen earlier. Each plane's run-level
 codes come from `np.flatnonzero` over its zig-zagged levels (`_level_codes`),
 `_CHUNK_BLOCKS` blocks at a time, so that no per-code array grows with the
 frame. The frame's motion and residual bit counts are the lengths of its
@@ -77,6 +81,7 @@ from .blockmatch import (
     median_predictor,
     rd_cost,
     sad,
+    wavefronts,
 )
 from .flowadapt import downsample_flow
 from .model import (
@@ -104,6 +109,7 @@ MOTION_MODES = (
 )
 FLOW_MODES = frozenset(m for m in MOTION_MODES if m.startswith(("flow", "hybrid")))
 HYBRID_MODES = frozenset(m for m in MOTION_MODES if m.startswith("hybrid"))
+SEARCH_MODES = HYBRID_MODES | {"internal-diamond", "internal-hex"}
 
 _MODE_IDS = {name: i for i, name in enumerate(MOTION_MODES)}
 
@@ -400,21 +406,23 @@ def _compensate_plane(plane: np.ndarray, vectors: np.ndarray, size: int) -> np.n
     return ((acc + 8) >> 4).astype(np.uint8).reshape(rows * size, cols * size)[:h, :w]
 
 
-def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane, origin: tuple[int, int],
-                        search: SearchConfig, predictor: MotionVector,
-                        flow_mv: MotionVector | None = None) -> BlockDecision:
+def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane | None,
+                        origin: tuple[int, int], search: SearchConfig,
+                        predictor: MotionVector, flow_mv: MotionVector | None = None,
+                        searched: tuple[MotionVector, float] | None = None) -> BlockDecision:
     """Pick the block vector for one mode; ref is the reference luma.
 
+    searched is the block's (vector, RD cost) from the mode's search:
+    diamond for internal-diamond, hexagon for internal-hex and the hybrids.
     Hybrid modes evaluate exactly two candidates under the RD cost: the
-    internal hexagon search result and the flow-derived vector; ties keep
-    the internal candidate.
+    searched vector and the flow-derived vector; ties keep the searched one.
     """
     if mode == "zero":
         return BlockDecision(ZERO_MV)
-    if mode == "internal-diamond":
-        return BlockDecision(diamond_search(cur.y, ref, origin, search, predictor)[0])
-    if mode == "internal-hex":
-        return BlockDecision(hex_search(cur.y, ref, origin, search, predictor)[0])
+    if mode in SEARCH_MODES and searched is None:
+        raise ValueError(f"motion mode {mode} requires a searched vector")
+    if mode in ("internal-diamond", "internal-hex"):
+        return BlockDecision(searched[0])
     if flow_mv is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
     if mode in ("flow-mean", "flow-median"):
@@ -422,12 +430,20 @@ def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane, origin: tupl
     if mode not in HYBRID_MODES:
         raise ValueError(f"unknown motion mode {mode!r}")
 
-    internal_mv, internal_cost = hex_search(cur.y, ref, origin, search, predictor)
+    internal_mv, internal_cost = searched
     cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
     flow_cost = rd_cost(sad(cur_block, ref, origin, flow_mv), flow_mv, predictor,
                         search.lambda_y)
     mv = flow_mv if flow_cost < internal_cost else internal_mv
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
+
+
+def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray:
+    """The (rows, cols, bs, bs) blocks of a plane; partial edge blocks
+    replicate the border, as `clip_block` reads them."""
+    h, w = plane.shape
+    padded = np.pad(plane, ((0, rows * bs - h), (0, cols * bs - w)), mode="edge")
+    return padded.reshape(rows, bs, cols, bs).swapaxes(1, 2)
 
 
 def _flow_method(mode: str) -> str:
@@ -491,19 +507,28 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
         vectors = None
         vector_bits = np.zeros(0, np.uint8)
         if ref is not None:
-            luma = ReferencePlane(ref.y)
+            luma = search = tiles = None
+            if mode in SEARCH_MODES:
+                luma = ReferencePlane(ref.y)
+                search = diamond_search if mode == "internal-diamond" else hex_search
+                tiles = _block_tiles(cur.y, bs, cols, rows)
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             vectors = np.zeros((rows, cols, 2), np.int32)
             diffs = np.zeros((rows, cols, 2), np.int64)
-            for r in range(rows):
-                for c in range(cols):
-                    predictor = median_predictor(vectors, c, r)
+            for wave in wavefronts(cols, rows):
+                predictors = [median_predictor(vectors, c, r) for r, c in wave]
+                found = [None] * len(wave)
+                if search is not None:
+                    at = np.array(wave)
+                    found = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
+                                   np.array(predictors, np.int64))
+                for (r, c), predictor, searched in zip(wave, predictors, found):
                     flow_mv = flow_field.vector(c, r) if flow_field is not None else None
                     mv = select_block_vector(mode, cur, luma, (c * bs, r * bs), config,
-                                             predictor, flow_mv).mv
+                                             predictor, flow_mv, searched).mv
                     vectors[r, c] = mv
                     diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
             # The predictor reads only vectors chosen earlier, so the

@@ -7,6 +7,7 @@ with the luma of the original current frame and of the decoded reference.
 """
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import shutil
@@ -48,6 +49,9 @@ class FlowProvider:
             raise ValueError(f"mode {self.mode} requires flow_dir")
         if self.mode == "T2" and not self.estimator_cmd:
             raise ValueError("mode T2 requires estimator_cmd")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ValueError(f"estimator timeout must be a positive finite number of seconds, "
+                             f"got {self.timeout}")
 
     def flow_path(self, sequence: str, index: int) -> Path:
         return Path(self.flow_dir) / sequence / f"frame_{index:04d}.flo"

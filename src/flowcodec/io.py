@@ -251,18 +251,31 @@ def write_metrics(records: Sequence[Mapping], fmt: str = "csv") -> bytes:
 
 
 def read_metrics_csv(source: bytes | str) -> list[dict]:
-    """Parse a metrics CSV back into typed records."""
+    """Parse a metrics CSV back into typed records. Raises ValueError on a
+    missing column, or naming the line of a row with the wrong number of
+    fields or a value that does not parse."""
     text = source.decode("ascii") if isinstance(source, (bytes, bytearray)) else source
     reader = csv.DictReader(StringIO(text))
+    missing = [name for name in METRICS_FIELDS if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"metrics CSV is missing column(s) {', '.join(missing)}")
     records = []
     for row in reader:
-        records.append(
-            {
-                "sequence": row["sequence"],
-                "mode": row["mode"],
-                "q": int(row["q"]),
-                "rate_bits_per_frame": float(row["rate_bits_per_frame"]),
-                "psnr_db": float(row["psnr_db"]),
-            }
-        )
+        # A short row fills the missing fields with None; a long one keeps
+        # the extra fields under the key None.
+        if None in row or None in row.values():
+            raise ValueError(f"metrics CSV line {reader.line_num}: expected "
+                             f"{len(reader.fieldnames)} fields")
+        try:
+            records.append(
+                {
+                    "sequence": row["sequence"],
+                    "mode": row["mode"],
+                    "q": int(row["q"]),
+                    "rate_bits_per_frame": float(row["rate_bits_per_frame"]),
+                    "psnr_db": float(row["psnr_db"]),
+                }
+            )
+        except ValueError as exc:
+            raise ValueError(f"metrics CSV line {reader.line_num}: {exc}") from None
     return records

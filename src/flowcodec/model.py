@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, TypeAlias
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 QPEL = 4                 # quarter-pel units per pixel
 DEFAULT_MV_BOUND = 128   # quarter-pel units; 128 = a 32 px displacement budget
@@ -132,8 +133,8 @@ RDCurve: TypeAlias = "list[RDPoint]"
 def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
     """Copy a size x size window; reads outside the plane replicate the border."""
     h, w = plane.shape
-    xs = np.clip(np.arange(x0, x0 + size), 0, w - 1)
-    ys = np.clip(np.arange(y0, y0 + size), 0, h - 1)
+    xs = np.minimum(np.maximum(np.arange(x0, x0 + size), 0), w - 1)
+    ys = np.minimum(np.maximum(np.arange(y0, y0 + size), 0), h - 1)
     return plane[np.ix_(ys, xs)]
 
 
@@ -145,9 +146,10 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     integer and (acc + 8) >> 4 rounds half up without any float arithmetic.
     Out-of-plane reads replicate the border.
 
-    The searches read blocks through `ReferencePlane.block`, and
-    `codec.motion_compensate` computes every block of a frame at once; both
-    give this gather's values, and the tests hold them to it.
+    The searches read blocks through `ReferencePlane.blocks` and
+    `ReferencePlane.block`, and `codec.motion_compensate` computes every
+    block of a frame at once; all give this gather's values, and the tests
+    hold them to it.
     """
     h, w = plane.shape
     ix, fx = divmod(int(mv.dx), QPEL)
@@ -183,21 +185,30 @@ class ReferencePlane:
     """A uint8 reference plane, interpolated once for all the blocks read
     from it.
 
-    The plane is edge-padded by REF_MARGIN, and each of the 16 quarter-pel
-    phases is interpolated over the whole padded plane on first use, with
-    `predict_block`'s formula. A compensated block is then a slice of one
-    phase. Phases are uint8: the rounded samples are exactly 0..255.
+    The plane is edge-padded by REF_MARGIN, and all 16 quarter-pel phases
+    are interpolated over the whole padded plane at once, with
+    `predict_block`'s formula, into one (16, rows, cols) array indexed by
+    fy * QPEL + fx. A compensated block is then a slice of one phase, and a
+    batch of blocks is one fancy index of that array (`blocks`). Phases are
+    uint8: the rounded samples are exactly 0..255.
     """
 
     def __init__(self, plane: np.ndarray):
         if not isinstance(plane, np.ndarray) or plane.ndim != 2 or plane.dtype != np.uint8:
             raise ValueError("reference plane must be a 2D uint8 array")
-        padded = np.pad(plane, REF_MARGIN, mode="edge")
-        padded.setflags(write=False)
-        self._padded = padded
-        self._phases: list[np.ndarray | None] = [padded] + [None] * (QPEL * QPEL - 1)
+        # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
+        p = np.pad(plane, REF_MARGIN, mode="edge").astype(np.uint16)
+        fx = np.arange(QPEL, dtype=np.uint16)[:, None, None]
+        rows = (QPEL - fx) * p[:, :-1] + fx * p[:, 1:]  # [fx, y, x]
         # The last padded row and column only feed the sub-pel taps.
-        self._rows, self._cols = padded.shape[0] - 1, padded.shape[1] - 1
+        phases = np.empty((QPEL, QPEL, p.shape[0] - 1, p.shape[1] - 1), np.uint8)
+        for fy in range(QPEL):
+            phases[fy] = ((QPEL - fy) * rows[:, :-1] + fy * rows[:, 1:] + 8) >> 4
+        phases = phases.reshape(QPEL * QPEL, *phases.shape[2:])
+        phases.setflags(write=False)
+        self._phases = phases
+        self._rows, self._cols = phases.shape[1:]
+        self._windows: dict[int, np.ndarray] = {}
 
     def block(self, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
         """Read-only view equal to `predict_block(plane, x0, y0, size, mv)`
@@ -212,19 +223,20 @@ class ReferencePlane:
         iy, fy = divmod(mv.dy, QPEL)
         left = min(max(x0 + ix + REF_MARGIN, 0), self._cols - size)
         top = min(max(y0 + iy + REF_MARGIN, 0), self._rows - size)
-        phase = self._phases[fy * QPEL + fx]
-        if phase is None:
-            phase = self._phases[fy * QPEL + fx] = self._interpolate(fx, fy)
-        return phase[top:top + size, left:left + size]
+        return self._phases[fy * QPEL + fx, top:top + size, left:left + size]
 
-    def _interpolate(self, fx: int, fy: int) -> np.ndarray:
-        # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
-        p = self._padded.astype(np.uint16)
-        rows = (QPEL - fx) * p[:, :-1] + fx * p[:, 1:]
-        acc = (QPEL - fy) * rows[:-1] + fy * rows[1:] + 8
-        phase = (acc >> 4).astype(np.uint8)
-        phase.setflags(write=False)
-        return phase
+    def blocks(self, origins: np.ndarray, size: int, vectors: np.ndarray) -> np.ndarray:
+        """`block` of every broadcast pair of int64 (x0, y0) origins and
+        (dx, dy) vectors, as one uint8 array of shape (..., size, size): one
+        fancy index of the phases, clamped as `block` clamps."""
+        windows = self._windows.get(size)
+        if windows is None:
+            windows = self._windows[size] = sliding_window_view(
+                self._phases, (size, size), axis=(1, 2))
+        i, f = np.divmod(vectors, QPEL)
+        at = np.minimum(np.maximum(origins + i + REF_MARGIN, 0),
+                        (self._cols - size, self._rows - size))
+        return windows[f[..., 1] * QPEL + f[..., 0], at[..., 1], at[..., 0]]
 
 
 def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:

@@ -5,14 +5,26 @@ The sequential coders read and write one exp-Golomb code at a time through
 share everything else with the codec: the header, the payload size check,
 the prediction (`_prediction` of the previous decoded `Frame`) and the
 reconstruction. `full_search` is the exhaustive block search that bounds
-the pattern searches.
+the pattern searches. `diamond_search` and `hex_search` search one block at
+a time, each candidate once, which the wave searches of `blockmatch` must
+match vector for vector and cost for cost.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from flowcodec.bitstream import BitReader, BitstreamError, BitWriter
-from flowcodec.blockmatch import SearchConfig, _Evaluator, _refine_quarter_pel, median_predictor
+from flowcodec.blockmatch import (
+    _DIAMOND_LARGE,
+    _DIAMOND_SMALL,
+    _HEX_LARGE,
+    _HEX_SMALL,
+    SearchConfig,
+    _cost_key,
+    _Evaluator,
+    _refine_quarter_pel,
+    median_predictor,
+)
 from flowcodec.codec import (
     HEADER_SIZE,
     _INT32,
@@ -30,7 +42,19 @@ from flowcodec.model import (
     MotionVector,
     ReferencePlane,
     block_grid,
+    clip_block,
 )
+
+
+def _best(ev: _Evaluator, candidates) -> tuple[MotionVector, float]:
+    """The candidate of least `_cost_key`, and its cost."""
+    mv = min(candidates, key=lambda mv: _cost_key(ev.cost(mv), mv))
+    return mv, ev.cost(mv)
+
+
+def _evaluator(cur_plane, ref, origin, config, predictor) -> _Evaluator:
+    cur_block = clip_block(cur_plane, *origin, config.block_size).astype(np.int32)
+    return _Evaluator(cur_block, ref, origin, config.lambda_y, predictor)
 
 
 def full_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
@@ -41,16 +65,55 @@ def full_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, i
     Scans every integer-pel vector in [-R, +R]^2, then (optionally) runs the
     local quarter-pel descent around the winner.
     """
-    ev = _Evaluator(cur_plane, ref, origin, config, predictor)
+    ev = _evaluator(cur_plane, ref, origin, config, predictor)
     r = config.search_range
-    best_mv, best_cost = ev.best(
+    best_mv, best_cost = _best(ev, (
         MotionVector(ix * QPEL, iy * QPEL)
         for iy in range(-r, r + 1)
         for ix in range(-r, r + 1)
-    )
+    ))
     if config.refine_subpel:
         best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)
     return best_mv, best_cost
+
+
+def _pattern_search(cur_plane, ref, origin, config, predictor, large_pattern, small_pattern):
+    # One block at a time, scoring each candidate once through the cache.
+    ev = _evaluator(cur_plane, ref, origin, config, predictor)
+    r = config.search_range
+
+    def pel(ix: int, iy: int) -> MotionVector:
+        return MotionVector(max(-r, min(r, ix)) * QPEL, max(-r, min(r, iy)) * QPEL)
+
+    def ring(center: MotionVector, pattern) -> tuple[MotionVector, float]:
+        cx, cy = center.dx // QPEL, center.dy // QPEL
+        return _best(ev, [pel(cx + int(ox), cy + int(oy)) for ox, oy in pattern])
+
+    center, _ = _best(ev, [ZERO_MV, pel(round(predictor.dx / QPEL), round(predictor.dy / QPEL))])
+    # Large-pattern descent: recentre while a ring beats its centre.
+    while (best := ring(center, large_pattern)[0]) != center:
+        center = best
+    best_mv, best_cost = ring(center, small_pattern)
+
+    if config.refine_subpel:
+        best_mv, best_cost = _refine_quarter_pel(ev, best_mv, best_cost, r * QPEL)
+    return best_mv, best_cost
+
+
+def diamond_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+                   config: SearchConfig,
+                   predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
+    """`blockmatch.diamond_search` of one block, searched on its own."""
+    return _pattern_search(cur_plane, ref, origin, config, predictor,
+                           _DIAMOND_LARGE, _DIAMOND_SMALL)
+
+
+def hex_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+               config: SearchConfig,
+               predictor: MotionVector = ZERO_MV) -> tuple[MotionVector, float]:
+    """`blockmatch.hex_search` of one block, searched on its own."""
+    return _pattern_search(cur_plane, ref, origin, config, predictor,
+                           _HEX_LARGE, _HEX_SMALL)
 
 
 def write_block_levels(writer: BitWriter, scanned: np.ndarray) -> None:

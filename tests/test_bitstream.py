@@ -10,6 +10,7 @@ from flowcodec.bitstream import (
     BitWriter,
     CodeParser,
     se_bits,
+    se_bits_array,
     se_to_ue,
     se_to_ue_array,
     ue_bits,
@@ -196,6 +197,15 @@ def test_array_sign_mappings_match_scalar_ones():
     assert [int(v) for v in se_to_ue_array(SE_BOUNDARIES)] == [se_to_ue(v) for v in SE_BOUNDARIES]
     codes = np.array(UE_BOUNDARIES, np.uint64)
     assert [int(v) for v in ue_to_se_array(codes)] == [ue_to_se(v) for v in UE_BOUNDARIES]
+
+
+def test_array_se_bits_match_scalar_ones():
+    # Every bit length from 0 to 53 bits, on both sides of each power of two.
+    values = sorted({v for k in range(54) for d in (-1, 0, 1) for v in (2 ** k + d, -(2 ** k + d))
+                     if abs(v) < 2 ** 53} | set(SE_BOUNDARIES) | set(range(-300, 301)))
+    got = se_bits_array(np.array(values, np.int64).reshape(-1, 1))
+    assert got.shape == (len(values), 1)
+    assert [int(b) for b in got.ravel()] == [se_bits(v) for v in values]
 
 
 def parse(data: bytes, count: int, pos: int = 0) -> list[int]:

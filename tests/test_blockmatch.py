@@ -12,11 +12,14 @@ from flowcodec.blockmatch import (
     mv_rate_bits,
     rd_cost,
     sad,
+    wavefronts,
 )
-from flowcodec.model import MotionVector, ReferencePlane, ZERO_MV, clip_block
+from flowcodec.codec import _block_tiles
+from flowcodec.model import MotionVector, ReferencePlane, ZERO_MV, block_grid, clip_block
 
+import oracles
 from oracles import full_search
-from synth import smooth_texture
+from synth import flat_frame, smooth_texture
 from test_model import ref_bilinear
 
 
@@ -135,6 +138,12 @@ def _translated_pair(shift, size=48, seed=4):
     return cur, ref
 
 
+def search_one(search, cur_plane, ref, origin, config, predictor=ZERO_MV):
+    """One block searched as a wave of its own."""
+    block = clip_block(cur_plane, *origin, config.block_size)[None]
+    return search(block, ref, np.array([origin]), config, np.array([predictor]))[0]
+
+
 def test_full_search_identical_returns_zero():
     rng = np.random.default_rng(5)
     plane = rng.integers(0, 256, (32, 32), dtype=np.uint8)
@@ -185,7 +194,7 @@ def test_pattern_search_identical_returns_zero(search):
     rng = np.random.default_rng(8)
     plane = rng.integers(0, 256, (32, 32), dtype=np.uint8)
     cfg = SearchConfig(search_range=8, block_size=8, q=5)
-    mv, cost = search(plane, ReferencePlane(plane), (8, 8), cfg)
+    mv, cost = search_one(search, plane, ReferencePlane(plane), (8, 8), cfg)
     assert mv == ZERO_MV
 
 
@@ -193,7 +202,7 @@ def test_pattern_search_identical_returns_zero(search):
 def test_pattern_search_finds_translation(search):
     cur, ref = _translated_pair(3)
     cfg = SearchConfig(search_range=8, block_size=16, q=5)
-    mv, _ = search(cur, ReferencePlane(ref), (16, 16), cfg)
+    mv, _ = search_one(search, cur, ReferencePlane(ref), (16, 16), cfg)
     assert mv == MotionVector(12, 0)
 
 
@@ -206,7 +215,7 @@ def test_pattern_search_cost_bounded_by_full_search(search):
         ref = ReferencePlane(smooth_texture(24, 24, rng))
         origin = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         _, best = full_search(cur, ref, origin, cfg)
-        _, got = search(cur, ref, origin, cfg)
+        _, got = search_one(search, cur, ref, origin, cfg)
         assert got >= best
 
 
@@ -214,7 +223,7 @@ def test_pattern_search_cost_bounded_by_full_search(search):
 def test_pattern_search_stays_in_window(search):
     cur, ref = _translated_pair(20, size=64)
     cfg = SearchConfig(search_range=8, block_size=16, q=5)
-    mv, _ = search(cur, ReferencePlane(ref), (16, 16), cfg, predictor=MotionVector(120, 0))
+    mv, _ = search_one(search, cur, ReferencePlane(ref), (16, 16), cfg, MotionVector(120, 0))
     assert abs(mv.dx) <= 32 and abs(mv.dy) <= 32
 
 
@@ -223,13 +232,13 @@ def test_search_is_deterministic():
     cur = rng.integers(0, 256, (24, 24), dtype=np.uint8)
     ref = ReferencePlane(rng.integers(0, 256, (24, 24), dtype=np.uint8))
     cfg = SearchConfig(search_range=4, block_size=8, q=25)
-    runs = [hex_search(cur, ref, (8, 8), cfg) for _ in range(3)]
+    runs = [search_one(hex_search, cur, ref, (8, 8), cfg) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
-# SAD evaluations over the grid below. The golden stream hashes pin the
-# winners; these totals pin the candidates scored to find them, which the
-# benchmark reports as blockmatch.sad.calls.
+# SAD evaluations of the one-block oracle searches over the grid below. The
+# golden stream hashes pin the winners; these totals pin the candidates the
+# oracle scores to find them, each once.
 PATTERN_SEARCH_SADS = {
     ("diamond_search", False): 730,
     ("diamond_search", True): 1030,
@@ -239,7 +248,7 @@ PATTERN_SEARCH_SADS = {
 
 
 @pytest.mark.parametrize("refine", [False, True])
-@pytest.mark.parametrize("search", [diamond_search, hex_search])
+@pytest.mark.parametrize("search", [oracles.diamond_search, oracles.hex_search])
 def test_pattern_search_scores_the_same_candidates(monkeypatch, search, refine):
     calls = 0
 
@@ -259,6 +268,117 @@ def test_pattern_search_scores_the_same_candidates(monkeypatch, search, refine):
             dx, dy = (int(v) for v in rng.integers(-40, 41, 2))  # some past the window
             search(cur, ref, (x0, y0), cfg, predictor=MotionVector(dx, dy))
     assert calls == PATTERN_SEARCH_SADS[search.__name__, refine]
+
+
+# --- wave searches against the one-block oracle ------------------------------
+
+def _search_frame(search, cur, ref, config, predictor=None):
+    """Every block's (vector, cost), searched wave by wave as the encoder
+    does; predictor, when given, replaces every block's median predictor."""
+    bs = config.block_size
+    cols, rows = block_grid(cur.shape[1], cur.shape[0], bs)
+    tiles = _block_tiles(cur, bs, cols, rows)
+    vectors = np.zeros((rows, cols, 2), np.int64)
+    found = {}
+    for wave in wavefronts(cols, rows):
+        predictors = [median_predictor(vectors, c, r) if predictor is None else predictor
+                      for r, c in wave]
+        at = np.array(wave)
+        got = search(tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, config,
+                     np.array(predictors, np.int64))
+        for (r, c), (mv, cost) in zip(wave, got):
+            vectors[r, c] = mv
+            found[r, c] = (mv, cost)
+    return found
+
+
+def _oracle_frame(search, cur, ref, config, predictor=None):
+    """Every block's (vector, cost) from the one-block oracle, in raster
+    order; predictor as in `_search_frame`."""
+    bs = config.block_size
+    cols, rows = block_grid(cur.shape[1], cur.shape[0], bs)
+    vectors = np.zeros((rows, cols, 2), np.int64)
+    found = {}
+    for r in range(rows):
+        for c in range(cols):
+            mv, cost = search(cur, ref, (c * bs, r * bs), config,
+                              median_predictor(vectors, c, r) if predictor is None else predictor)
+            vectors[r, c] = mv
+            found[r, c] = (mv, cost)
+    return found
+
+
+def _moved_pair(w, h, seed):
+    rng = np.random.default_rng(seed)
+    tex = smooth_texture(h + 20, w + 20, rng)
+    return tex[8:8 + h, 4:4 + w], ReferencePlane(np.ascontiguousarray(tex[5:5 + h, 7:7 + w]))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("search_range", [1, 5, 40])
+@pytest.mark.parametrize("block_size", [4, 8, 16])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_wave_search_matches_the_oracle(monkeypatch, name, block_size, search_range, refine):
+    # 40x26 leaves partial blocks on the right and bottom edges.
+    cur, ref = _moved_pair(40, 26, block_size + search_range)
+    cfg = SearchConfig(search_range=search_range, block_size=block_size,
+                       refine_subpel=refine, q=10)
+    want = _oracle_frame(getattr(oracles, name), cur, ref, cfg)
+    misses = 0
+
+    def counted(*args):
+        nonlocal misses
+        misses += 1
+        return sad(*args)
+
+    monkeypatch.setattr(blockmatch, "sad", counted)
+    assert _search_frame(getattr(blockmatch, name), cur, ref, cfg) == want
+    # Only a quarter-pel step that leaves its gathered 3x3 scores one
+    # candidate alone; at 4 px blocks that happens on this content.
+    if not refine:
+        assert misses == 0
+    elif block_size == 4:
+        assert misses > 0
+
+
+@pytest.mark.parametrize("predictor", [(120, -77), (2**31 - 1, -2**31), (-2**31, 2**31 - 1),
+                                       (-6, 6)])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_wave_search_matches_the_oracle_from_far_predictors(name, predictor):
+    # Far past the window: the start pair clamps, and the rates of the
+    # differences reach the longest codes a stream holds.
+    cur, ref = _moved_pair(44, 30, 3)
+    cfg = SearchConfig(search_range=6, block_size=8, q=20)
+    predictor = MotionVector(*predictor)
+    assert (_search_frame(getattr(blockmatch, name), cur, ref, cfg, predictor)
+            == _oracle_frame(getattr(oracles, name), cur, ref, cfg, predictor))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_wave_search_matches_the_oracle_on_flat_content(name, refine):
+    # Every candidate of a flat plane has SAD 0 and many tie on cost.
+    cur = flat_frame(40, 24, 90).y
+    ref = ReferencePlane(flat_frame(40, 24, 90).y)
+    cfg = SearchConfig(search_range=5, block_size=8, refine_subpel=refine, q=30)
+    far = MotionVector(13, -7)
+    assert (_search_frame(getattr(blockmatch, name), cur, ref, cfg, far)
+            == _oracle_frame(getattr(oracles, name), cur, ref, cfg, far))
+
+
+@pytest.mark.parametrize("cols, rows", [(1, 1), (1, 5), (5, 1), (11, 9), (3, 7)])
+def test_wavefronts_follow_the_predictor(cols, rows):
+    order = {}
+    for wave in wavefronts(cols, rows):
+        k = {c + 2 * r for r, c in wave}.pop()
+        assert all(c + 2 * r == k for r, c in wave)
+        assert all(k > earlier for earlier in order.values())
+        for r, c in wave:
+            order[r, c] = k
+    assert sorted(order) == [(r, c) for r in range(rows) for c in range(cols)]
+    for (r, c), k in order.items():
+        for neighbour in ((r, c - 1), (r - 1, c), (r - 1, c + 1)):
+            assert order.get(neighbour, -1) < k
 
 
 def test_quarter_pel_refinement_recentres_within_a_step():

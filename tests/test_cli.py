@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ def test_encode_rejects_header_overflow_as_input_error(y4m, tmp_path, capsys, fl
     assert code == EXIT_INPUT == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_encode_rejects_bad_flow_timeout_before_estimating(y4m, tmp_path, capsys, timeout):
+    out, marker = tmp_path / "clip.fcl", tmp_path / "ran"
+    estimator = f"{sys.executable} -c \"open({str(marker)!r}, 'w')\""
+    code = main(["encode", "--input", y4m, "--out", str(out), "--mode", "flow-mean",
+                 "--provenance", "T2", "--estimator-cmd", estimator, f"--flow-timeout={timeout}"])
+    assert code == EXIT_INPUT
+    assert "positive finite number of seconds" in capsys.readouterr().err.split("error:", 1)[1]
+    assert not out.exists() and not marker.exists()
 
 
 def test_encode_recon_equals_decode_output(y4m, tmp_path):
@@ -136,6 +149,18 @@ def test_bdrate_rejects_repeated_rd_records(rd_csv, tmp_path, capsys):
     assert main(["bdrate", "--reference", str(out), "--test", str(doubled),
                  "--mode", records[-1]["mode"]]) == EXIT_INPUT
     assert "repeated RD record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sequence,mode,q,psnr_db\na,zero,5,30\n", "missing column(s) rate_bits_per_frame"),
+    ("sequence,mode,q,rate_bits_per_frame,psnr_db\na,zero,5\n", "line 2: expected 5 fields"),
+])
+def test_bdrate_of_malformed_csv_is_input_error(rd_csv, tmp_path, capsys, text, message):
+    _, out, _ = rd_csv
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["bdrate", "--reference", str(bad), "--test", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err.split("error:", 1)[1]
 
 
 def test_epe_of_flow_with_itself_is_zero(tmp_path, capsys):

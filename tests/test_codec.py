@@ -36,7 +36,7 @@ from flowcodec.model import (
     predict_block,
 )
 
-from oracles import decode_sequential, write_block_levels
+from oracles import decode_sequential, hex_search, write_block_levels
 from synth import flat_frame, random_frame, translating_frames
 
 W, H = 40, 24  # not a multiple of 16: edge blocks are partial
@@ -201,8 +201,11 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
         for c in range(cols):
             predictor = median_predictor(vectors, c, r)
             flow_mv = field.vector(c, r)
-            decision = select_block_vector("hybrid-mean", cur, luma, (c * bs, r * bs),
-                                           config, predictor, flow_mv)
+            origin = (c * bs, r * bs)
+            searched = hex_search(cur.y, luma, origin, config, predictor)
+            decision = select_block_vector("hybrid-mean", cur, luma, origin,
+                                           config, predictor, flow_mv, searched)
+            assert (decision.internal_mv, decision.internal_cost) == searched
             assert decision.internal_mv is not None
             if decision.flow_cost < decision.internal_cost:
                 assert decision.mv == flow_mv
@@ -219,11 +222,22 @@ def test_non_hybrid_decisions_have_no_candidates(frames):
     predictor = median_predictor(np.zeros((1, 1, 2), np.int32), 0, 0)
     flow_mv = downsample_flow(StubProvider().get_flow("s", 1, cur, ref), 8, "mean").vector(1, 1)
     luma = ReferencePlane(ref.y)
+    searched = hex_search(cur.y, luma, (8, 8), config, predictor)
     for mode in MOTION_MODES:
-        decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv)
+        decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv,
+                                       searched)
         assert (decision.internal_mv is None) == (mode not in HYBRID_MODES)
         if mode.startswith("flow"):
             assert decision.mv == flow_mv
+
+
+def test_searching_modes_need_the_searched_vector(frames):
+    cur, ref = frames[1], frames[0]
+    config = CodecConfig("hybrid-mean", block_size=8, search_range=8)
+    for mode in ("internal-diamond", "internal-hex", "hybrid-mean", "hybrid-median"):
+        with pytest.raises(ValueError, match="searched vector"):
+            select_block_vector(mode, cur, ReferencePlane(ref.y), (8, 8), config,
+                                MotionVector(0, 0), MotionVector(4, 4))
 
 
 # --- motion compensation against predict_block ---------------------------------------

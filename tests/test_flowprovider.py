@@ -119,6 +119,14 @@ def test_t2_timeout(tmp_path):
         provider.get_flow("clip", 1, cur, ref)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_timeout_must_be_positive_and_finite(tmp_path, timeout):
+    with pytest.raises(ValueError, match="positive finite number of seconds"):
+        FlowProvider("T2", estimator_cmd="never-run", timeout=timeout)
+    with pytest.raises(ValueError, match="positive finite number of seconds"):
+        FlowProvider("T0", flow_dir=tmp_path, timeout=timeout)
+
+
 def test_t2_cleans_temp_files(tmp_path, monkeypatch):
     tmproot = tmp_path / "scratch"
     tmproot.mkdir()

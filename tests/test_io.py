@@ -228,6 +228,20 @@ def test_metrics_csv_roundtrip():
     assert read_metrics_csv(data) == RECORDS
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sequence,mode,q,psnr_db\na,zero,5,30\n", "missing column(s) rate_bits_per_frame"),
+    ("", "missing column(s) sequence, mode, q, rate_bits_per_frame, psnr_db"),
+    ("sequence,mode,q,rate_bits_per_frame,psnr_db\na,zero,5,1,30\na,zero,8\n",
+     "line 3: expected 5 fields"),
+    ("sequence,mode,q,rate_bits_per_frame,psnr_db\na,zero,5,1,30,7\n",
+     "line 2: expected 5 fields"),
+    ("sequence,mode,q,rate_bits_per_frame,psnr_db\na,zero,five,1,30\n", "line 2: invalid literal"),
+])
+def test_metrics_csv_rejects_malformed_tables(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_metrics_csv(text)
+
+
 def test_metrics_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_metrics([], "xml")

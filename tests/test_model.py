@@ -144,6 +144,26 @@ def test_reference_plane_blocks_match_predict_block(w, h, size):
     assert checked
 
 
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_reference_plane_batches_match_its_blocks(size):
+    """One fancy index of the phases gives each origin's `block` under each
+    vector, clamped the same way, out to the int32 extremes."""
+    rng = np.random.default_rng(size)
+    ref = ReferencePlane(rng.integers(0, 256, (26, 40), dtype=np.uint8))
+    origins = rng.integers(-8, 40, (5, 1, 2))
+    reach = DEFAULT_MV_BOUND + (REF_MARGIN + 3) * QPEL
+    vectors = rng.integers(-reach, reach + 1, (5, 7, 2))
+    vectors[0, :, 0] = [-2**31, -2**31 + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1]
+    vectors[1, :, 1] = vectors[0, :, 0]
+    got = ref.blocks(origins, size, vectors)
+    assert got.shape == (5, 7, size, size) and got.dtype == np.uint8
+    for i in range(5):
+        for k in range(7):
+            x0, y0 = (int(v) for v in origins[i, 0])
+            mv = MotionVector(*(int(v) for v in vectors[i, k]))
+            assert np.array_equal(got[i, k], ref.block(x0, y0, size, mv)), (i, k)
+
+
 def test_reference_plane_takes_only_2d_uint8_planes():
     # Wider samples would overflow the uint16 interpolation.
     with pytest.raises(ValueError):
