@@ -12,10 +12,11 @@ size at most 2**32 - 1, whose se value 2**33 - 2 takes exactly 32 zeros.
 `BitWriter` and `BitReader` write and read one field at a time. Whole arrays
 of codes go through numpy, with the same bits:
 
-- Pack: `ue_code_bits` computes every code length from the values and
-  scatters the value bits of all codes into one 0/1 array, which the caller
-  packs with `np.packbits`. It refuses a value whose code is longer than a
-  reader takes.
+- Pack: `ue_pack` computes every code length from the values and adds the
+  value bits of all codes straight into big-endian uint64 words, with no
+  array of one entry per bit. It returns them as one Python int and its bit
+  length, which the caller appends with `acc << length | bits`. It refuses
+  a value whose code is longer than a reader takes.
 - Parse: `CodeParser` unpacks a window of `_WINDOW_BITS` bits and counts,
   for every position, the zeros before the next one bit. That gives the
   length of the code that starts there, and of the pair of codes that
@@ -74,8 +75,7 @@ def se_bits_array(values) -> np.ndarray:
 def se_to_ue_array(values) -> np.ndarray:
     """`se_to_ue` of an integer array (|value| < 2**32 to be codable), as uint64."""
     values = np.asarray(values, np.int64)
-    twice = np.abs(values).astype(np.uint64) << 1
-    return np.where(values > 0, twice - 1, twice)
+    return (2 * np.abs(values) - (values > 0)).view(np.uint64)
 
 
 def ue_to_se_array(codes: np.ndarray) -> np.ndarray:
@@ -84,25 +84,38 @@ def ue_to_se_array(codes: np.ndarray) -> np.ndarray:
     return np.where(codes & 1, half + 1, -half)
 
 
-def ue_code_bits(values) -> np.ndarray:
-    """The exp-Golomb codes of an array of unsigned values, concatenated as a
-    uint8 array of 0/1 bits. Raises ValueError on a value above 2**33 - 2,
-    whose code a reader refuses."""
+def ue_pack(values) -> tuple[int, int]:
+    """The exp-Golomb codes of an array of unsigned values, concatenated MSB
+    first: (bits, length), with bits an int of at most length bits. Raises
+    ValueError on a value above 2**33 - 2, whose code a reader refuses.
+
+    Every code's value bits go straight into big-endian uint64 words. A code
+    ends at bit e and its value v + 1 (at most 33 bits) lands in word e // 64
+    shifted left by 63 - e % 64, and what that shift drops lands in the word
+    before. Codes never overlap, so a word is the wrapping sum of the parts
+    that land in it: a difference of the running sum at the last code that
+    ends in each word, plus one OR for the code that crosses its end."""
     values = np.asarray(values, np.uint64)
     if (values > (1 << (MAX_PREFIX + 1)) - 2).any():
         raise ValueError(f"exp-Golomb code longer than {MAX_PREFIX} zeros: {values.max()}")
-    coded = values + 1
-    lengths = np.frexp(coded.astype(np.float64))[1]  # int.bit_length: exact below 2**53
-    ends = np.cumsum(2 * lengths.astype(np.int64) - 1)
-    bits = np.zeros(int(ends[-1]) if len(ends) else 0, np.uint8)
-    at = ends - 1
-    while coded.size:  # one pass per value bit, from the last bit of every code backwards
-        bits[at] = coded & 1
-        coded >>= 1
-        at -= 1
-        more = coded != 0
-        coded, at = coded[more], at[more]
-    return bits
+    if not values.size:
+        return 0, 0
+    coded = values + np.uint64(1)
+    widths = (coded.astype(np.float64).view(np.int64) >> 52) - 1022  # bit lengths, exact
+    last = np.cumsum(2 * widths - 1)  # each code's end
+    last -= 1  # and its last bit
+    length = int(last[-1]) + 1
+    word, bit = last >> 6, last & 63
+    running = np.cumsum(coded << (63 - bit).view(np.uint64))  # wraps: dropped bits go below
+    ends = np.append(np.flatnonzero(word[:-1] != word[1:]), len(word) - 1)  # each word's last
+    at, sums = word[ends], running[ends]
+    words = np.zeros(-(-length // 64), np.uint64)
+    words[at] = sums
+    words[at[1:]] -= sums[:-1]
+    cross = np.flatnonzero(widths > bit + 1)
+    words[word[cross] - 1] |= coded[cross] >> (bit[cross] + 1).view(np.uint64)
+    packed = int.from_bytes(words.astype(">u8").tobytes(), "big")
+    return packed >> (64 * len(words) - length), length
 
 
 class BitWriter:

@@ -261,8 +261,8 @@ def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:
     return [wave for wave in waves if wave]  # a one-column grid has no odd waves
 
 
-def _median3(a: int, b: int, c: int) -> int:
-    return max(min(a, b), min(max(a, b), c))
+def _median3(a, b, c, lo=min, hi=max):
+    return hi(lo(a, b), lo(hi(a, b), c))
 
 
 def median_predictor(vectors, col: int, row: int) -> MotionVector:
@@ -283,3 +283,15 @@ def median_predictor(vectors, col: int, row: int) -> MotionVector:
         _median3(int(left[0]), int(top[0]), int(topright[0])),
         _median3(int(left[1]), int(top[1]), int(topright[1])),
     )
+
+
+def median_predictors(vectors: np.ndarray) -> np.ndarray:
+    """`median_predictor` of every block of an (rows, cols, 2) integer
+    vector field at once, as int64: the component-wise median of the left,
+    top and top-right shifted fields, with zeros outside the grid."""
+    vectors = np.asarray(vectors, np.int64)
+    left, top, topright = (np.zeros_like(vectors) for _ in range(3))
+    left[:, 1:] = vectors[:, :-1]
+    top[1:] = vectors[:-1]
+    topright[1:, :-1] = vectors[:-1, 1:]
+    return _median3(left, top, topright, np.minimum, np.maximum)

@@ -25,24 +25,30 @@ Encoder and decoder both build every frame's prediction with `_prediction`
 frame otherwise) and add the dequantised residual to it the same way.
 `motion_compensate` is `predict_block` over whole planes of the reference
 `Frame`: it broadcasts each block's vector over its pixels and gathers the
-four bilinear taps of every pixel at once. Only the encoder searches, and
-only in the internal and hybrid modes: it reads the reference luma through
-one `ReferencePlane` per P frame, which interpolates all 16 quarter-pel
-phases once. It visits the blocks wave by wave (`blockmatch.wavefronts`):
-a block's median predictor reads only blocks of earlier waves, so one
-`diamond_search` or `hex_search` call searches every block of a wave
-together, and `select_block_vector` then decides each block from its
-searched vector and cost.
+four bilinear taps of every pixel at once.
 
-A frame payload is one `np.packbits` of its codes as 0/1 bit arrays
-(`bitstream.ue_code_bits`); its zero padding is the byte alignment. The
-encoder records each block's vector difference as it decides the block and
-codes them all, in raster order, once every wave is done. This is the same
-stream, because the median predictor reads only vectors chosen earlier. Each plane's run-level
-codes come from `np.flatnonzero` over its zig-zagged levels (`_level_codes`),
-`_CHUNK_BLOCKS` blocks at a time, so that no per-code array grows with the
-frame. The frame's motion and residual bit counts are the lengths of its
-code bits.
+The `zero`, `flow-mean` and `flow-median` modes know the whole vector field
+before any decision: zeros, or the provider's dense flow reduced by
+`downsample_flow`. Only the internal and hybrid modes search, and only the
+encoder: it reads the reference luma through one `ReferencePlane` per P
+frame, which interpolates all 16 quarter-pel phases once. It visits the
+blocks wave by wave (`blockmatch.wavefronts`): a block's median predictor
+reads only blocks of earlier waves, so one `diamond_search` or `hex_search`
+call searches every block of a wave together, and `select_block_vector`
+then decides each block from its searched vector and cost
+(`_search_vectors`).
+
+Every mode codes its vector differences once the field is known, against
+the median predictors of the whole grid at once (`median_predictors`). This
+is the same stream as coding block by block, because a block's predictor
+reads only vectors that come before it in raster order. Each plane's
+run-level codes come from `np.flatnonzero` over its zig-zagged levels
+(`_level_codes`), `_CHUNK_BLOCKS` blocks at a time, so that no per-code
+array grows with the frame. `bitstream.ue_pack` packs the vector codes and
+each chunk's run-level codes into a Python int and its bit length; the
+payload appends them after the type byte with `acc << length | bits` and
+pads with zeros to the next byte. The frame's motion and residual bit
+counts are the lengths of its packed codes.
 
 The decoder reads the vector codes one at a time with a `BitReader`, block
 by block under the median predictor (`_read_vectors`); they are about 1% of
@@ -71,7 +77,7 @@ from .bitstream import (
     BitstreamError,
     CodeParser,
     se_to_ue_array,
-    ue_code_bits,
+    ue_pack,
     ue_to_se_array,
 )
 from .blockmatch import (
@@ -79,6 +85,7 @@ from .blockmatch import (
     diamond_search,
     hex_search,
     median_predictor,
+    median_predictors,
     rd_cost,
     sad,
     wavefronts,
@@ -226,7 +233,8 @@ def _level_codes(scanned: np.ndarray) -> np.ndarray:
     stream order. The k-th nonzero level, in block b, has its level code at
     2k + b and its run code at 2k + b + 1; the zeros left are the EOBs."""
     nz = np.flatnonzero(scanned)
-    block, pos = np.divmod(nz, scanned.shape[1])
+    block = nz // scanned.shape[1]  # np.divmod is several times slower
+    pos = nz - block * scanned.shape[1]
     prev = np.empty_like(pos)  # position of the previous nonzero level in the block
     prev[1:] = pos[:-1]
     first = np.ones(len(nz), bool)
@@ -239,9 +247,10 @@ def _level_codes(scanned: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _write_levels(scanned: np.ndarray) -> list[np.ndarray]:
-    """The run-level code bits of blocks of scanned levels, one array per chunk."""
-    return [ue_code_bits(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
+def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
+    """The run-level codes of blocks of scanned levels, as one `ue_pack`
+    (bits, length) per chunk."""
+    return [ue_pack(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
@@ -343,8 +352,8 @@ def _reconstruct_plane(pred: np.ndarray, levels: np.ndarray, nby: int, nbx: int,
 
 
 def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
-                  q: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Code one plane's residual; returns its reconstruction and its code bits."""
+                  q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Code one plane's residual; returns its reconstruction and its codes."""
     residual = cur.astype(np.float64) - pred
     blocks, nby, nbx = _to_blocks(residual, t)
     levels = quantize(dctn(blocks, axes=(1, 2), norm="ortho"), q)
@@ -446,6 +455,28 @@ def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray
     return padded.reshape(rows, bs, cols, bs).swapaxes(1, 2)
 
 
+def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
+                    config: CodecConfig, cols: int, rows: int) -> np.ndarray:
+    """The (rows, cols, 2) int32 vectors of a searching mode. The blocks go
+    wave by wave: one search call per wave, then `select_block_vector` per
+    block."""
+    mode, bs = config.motion_mode, config.block_size
+    luma = ReferencePlane(ref.y)
+    search = diamond_search if mode == "internal-diamond" else hex_search
+    tiles = _block_tiles(cur.y, bs, cols, rows)
+    vectors = np.zeros((rows, cols, 2), np.int32)
+    for wave in wavefronts(cols, rows):
+        predictors = [median_predictor(vectors, c, r) for r, c in wave]
+        at = np.array(wave)
+        found = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
+                       np.array(predictors, np.int64))
+        for (r, c), predictor, searched in zip(wave, predictors, found):
+            flow_mv = flow_field.vector(c, r) if flow_field is not None else None
+            vectors[r, c] = select_block_vector(mode, cur, luma, (c * bs, r * bs), config,
+                                                predictor, flow_mv, searched).mv
+    return vectors
+
+
 def _flow_method(mode: str) -> str:
     return "mean" if mode.endswith("mean") else "vector-median"
 
@@ -499,51 +530,41 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
         raise ValueError(f"sequence does not fit the stream header: {exc}") from None
     stats: list[FrameStats] = []
     recon: list[Frame] = []
-    payloads: list[np.ndarray] = []  # uint8, one per frame
+    payloads: list[bytes] = []
 
     for n, cur in enumerate(frames):
         ref = None if n % config.gop_size == 0 else recon[-1]
-        type_bits = np.unpackbits(np.array([0 if ref is None else 1], np.uint8))
         vectors = None
-        vector_bits = np.zeros(0, np.uint8)
+        vector_codes = (0, 0)
         if ref is not None:
-            luma = search = tiles = None
-            if mode in SEARCH_MODES:
-                luma = ReferencePlane(ref.y)
-                search = diamond_search if mode == "internal-diamond" else hex_search
-                tiles = _block_tiles(cur.y, bs, cols, rows)
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
-            vectors = np.zeros((rows, cols, 2), np.int32)
-            diffs = np.zeros((rows, cols, 2), np.int64)
-            for wave in wavefronts(cols, rows):
-                predictors = [median_predictor(vectors, c, r) for r, c in wave]
-                found = [None] * len(wave)
-                if search is not None:
-                    at = np.array(wave)
-                    found = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
-                                   np.array(predictors, np.int64))
-                for (r, c), predictor, searched in zip(wave, predictors, found):
-                    flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-                    mv = select_block_vector(mode, cur, luma, (c * bs, r * bs), config,
-                                             predictor, flow_mv, searched).mv
-                    vectors[r, c] = mv
-                    diffs[r, c] = (mv.dx - predictor.dx, mv.dy - predictor.dy)
+            if mode in SEARCH_MODES:
+                vectors = _search_vectors(cur, ref, flow_field, config, cols, rows)
+            elif flow_field is not None:
+                vectors = flow_field.vectors
+            else:
+                vectors = np.zeros((rows, cols, 2), np.int32)
             # The predictor reads only vectors chosen earlier, so the
-            # differences can all be coded once the search is done.
-            vector_bits = ue_code_bits(se_to_ue_array(diffs.ravel()))
+            # differences can all be coded once every vector is known.
+            vector_codes = ue_pack(se_to_ue_array((vectors - median_predictors(vectors)).ravel()))
 
         pred = _prediction(ref, vectors, bs, w0, h0)
         planes, chunks = zip(*(_encode_plane(plane, p, t, config.q)
                                for plane, p, t in zip((cur.y, cur.u, cur.v), pred, sizes)))
         rec = Frame(*planes, n)
-        level_bits = sum(chunks, [])
-        payloads.append(np.packbits(np.concatenate([type_bits, vector_bits, *level_bits])))
-        bits_motion = len(vector_bits)
-        bits_residual = sum(map(len, level_bits))
-        bits_header = 8 * len(payloads[-1]) - bits_motion - bits_residual
+        level_codes = sum(chunks, [])
+        payload, length = 0 if ref is None else 1, 8  # the type byte
+        for bits, count in (vector_codes, *level_codes):
+            payload = (payload << count) | bits
+            length += count
+        pad = -length % 8
+        payloads.append((payload << pad).to_bytes((length + pad) // 8, "big"))
+        bits_motion = vector_codes[1]
+        bits_residual = length - 8 - bits_motion
+        bits_header = 8 + pad
 
         recon.append(rec)
         psnr_y, psnr_u, psnr_v, psnr_c = metrics.frame_psnr(cur, rec)

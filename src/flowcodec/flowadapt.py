@@ -26,6 +26,21 @@ The kept rows are ranked by the exact key (fsum of the row repeated by
 the counts, u*u + v*v, u, v). The repeated row holds the same multiset of
 distances as the member's row of the full n x n matrix, and ``math.fsum``
 is correctly rounded, so equal vectors and symmetric ties compare exactly.
+
+The Mean of a block is ``math.fsum`` of each component over its members,
+divided by their count n and rounded to the quarter-pel grid
+(``block_mean``). ``downsample_flow`` takes every block's sum S' from one
+numpy sum over the reshaped field, and its sum A' of magnitudes. For k
+terms in any order |S' - S| <= gamma_{k-1} A, where S and A are the exact
+sums; ``math.fsum`` rounds S once more, by at most u|S| (u = 2**-53), and A
+is at most A' / (1 - gamma_{k-1}). So 2*gamma_k*A' bounds the distance from
+S' to the fsum result, with room for the rounding of the bound itself. The
+key floor(|s|/n*4 + 0.5) is monotone in |s|; where it is the same at both
+ends of |S'| -+ 2*gamma_k*A', it is the key of the fsum result, and a
+nonzero key leaves S' the sign of S. Any other block, and any block whose
+sum or bound is not finite, takes the ``block_mean`` path: an exact tie on
+a quarter-pel half, large cancelling values, or a sum that overflows, which
+raises fsum's ``OverflowError``.
 """
 from __future__ import annotations
 
@@ -35,6 +50,7 @@ from functools import partial
 import numpy as np
 
 from .model import (
+    DEFAULT_MV_BOUND,
     LUMA_BLOCK_SIZES,
     QPEL,
     BlockMotionField,
@@ -47,12 +63,18 @@ from .model import (
 
 METHODS = ("mean", "vector-median")
 
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u), with u = 2**-53."""
+    return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+
 # Relative slack of the vector median's prefilter (see the module
 # docstring). The ratio test needs 2*gamma_k for k terms, at most the
 # members of the largest block; the slack stays more than 15x above it.
 _NEAR_MIN = 2.0 ** -40
 _MAX_MEMBERS = max(LUMA_BLOCK_SIZES) ** 2
-assert 2 * _MAX_MEMBERS * 2.0 ** -53 / (1 - _MAX_MEMBERS * 2.0 ** -53) * 15 < _NEAR_MIN
+assert 2 * _gamma(_MAX_MEMBERS) * 15 < _NEAR_MIN
 
 
 def block_mean(vecs: np.ndarray) -> MotionVector:
@@ -113,19 +135,44 @@ def downsample_flow(field: FlowField, block_size: int,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "mean":
+        vectors, exact = _block_means(field, block_size)
         estimate = block_mean
     else:
+        cols, rows = block_grid(field.shape[1], field.shape[0], block_size)
+        vectors = np.zeros((rows, cols, 2), np.int32)
+        exact = np.zeros((rows, cols), bool)
         n = block_size * block_size
         estimate = partial(_vector_median, scratch=np.empty((2, n, n)))
-    h, w = field.shape[:2]
-    cols, rows = block_grid(w, h, block_size)
-    vectors = np.zeros((rows, cols, 2), np.int32)
-    for r in range(rows):
-        for c in range(cols):
-            block = field[r * block_size : (r + 1) * block_size,
-                          c * block_size : (c + 1) * block_size]
-            vectors[r, c] = estimate(block.reshape(-1, 2))
+    for r, c in zip(*np.nonzero(~exact)):
+        block = field[r * block_size : (r + 1) * block_size,
+                      c * block_size : (c + 1) * block_size]
+        vectors[r, c] = estimate(block.reshape(-1, 2))
     return BlockMotionField(block_size, vectors)
+
+
+def _block_means(field: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`block_mean` of every block of a finite (h, w, 2) float64 field, from
+    one numpy sum per block: the (rows, cols, 2) int32 vectors, and where
+    they are exact. A block whose sum may round to another quarter-pel, or
+    overflows, is not exact and its vector is 0."""
+    h, w = field.shape[:2]
+    cols, rows = block_grid(w, h, size)
+    if (h, w) != (rows * size, cols * size):
+        padded = np.zeros((rows * size, cols * size, 2))
+        padded[:h, :w] = field
+        field = padded
+    tiles = field.reshape(rows, size, cols, size, 2)
+    counts = (np.minimum(size, h - size * np.arange(rows))[:, None, None]
+              * np.minimum(size, w - size * np.arange(cols))[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = tiles.sum(axis=1).sum(axis=2)  # much faster than axis=(1, 3)
+        bound = np.abs(tiles).sum(axis=1).sum(axis=2) * (2 * _gamma(size * size))
+        magnitude = np.abs(sums)
+        low = np.floor((magnitude - bound) / counts * QPEL + 0.5)
+        high = np.floor((magnitude + bound) / counts * QPEL + 0.5)
+        exact = ((low == high) & np.isfinite(high)).all(axis=2)
+        steps = np.where(exact[..., None], np.minimum(low, DEFAULT_MV_BOUND), 0).astype(np.int32)
+    return np.where(sums < 0, -steps, steps), exact
 
 
 def expand_block_field(field: BlockMotionField, width: int, height: int) -> FlowField:

@@ -19,11 +19,14 @@ def _psnr_from_sse(sse: int, count: int) -> float:
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """PSNR in dB between two same-shaped sample arrays; 99.0 when identical."""
+    """PSNR in dB between two same-shaped, non-empty sample arrays; 99.0 when
+    identical."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not a.size:
+        raise ValueError(f"PSNR of empty arrays of shape {a.shape}")
     return _psnr_from_sse(_sse(a, b), a.size)
 
 
@@ -40,11 +43,14 @@ def frame_psnr(a: Frame, b: Frame) -> tuple[float, float, float, float]:
 
 
 def epe(f1: np.ndarray, f2: np.ndarray) -> float:
-    """Mean end-point error (px) between two dense flow fields."""
+    """Mean end-point error (px) between two dense (h, w, 2) flow fields of
+    the same, non-empty shape."""
     f1 = np.asarray(f1, np.float64)
     f2 = np.asarray(f2, np.float64)
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch {f1.shape} vs {f2.shape}")
+    if f1.ndim != 3 or f1.shape[2] != 2 or not f1.size:
+        raise ValueError(f"flow fields must have shape (h, w, 2) with h, w > 0, got {f1.shape}")
     d = f1 - f2
     return float(np.mean(np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)))
 

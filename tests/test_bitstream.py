@@ -14,7 +14,7 @@ from flowcodec.bitstream import (
     se_to_ue,
     se_to_ue_array,
     ue_bits,
-    ue_code_bits,
+    ue_pack,
     ue_to_se,
     ue_to_se_array,
 )
@@ -150,15 +150,25 @@ SE_BOUNDARIES = [0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1), -(2 ** 31), 2 ** 31,
                  2 ** 32 - 1, -(2 ** 32 - 1)]
 
 
+def joined(lead: int, *packs: tuple[int, int]) -> bytes:
+    """lead zero bits, then each `ue_pack` (bits, length) in turn, zero padded
+    to a byte."""
+    bits, length = 0, lead
+    for more, count in packs:
+        assert more >> count == 0
+        bits, length = bits << count | more, length + count
+    pad = -length % 8
+    return (bits << pad).to_bytes((length + pad) // 8, "big")
+
+
 def written(values, signed: bool, lead: int, by_array: bool) -> bytes:
     """values coded after lead zero bits, then a closing ue(5) and padding:
-    by `ue_code_bits` and `np.packbits`, or by `BitWriter`."""
+    by `ue_pack`, or by `BitWriter`."""
     if by_array:
         codes = se_to_ue_array(values) if signed else np.array(values, np.uint64)
-        bits = ue_code_bits(codes)
-        assert len(bits) == sum(map(se_bits if signed else ue_bits, values))
-        return np.packbits(np.concatenate([np.zeros(lead, np.uint8), bits,
-                                           ue_code_bits([5])])).tobytes()
+        packed = ue_pack(codes)
+        assert packed[1] == sum(map(se_bits if signed else ue_bits, values))
+        return joined(lead, packed, ue_pack([5]))
     w = BitWriter()
     w.write_bits(0, lead)
     for v in values:
@@ -187,10 +197,27 @@ def test_array_writer_matches_per_code_writer_on_random_arrays():
 
 
 def test_array_coder_refuses_codes_longer_than_the_reader_takes():
-    assert len(ue_code_bits([2 ** 33 - 2])) == 2 * MAX_PREFIX + 1
+    assert ue_pack([2 ** 33 - 2]) == (2 ** 33 - 1, 2 * MAX_PREFIX + 1)
     for values in ([2 ** 33 - 1], [0, 2 ** 64 - 1], np.array([-1], np.int64)):
         with pytest.raises(ValueError, match="longer than 32 zeros"):
-            ue_code_bits(values)
+            ue_pack(values)
+
+
+def test_array_coder_packs_nothing_to_no_bits():
+    assert ue_pack([]) == ue_pack(np.zeros(0, np.uint64)) == (0, 0)
+
+
+@pytest.mark.parametrize("offset", range(64))
+def test_longest_code_straddles_every_word_boundary(offset):
+    """The 65-bit code of 2**33 - 2 from every bit offset of a 64-bit word,
+    between one-bit codes. It always spans two words; from offsets 0-31 its
+    33 value bits also cross the boundary."""
+    values = [0] * offset + [2 ** 33 - 2] + [0] * 70
+    w = BitWriter()
+    for v in values:
+        w.write_ue(v)
+    w.align()
+    assert joined(0, ue_pack(values)) == w.getvalue()
 
 
 def test_array_sign_mappings_match_scalar_ones():

@@ -9,6 +9,7 @@ from flowcodec.blockmatch import (
     diamond_search,
     hex_search,
     median_predictor,
+    median_predictors,
     mv_rate_bits,
     rd_cost,
     sad,
@@ -421,3 +422,18 @@ def test_median_predictor_missing_topright():
     # last column: top-right unavailable -> counts as (0,0)
     v = _field(2, 2, {(1, 0): (4, 4), (0, 1): (4, 4)})
     assert median_predictor(v, 1, 1) == MotionVector(4, 4)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (6, 1), (2, 2), (5, 9)])
+def test_median_predictors_match_the_raster_predictor(rows, cols):
+    rng = np.random.default_rng(10 * rows + cols)
+    info = np.iinfo(np.int32)
+    extremes = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max], np.int32)
+    for vectors in (rng.integers(-40, 41, (rows, cols, 2)).astype(np.int32),
+                    rng.choice(extremes, (rows, cols, 2)),
+                    np.full((rows, cols, 2), info.min, np.int32)):
+        got = median_predictors(vectors)
+        assert got.dtype == np.int64 and got.shape == vectors.shape
+        for r in range(rows):
+            for c in range(cols):
+                assert tuple(got[r, c].tolist()) == median_predictor(vectors, c, r), (r, c)

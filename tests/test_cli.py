@@ -170,6 +170,14 @@ def test_epe_of_flow_with_itself_is_zero(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "mean: 0.000000"
 
 
+def test_epe_of_flows_of_different_sizes_is_input_error(tmp_path, capsys):
+    a, b = tmp_path / "a.flo", tmp_path / "b.flo"
+    write_flo_file(a, constant_flow(16, 8, 1.0, 0.0))
+    write_flo_file(b, constant_flow(8, 16, 1.0, 0.0))
+    assert main(["epe", "--a", str(a), "--b", str(b)]) == EXIT_INPUT
+    assert "shape mismatch" in capsys.readouterr().err.split("error:", 1)[1]
+
+
 def test_downsample_flow_writes_block_field(tmp_path):
     flo, out = tmp_path / "a.flo", tmp_path / "blocks.flo"
     write_flo_file(flo, constant_flow(20, 12, 1.25, -0.5))

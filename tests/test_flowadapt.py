@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,85 @@ def test_downsample_bimodal_block_mean_vs_median_differ():
     odd = vecs_of([(0.0, 0.0), (0.0, 0.0), (8.0, 0.0)])
     assert block_vector_median(odd) == MotionVector(0, 0)
     assert block_mean(odd) == MotionVector(11, 0)  # 8/3 px
+
+
+def assert_means_are_block_means(field, size: int) -> np.ndarray:
+    """The Mean of every block of field, whole grid at once, is `block_mean`
+    of that block; returns where the numpy sum decided the block alone."""
+    field = np.asarray(field, np.float64)
+    blocks = downsample_flow(field, size, "mean")
+    for r in range(blocks.rows):
+        for c in range(blocks.cols):
+            want = block_mean(block(field, c * size, r * size, size, size))
+            assert blocks.vector(c, r) == want, (r, c)
+    return flowadapt._block_means(field, size)[1]
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_grid_means_of_partial_edge_blocks(size):
+    rng = np.random.default_rng(size)
+    for w, h in ((37, 23), (size, 1), (1, size + 1), (3 * size, 2 * size)):
+        exact = assert_means_are_block_means(random_flow(w, h, rng) * 8, size)
+        assert exact.all()  # no noisy block sits within the bound of a tie
+
+
+def test_grid_means_of_float32_fields():
+    rng = np.random.default_rng(21)
+    for scale in (1e-3, 0.3, 2.0, 40.0, 1e4):
+        field = (rng.standard_normal((29, 45, 2)) * scale).astype(np.float32)
+        assert assert_means_are_block_means(field, 8).all()
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_grid_means_on_a_quarter_pel_half_take_the_exact_sum(size):
+    """Blocks whose exact mean is an odd multiple of 1/8 px, where rounding
+    goes away from zero: the numpy sum cannot tell the side of the tie, so
+    `block_mean` decides them."""
+    rng = np.random.default_rng(size + 1)
+    rows, cols = 3, 4
+    means = (2 * rng.integers(-40, 40, (rows, cols, 2)) + 1) / 8  # odd eighths
+    field = np.repeat(np.repeat(means, size, 0), size, 1)
+    noise = rng.integers(-64, 65, (rows * size, cols * size // 2, 2)) / 64
+    field[:, 0::2] += noise  # pairs that cancel exactly keep each block's mean
+    field[:, 1::2] -= noise
+    exact = assert_means_are_block_means(field, size)
+    assert not exact.any()
+    field += 1 / 64  # off the tie: the numpy sum decides
+    exact = assert_means_are_block_means(field, size)
+    assert exact.all()
+
+
+def test_grid_means_of_large_cancelling_values():
+    rng = np.random.default_rng(22)
+    field = random_flow(32, 24, rng).astype(np.float64)
+    big = np.array([1e300, 1e16, 2.0 ** 60, 1e5])
+    for k, value in enumerate(big):  # block k of the top row: a big pair that cancels
+        field[0, 8 * k] = (value, -value)
+        field[1, 8 * k + 3] = (-value, value)
+    exact = assert_means_are_block_means(field, 8)
+    assert not exact[0, :3].any()  # the numpy sum of those is worthless
+    assert exact[1:].all()
+
+
+def test_grid_means_of_an_overflowing_sum_raise_the_exact_sums_error():
+    field = np.zeros((16, 16, 2))
+    field[:2, :2, 0] = 1e308
+    with pytest.raises(OverflowError) as want:
+        block_mean(field.reshape(-1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as got:
+            downsample_flow(field, 8, "mean")
+    assert str(got.value) == str(want.value)
+    field = np.zeros((5, 5, 2))
+    field[4, 4, 1] = -1.7e308  # a one-vector edge block whose mean overflows in quarter-pels
+    with pytest.raises(OverflowError) as want:
+        block_mean(field[4:, 4:].reshape(-1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as got:
+            downsample_flow(field, 4, "mean")
+    assert str(got.value) == str(want.value)
 
 
 def test_downsample_validates_inputs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowcodec.metrics import PSNR_CAP, bd_psnr, bd_rate, frame_psnr, median_aggregate, psnr
+from flowcodec.metrics import PSNR_CAP, bd_psnr, bd_rate, epe, frame_psnr, median_aggregate, psnr
 from flowcodec.model import RDPoint
 
 from synth import random_frame
@@ -64,3 +64,29 @@ def test_frame_psnr_matches_psnr_per_plane():
         sse = sum(int(((p.astype(np.int64) - q.astype(np.int64)) ** 2).sum()) for p, q in planes)
         count = sum(p.size for p, _ in planes)
         assert combined == (PSNR_CAP if sse == 0 else 10.0 * np.log10(255.0 ** 2 * count / sse))
+
+
+def test_epe_of_known_fields():
+    a = np.zeros((2, 3, 2))
+    b = a.copy()
+    b[..., 0], b[0, 0] = 3.0, (3.0, 4.0)  # one vector 5 px off, five 3 px off
+    assert epe(a, b) == epe(b, a) == (5.0 + 5 * 3.0) / 6
+    assert epe(a.astype(np.float32), a) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 2, 1), (2, 2, 2, 2), (4,),
+                                   (0, 0, 2), (0, 3, 2), (3, 0, 2)])
+def test_epe_rejects_fields_that_are_not_non_empty_h_w_2(shape):
+    with pytest.raises(ValueError, match=r"shape \(h, w, 2\)"):
+        epe(np.zeros(shape), np.ones(shape))
+
+
+def test_epe_rejects_fields_of_different_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        epe(np.zeros((2, 3, 2)), np.zeros((3, 2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0)])
+def test_psnr_rejects_empty_arrays(shape):
+    with pytest.raises(ValueError, match="empty"):
+        psnr(np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))
