@@ -94,7 +94,6 @@ from .flowadapt import downsample_flow
 from .model import (
     LUMA_BLOCK_SIZES,
     QPEL,
-    ZERO_MV,
     BlockMotionField,
     Frame,
     MotionVector,
@@ -415,30 +414,27 @@ def _compensate_plane(plane: np.ndarray, vectors: np.ndarray, size: int) -> np.n
     return ((acc + 8) >> 4).astype(np.uint8).reshape(rows * size, cols * size)[:h, :w]
 
 
-def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane | None,
+def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane,
                         origin: tuple[int, int], search: SearchConfig,
                         predictor: MotionVector, flow_mv: MotionVector | None = None,
                         searched: tuple[MotionVector, float] | None = None) -> BlockDecision:
-    """Pick the block vector for one mode; ref is the reference luma.
+    """Pick the block vector of a searching mode; ref is the reference luma.
 
     searched is the block's (vector, RD cost) from the mode's search:
     diamond for internal-diamond, hexagon for internal-hex and the hybrids.
     Hybrid modes evaluate exactly two candidates under the RD cost: the
     searched vector and the flow-derived vector; ties keep the searched one.
+    A mode outside SEARCH_MODES raises ValueError: it knows its whole vector
+    field before any decision.
     """
-    if mode == "zero":
-        return BlockDecision(ZERO_MV)
-    if mode in SEARCH_MODES and searched is None:
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"motion mode {mode!r} does not search")
+    if searched is None:
         raise ValueError(f"motion mode {mode} requires a searched vector")
-    if mode in ("internal-diamond", "internal-hex"):
+    if mode not in HYBRID_MODES:
         return BlockDecision(searched[0])
     if flow_mv is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
-    if mode in ("flow-mean", "flow-median"):
-        return BlockDecision(flow_mv)
-    if mode not in HYBRID_MODES:
-        raise ValueError(f"unknown motion mode {mode!r}")
-
     internal_mv, internal_cost = searched
     cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
     flow_cost = rd_cost(sad(cur_block, ref, origin, flow_mv), flow_mv, predictor,

@@ -4,28 +4,60 @@ The vector median picks the member of the block's flow-vector set whose
 summed distance to all other members is smallest; the mean averages the
 set. Both results snap to the quarter-pel grid.
 
-The vector median works on the block's distinct vectors. It groups the
-members by value (``np.unique`` on a complex view) and weights each
-distinct vector by its count. Grouping merges 0.0 and -0.0, which is
-harmless: equal values give equal distances and quantise alike. Noisy flow
-has as many distinct vectors as members, piecewise-constant flow (ground
-truth, say) one or two per block. The k x k distance matrix of the
-distinct vectors goes into a scratch buffer that `downsample_flow`
-allocates once per field.
+The Vector Median ranks members by the exact key (S(x), u*u + v*v, u, v):
+S(x) is ``math.fsum`` of the rounded distances sqrt(du*du + dv*dv) from
+x to every member, repeats included. fsum is correctly rounded, so equal
+vectors and symmetric ties compare exactly. `downsample_flow` works on
+all blocks of one member count at once (full blocks, right edge, bottom
+edge, corner), at most `_CHUNK_ELEMENTS` of the (blocks, anchors,
+members) arrays at a time, and computes S only for members that can win:
 
-A count-weighted numpy product ``dist @ counts`` prefilters the distinct
-vectors: every row within a relative 2**-40 of the smallest product is
-kept. The terms are non-negative, so a product of k terms is within
-gamma_k = k*2**-53 / (1 - k*2**-53) relative of the true sum, in any
-summation order and with or without FMA (Higham 2002, section 3.1). The
-exact winner passes the ratio test if 2*gamma_k is below the slack. A
-block has at most 256 members, and 2*gamma_256 is about 2**-44, a 16x
-margin.
+1. Anchors (`_anchors`): from the coordinate-wise median, one Weiszfeld
+   step; four points around it at a tenth of the members' mean distance.
+2. Bounds (`_lower_bounds`): D(x) = sum_j |x - v_j| is convex. For any
+   vectors e_j with |e_j| <= 1, |x - v_j| >= e_j.(x - v_j), so D(x) >=
+   L(x) = K + g.(x - a), with g = sum_j e_j and K = sum_j e_j.(a - v_j).
+   With e_j the unit vector from v_j to an anchor a, K = D(a) and g is
+   the gradient of D at a: L is D's tangent plane. A member on the anchor
+   takes e_j = 0, a subgradient. A member's bound is its largest L over
+   the anchors, less a rounding margin E (below).
+3. U is the numpy sum of the distances of the member with the least
+   bound. A member whose bound exceeds U*(1 + 2**-40) is dropped.
+4. A block whose survivors all have one value is decided. Otherwise each
+   distinct surviving value gets its row of n distances. A numpy sum of
+   each row prefilters them: every row within a relative 2**-40 of the
+   smallest sum is kept, and the exact key ranks the kept rows.
 
-The kept rows are ranked by the exact key (fsum of the row repeated by
-the counts, u*u + v*v, u, v). The repeated row holds the same multiset of
-distances as the member's row of the full n x n matrix, and ``math.fsum``
-is correctly rounded, so equal vectors and symmetric ties compare exactly.
+The rounding margin. Let u = 2**-53 and n <= 256 the member count. The
+code rounds a - v_j and d_j = sqrt(du*du + dv*dv), and takes e_j = (a -
+v_j) / max(d_j, 2**-500). At d_j >= 2**-500, d_j**2 is normal, and
+a component square that underflows moves it by at most 2**-1075; below,
+d_j is clamped. Either way |e_j| <= 1 + 5u, so L(x) <= (1 + 5u) D(x). The
+code evaluates L as (K' - g'.a) + g'.x with K' = numpy sum of the d_j and
+g' = numpy sum of the e_j. Each d_j >= 2**-500 is within 8u of e_j.(a -
+v_j), and a smaller one within 2**-500 of it; g' is within gamma_n * n
+(1 + 5u) of g per component (gamma_k: see below); and the evaluation adds
+a few u of K' + n(|a|_1 + |x|_1). In all, the computed L is within (n +
+20)u (K' + n(|a|_1 + |x|_1)) + n 2**-500 of L(x), a sixteenth of E =
+2**-40 (K' + n(|a|_1 + |x|_1)) + 2**-480. In S(x) each rounded distance
+is at least (1 - 3u) times the true one, less 2**-537 where squares
+underflow, so S(x) >= (1 - 3u) D(x) - n 2**-537.
+
+Why the winner survives. Let a member x be dropped: its computed bound P
+= L - E is above U(1 + 2**-40), rounded. Then L(x) >= P + 15E/16, and
+S(x) >= (1 - 8u)(P + 15E/16) - n 2**-537 >= (1 + 2**-41) U. U is a
+numpy sum of the n non-negative terms of S(m) for the member m it came
+from, so U >= (1 - gamma_n) S(m), and S(x) >= (1 + 2**-42) S(m) > (1 +
+2u) S(m). So fsum(x) > fsum(m) >= fsum(winner): x's key is above the
+winner's. A bound, anchor or sum that is NaN or infinite fails the
+comparison and keeps its member. The anchors decide only how many
+members survive, never which one wins.
+
+The prefilter's numpy sum of n non-negative terms is within gamma_n =
+n*2**-53 / (1 - n*2**-53) relative of the true sum, in any summation
+order and with or without FMA (Higham 2002, section 3.1). The exact
+winner passes the ratio test if 2*gamma_n is below the slack. A block has
+at most 256 members, and 2*gamma_256 is about 2**-44, a 16x margin.
 
 The Mean of a block is ``math.fsum`` of each component over its members,
 divided by their count n and rounded to the quarter-pel grid
@@ -45,7 +77,6 @@ raises fsum's ``OverflowError``.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -69,12 +100,29 @@ def _gamma(k: int) -> float:
     return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
 
 
-# Relative slack of the vector median's prefilter (see the module
-# docstring). The ratio test needs 2*gamma_k for k terms, at most the
-# members of the largest block; the slack stays more than 15x above it.
+# Relative slack of the vector median's prefilter and of its pruning test
+# (see the module docstring). The ratio test needs 2*gamma_k for k terms,
+# at most the members of the largest block; the slack stays more than 15x
+# above it.
 _NEAR_MIN = 2.0 ** -40
 _MAX_MEMBERS = max(LUMA_BLOCK_SIZES) ** 2
 assert 2 * _gamma(_MAX_MEMBERS) * 15 < _NEAR_MIN
+
+# The pruning bounds' rounding margin E = _MARGIN * (K' + n(|a|_1 +
+# |x|_1)) + _ABSOLUTE, 16x the rounding error for up to _MAX_MEMBERS
+# members; distances below _TINY are clamped to it.
+_MARGIN = 2.0 ** -40
+_TINY = 2.0 ** -500
+_ABSOLUTE = 2.0 ** -480
+assert 16 * (_MAX_MEMBERS + 20) * 2.0 ** -53 <= _MARGIN
+assert 16 * _MAX_MEMBERS * _TINY <= _ABSOLUTE
+
+# Anchor offsets, in units of the members' mean distance from the start
+# point; they decide only how many members the bounds prune.
+_ANCHORS = 0.1 * np.array([1, 1j, -1, -1j])
+
+# Elements in one (blocks, anchors, members) float64 array: 128 KB.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def block_mean(vecs: np.ndarray) -> MotionVector:
@@ -92,27 +140,126 @@ def block_vector_median(vecs: np.ndarray) -> MotionVector:
     (u, v). Per-candidate sums use exact float summation so equal-by-
     symmetry candidates tie exactly.
     """
-    n = len(vecs)
-    return _vector_median(vecs, np.empty((2, n, n)))
+    tiles = np.asarray(vecs, np.float64).reshape(1, 1, -1, 1, 2)
+    return quantize_to_quarter_pel(*_vector_medians(tiles)[0, 0].tolist())
 
 
-def _vector_median(vecs: np.ndarray, scratch: np.ndarray) -> MotionVector:
-    # scratch is a (2, m, m) float64 buffer with m >= len(vecs).
-    values, counts = np.unique(np.ascontiguousarray(vecs, np.float64).view(np.complex128),
-                               return_counts=True)
-    k = len(values)
-    uv = values.view(np.float64).reshape(k, 2)
-    du = np.subtract.outer(uv[:, 0], uv[:, 0], out=scratch[0, :k, :k])
-    dist = np.subtract.outer(uv[:, 1], uv[:, 1], out=scratch[1, :k, :k])
+def _vector_medians(tiles: np.ndarray) -> np.ndarray:
+    """The member that `block_vector_median` picks from each block of a
+    (rows, cols, bh, bw, 2) float64 array, as (rows, cols, 2) float64;
+    `_CHUNK_ELEMENTS` bounds the blocks taken at a time."""
+    rows, cols = tiles.shape[:2]
+    n = tiles.shape[2] * tiles.shape[3]
+    step = max(1, _CHUNK_ELEMENTS // (len(_ANCHORS) * n))
+    medians = np.empty((rows * cols, 2))
+    for s in range(0, rows * cols, step):
+        r, c = np.divmod(np.arange(s, min(s + step, rows * cols)), cols)
+        u, v = (tiles[r, c, ..., i].reshape(len(r), n) for i in (0, 1))
+        medians[s:s + step] = np.stack(_chunk_medians(u, v), 1)
+    return medians.reshape(rows, cols, 2)
+
+
+def _rows(su: np.ndarray, sv: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distances sqrt(du*du + dv*dv) from each (su, sv) to the members in the
+    matching row of u, v (broadcast)."""
+    du = su[:, None] - u
+    dv = sv[:, None] - v
     np.multiply(du, du, out=du)
-    np.multiply(dist, dist, out=dist)
-    dist += du
-    np.sqrt(dist, out=dist)
-    approx = dist @ counts.astype(np.float64)
-    near = np.flatnonzero(approx <= approx.min() * (1.0 + _NEAR_MIN))
-    best = min((math.fsum(np.repeat(dist[i], counts).tolist()), u * u + v * v, u, v)
-               for i in near.tolist() for u, v in [uv[i].tolist()])
-    return quantize_to_quarter_pel(best[2], best[3])
+    np.multiply(dv, dv, out=dv)
+    du += dv
+    return np.sqrt(du, out=du)
+
+
+def _anchors(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (c, A) anchor points of c blocks with (c, n) members u, v: the
+    `_ANCHORS` offsets, scaled by the members' mean distance from a start
+    near the geometric median (the coordinate-wise median, then one
+    Weiszfeld step). Their placement decides only how much is pruned."""
+    n = u.shape[1]
+    with np.errstate(all="ignore"):
+        yu, yv = np.sort(u, axis=1)[:, n // 2, None], np.sort(v, axis=1)[:, n // 2, None]
+        d = np.sqrt((u - yu) ** 2 + (v - yv) ** 2)
+        w = 1.0 / np.maximum(d, _TINY)
+        total = w.sum(axis=1, keepdims=True)
+        step_u = (w * u).sum(axis=1, keepdims=True) / total
+        step_v = (w * v).sum(axis=1, keepdims=True) / total
+        moved = np.isfinite(step_u) & np.isfinite(step_v)
+        radius = d.mean(axis=1, keepdims=True)
+        return (np.where(moved, step_u, yu) + radius * _ANCHORS.real,
+                np.where(moved, step_v, yv) + radius * _ANCHORS.imag)
+
+
+def _lower_bounds(u: np.ndarray, v: np.ndarray, au: np.ndarray, av: np.ndarray) -> np.ndarray:
+    """A lower bound on the exact summed distance of each of the (c, n)
+    members u, v of c blocks, from the tangent planes at the (c, A) anchor
+    points au, av, rounding margin included (see the module docstring). A
+    bound that is not finite bounds nothing."""
+    n = u.shape[1]
+    with np.errstate(all="ignore"):
+        du = au[..., None] - u[:, None]
+        dv = av[..., None] - v[:, None]
+        d = du * du
+        d += dv * dv
+        np.sqrt(d, out=d)
+        tangent = d.sum(axis=2)
+        inverse = np.maximum(d, _TINY)
+        np.divide(1.0, inverse, out=inverse)
+        du *= inverse
+        dv *= inverse
+        gradient = np.stack([du.sum(axis=2), dv.sum(axis=2)], axis=2)
+        base = (tangent * (1 - _MARGIN) - (n * _MARGIN) * (abs(au) + abs(av))
+                - gradient[..., 0] * au - gradient[..., 1] * av)
+        bound = (np.matmul(gradient, np.stack([u, v], axis=1)) + base[..., None]).max(axis=1)
+        bound -= (n * _MARGIN) * (abs(u) + abs(v)) + _ABSOLUTE
+        return bound
+
+
+def _chunk_medians(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Vector Median (wu, wv) of each of c blocks, from their (c, n)
+    members u, v."""
+    c, n = u.shape
+    bound = _lower_bounds(u, v, *_anchors(u, v))
+    at = np.arange(c)
+    best = np.argmin(bound, axis=1)
+    upper = _rows(u[at, best], v[at, best], u, v).sum(axis=1)
+    blk, col = np.nonzero(~((bound > upper[:, None] * (1 + _NEAR_MIN)) & (bound < np.inf)))
+    su, sv = u[blk, col], v[blk, col]
+    # Every block keeps its best-bounded member (its bound is at most its
+    # own sum), so starts[k] is block k's first survivor. A block whose
+    # survivors all have one value is decided.
+    starts = np.searchsorted(blk, at)
+    wu, wv = su[starts], sv[starts]
+    undecided = np.flatnonzero((np.minimum.reduceat(su, starts) != np.maximum.reduceat(su, starts))
+                               | (np.minimum.reduceat(sv, starts) != np.maximum.reduceat(sv, starts)))
+    if not len(undecided):
+        return wu, wv
+    # The others rank one survivor per distinct value.
+    pick = np.zeros(c, bool)
+    pick[undecided] = True
+    pick = pick[blk]
+    blk, su, sv = blk[pick], su[pick], sv[pick]
+    order = np.lexsort((sv, su, blk))
+    blk, su, sv = blk[order], su[order], sv[order]
+    first = np.ones(len(blk), bool)
+    first[1:] = (blk[1:] != blk[:-1]) | (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    blk, su, sv = blk[first], su[first], sv[first]
+    approx = np.empty(len(blk))
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for s in range(0, len(blk), step):
+        at = blk[s:s + step]
+        approx[s:s + step] = _rows(su[s:s + step], sv[s:s + step], u[at], v[at]).sum(axis=1)
+    lowest = np.full(c, np.inf)
+    lowest[undecided] = np.minimum.reduceat(approx, np.searchsorted(blk, undecided))
+    near = np.flatnonzero(approx <= lowest[blk] * (1 + _NEAR_MIN))
+    counts = np.bincount(blk[near], minlength=c)
+    one = near[counts[blk[near]] == 1]
+    wu[blk[one]], wv[blk[one]] = su[one], sv[one]
+    for k in np.flatnonzero(counts > 1).tolist():
+        ids = near[blk[near] == k]
+        rows = _rows(su[ids], sv[ids], u[k], v[k]).tolist()
+        wu[k], wv[k] = min((math.fsum(row), a * a + b * b, a, b)
+                           for row, a, b in zip(rows, su[ids].tolist(), sv[ids].tolist()))[2:]
+    return wu, wv
 
 
 def downsample_flow(field: FlowField, block_size: int,
@@ -134,20 +281,38 @@ def downsample_flow(field: FlowField, block_size: int,
         method = "vector-median"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method == "mean":
-        vectors, exact = _block_means(field, block_size)
-        estimate = block_mean
-    else:
-        cols, rows = block_grid(field.shape[1], field.shape[0], block_size)
-        vectors = np.zeros((rows, cols, 2), np.int32)
-        exact = np.zeros((rows, cols), bool)
-        n = block_size * block_size
-        estimate = partial(_vector_median, scratch=np.empty((2, n, n)))
+    if method == "vector-median":
+        return BlockMotionField(block_size, _block_medians(field, block_size))
+    vectors, exact = _block_means(field, block_size)
     for r, c in zip(*np.nonzero(~exact)):
         block = field[r * block_size : (r + 1) * block_size,
                       c * block_size : (c + 1) * block_size]
-        vectors[r, c] = estimate(block.reshape(-1, 2))
+        vectors[r, c] = block_mean(block.reshape(-1, 2))
     return BlockMotionField(block_size, vectors)
+
+
+def _block_medians(field: np.ndarray, size: int) -> np.ndarray:
+    """`block_vector_median` of every block of a finite (h, w, 2) float64
+    field, one group of equal member counts at a time: the full blocks, the
+    right edge, the bottom edge and the corner."""
+    h, w = field.shape[:2]
+    cols, rows = block_grid(w, h, size)
+    full_c, full_r = w // size, h // size
+    medians = np.zeros((rows, cols, 2))
+    for ys in (slice(0, full_r), slice(full_r, rows)):
+        for xs in (slice(0, full_c), slice(full_c, cols)):
+            part = field[ys.start * size:ys.stop * size, xs.start * size:xs.stop * size]
+            if part.size:
+                r, c = ys.stop - ys.start, xs.stop - xs.start
+                tiles = part.reshape(r, part.shape[0] // r, c, part.shape[1] // c, 2)
+                medians[ys, xs] = _vector_medians(tiles.swapaxes(1, 2))
+    with np.errstate(over="ignore"):
+        steps = np.floor(np.abs(medians) * QPEL + 0.5)
+    bad = ~np.isfinite(steps).all(axis=2)
+    if bad.any():
+        quantize_to_quarter_pel(*medians[bad][0].tolist())  # raises its OverflowError
+    steps = np.minimum(steps, DEFAULT_MV_BOUND)
+    return np.where(medians < 0, -steps, steps).astype(np.int32)
 
 
 def _block_means(field: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

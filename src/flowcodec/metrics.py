@@ -83,7 +83,10 @@ def median_aggregate(curves: "list[RDCurve]") -> RDCurve:
     ]
 
 
-def _validate_curve(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
+def _validate_curve(curve: RDCurve, abscissa: str) -> tuple[np.ndarray, np.ndarray]:
+    """The PSNRs and log10 rates of a curve whose fit runs over abscissa
+    ("PSNR" or "rate"). A repeated abscissa value makes the cubic fit rank
+    deficient (two points at PSNR_CAP, say), so it raises ValueError."""
     if len(curve) < 4:
         raise ValueError(f"BD metrics need >= 4 points, got {len(curve)}")
     rates = np.array([p.rate for p in curve], np.float64)
@@ -92,6 +95,9 @@ def _validate_curve(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("rates must be strictly positive")
     if not np.all(np.isfinite(psnrs)):
         raise ValueError("PSNR values must be finite")
+    x = psnrs if abscissa == "PSNR" else rates
+    if len(np.unique(x)) < len(x):
+        raise ValueError(f"curve repeats a {abscissa} value: {sorted(x.tolist())}")
     return psnrs, np.log10(rates)
 
 
@@ -118,14 +124,14 @@ def bd_rate(reference: RDCurve, test: RDCurve) -> float:
     difference over the common PSNR range. Negative means the test curve
     spends fewer bits.
     """
-    ref_psnr, ref_lograte = _validate_curve(reference)
-    test_psnr, test_lograte = _validate_curve(test)
+    ref_psnr, ref_lograte = _validate_curve(reference, "PSNR")
+    test_psnr, test_lograte = _validate_curve(test, "PSNR")
     avg_diff = _poly_mean_diff(ref_psnr, ref_lograte, test_psnr, test_lograte)
     return (10.0 ** avg_diff - 1.0) * 100.0
 
 
 def bd_psnr(reference: RDCurve, test: RDCurve) -> float:
     """Average PSNR difference (dB) of test vs reference at equal rate."""
-    ref_psnr, ref_lograte = _validate_curve(reference)
-    test_psnr, test_lograte = _validate_curve(test)
+    ref_psnr, ref_lograte = _validate_curve(reference, "rate")
+    test_psnr, test_lograte = _validate_curve(test, "rate")
     return _poly_mean_diff(ref_lograte, ref_psnr, test_lograte, test_psnr)

@@ -19,6 +19,7 @@ from flowcodec.codec import (
     HYBRID_MODES,
     MAGIC,
     MOTION_MODES,
+    BlockDecision,
     CodecConfig,
     decode_sequence,
     encode_sequence,
@@ -219,17 +220,22 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
 
 def test_non_hybrid_decisions_have_no_candidates(frames):
     cur, ref = frames[1], frames[0]
-    config = CodecConfig("zero", block_size=8, search_range=8)
+    config = CodecConfig("internal-hex", block_size=8, search_range=8)
     predictor = median_predictor(np.zeros((1, 1, 2), np.int32), 0, 0)
     flow_mv = downsample_flow(StubProvider().get_flow("s", 1, cur, ref), 8, "mean").vector(1, 1)
     luma = ReferencePlane(ref.y)
     searched = hex_search(cur.y, luma, (8, 8), config, predictor)
-    for mode in MOTION_MODES:
-        decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv,
-                                       searched)
-        assert (decision.internal_mv is None) == (mode not in HYBRID_MODES)
-        if mode.startswith("flow"):
-            assert decision.mv == flow_mv
+    for mode in ("internal-diamond", "internal-hex"):
+        for flow in (flow_mv, None):
+            decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow,
+                                           searched)
+            assert decision == BlockDecision(searched[0])
+            assert decision.internal_mv is None
+    # Modes that know their whole vector field before any decision do not
+    # come here.
+    for mode in ("zero", "flow-mean", "flow-median", "bogus"):
+        with pytest.raises(ValueError, match="does not search"):
+            select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv, searched)
 
 
 def test_searching_modes_need_the_searched_vector(frames):

@@ -154,8 +154,8 @@ def test_median_one_ulp_apart_is_decided_by_exact_sums():
     # The mirrored pair c +/- h tie; moving one component of another member
     # by one ulp splits their sums in the last bits only, so the prefilter
     # must keep both and the exact sums pick the winner. (With numpy 2.4 on
-    # x86-64, the prefilter's `dist @ counts` gives the pair equal sums, and
-    # the first of them is the loser.)
+    # x86-64, the prefilter's numpy row sums rank the pair the wrong way
+    # round here, and tie it in the second set below.)
     def split_tie(vecs):
         tied = ref_vector_median(list_of(vecs))
         vecs[0, 0] = np.nextafter(vecs[0, 0], np.inf)
@@ -209,6 +209,161 @@ def test_median_with_signed_zero_components_matches_bruteforce():
         want = quantize_to_quarter_pel(*ref_vector_median(list_of(vecs)))
         assert block_vector_median(vecs) == want
         assert block_vector_median(vecs[rng.permutation(len(vecs))]) == want
+
+
+# --- pruned vector median --------------------------------------------------------
+
+def median_member(vecs):
+    """The member that block_vector_median picks, before quarter-pel
+    rounding hides which one it is."""
+    return tuple(flowadapt._vector_medians(vecs.reshape(1, 1, -1, 1, 2))[0, 0].tolist())
+
+
+def assert_median(vecs):
+    """The Vector Median of vecs, in two orders, is the oracle's member."""
+    want = ref_vector_median(list_of(vecs))
+    assert median_member(vecs) == median_member(vecs[::-1]) == want
+    assert block_vector_median(vecs) == quantize_to_quarter_pel(*want)
+
+
+def two_clusters(rng, sizes, spread, gap=3.0):
+    a = rng.normal(0, spread, (sizes[0], 2)) + (gap / 2, -1.0)
+    b = rng.normal(0, spread, (sizes[1], 2)) - (gap / 2, 1.0)
+    return np.concatenate([a, b])[rng.permutation(sum(sizes))]
+
+
+@pytest.mark.parametrize("sizes", [(131, 125), (128, 128), (125, 131), (129, 127)])
+@pytest.mark.parametrize("spread", [0.0, 1e-9, 0.05, 0.5])
+def test_median_of_near_balanced_two_cluster_blocks(sizes, spread):
+    # D is nearly flat between the clusters, so few members can be pruned.
+    rng = np.random.default_rng(sizes[0] * 10 + int(spread * 100))
+    assert_median(two_clusters(rng, sizes, spread))
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.6, -0.8), (0.3, 0.7)])
+@pytest.mark.parametrize("n", [2, 16, 64, 255, 256])
+def test_median_of_collinear_sets(direction, n):
+    # Along the line D is piecewise linear, flat between the two middle
+    # members of an even set, and a tangent plane there is exact.
+    rng = np.random.default_rng(n)
+    t = rng.integers(-40, 41, n) / 8
+    assert_median(np.outer(t, direction))
+    assert_median(np.outer(t, direction) + (2.25, -7.5))
+    assert_median(np.outer(np.abs(t), direction))  # many equal members at the ends
+
+
+@pytest.mark.parametrize("n", [1, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("value", [(0.0, -0.0), (1.75, -0.25), (-3.1, 1e-300), (2.0 ** 60, -1e30)])
+def test_median_of_all_equal_blocks(n, value):
+    vecs = np.tile(value, (n, 1))
+    assert block_vector_median(vecs) == quantize_to_quarter_pel(*value)
+    field = np.tile(value, (20, 24, 1))  # full, edge and corner blocks
+    assert (downsample_flow(field, 16).vectors == quantize_to_quarter_pel(*value)).all()
+
+
+def anchored_set():
+    """A 16-member set one of whose anchors is exactly a member: the
+    coordinate-wise median (0, 0) holds ten members, so the Weiszfeld step
+    stays there up to far less than a unit, and the mean distance from it is
+    (2*1 + 4*39.5) / 16 = 10, which puts the first anchor at 10 * 0.1 = 1."""
+    return vecs_of([(0.0, 0.0)] * 10 + [(1.0, 0.0)] * 2 + [(0.0, 39.5), (0.0, -39.5)] * 2)
+
+
+def test_median_with_a_member_on_an_anchor():
+    vecs = anchored_set()
+    au, av = flowadapt._anchors(vecs[None, :, 0], vecs[None, :, 1])
+    assert (1.0, 0.0) in zip(au[0].tolist(), av[0].tolist())  # the anchor is a member
+    assert_median(vecs)
+    assert_median(np.concatenate([vecs, [(1.0, 0.0)] * 4]))  # not the winner any more
+
+
+def exact_sums(vecs):
+    """summed_distance of every member, from numpy rows of the same
+    rounded distances."""
+    rows = np.sqrt(((vecs[:, None] - vecs[None]) ** 2).sum(axis=2))
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def assert_bounds_hold(vecs, anchors):
+    """No member's lower bound from the given anchors is above its exact
+    summed distance."""
+    anchors = np.asarray(anchors, np.float64).reshape(-1, 2)
+    bound = flowadapt._lower_bounds(vecs[None, :, 0], vecs[None, :, 1],
+                                    anchors[None, :, 0], anchors[None, :, 1])[0]
+    sums = exact_sums(vecs)
+    assert not (bound > sums).any(), np.flatnonzero(bound > sums)
+
+
+SCALES = [1.0, 1e30, 2.0 ** -510, 1e-160, 1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_lower_bounds_stay_below_the_exact_sums(scale):
+    # Anchors on members and between them, on the line of a collinear set,
+    # where a tangent plane touches D and only the rounding margin keeps
+    # the bound below the rounded sums.
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        n = int(rng.choice([16, 64, 256]))
+        t = np.sort(rng.integers(-1000, 1000, n)) * scale
+        direction = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.6, 0.8)][trial % 4]
+        line = np.outer(t, direction) + np.multiply(rng.integers(-5, 5, 2), scale * 1000)
+        noisy = rng.normal(0, 1, (n, 2)) * scale
+        for vecs in (line, noisy):
+            picks = vecs[rng.choice(n, 3)]
+            anchors = np.concatenate([picks, (picks[:2] + picks[1:]) / 2, picks + scale])
+            assert_bounds_hold(vecs, anchors)
+            c = vecs[None]
+            assert_bounds_hold(vecs, np.stack(flowadapt._anchors(c[..., 0], c[..., 1]), 2))
+    assert_bounds_hold(anchored_set() * scale, anchored_set()[:12] * scale)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_median_at_extreme_scales(scale):
+    rng = np.random.default_rng(18)
+    for trial in range(6):
+        n = [16, 64, 256][trial % 3]
+        offset = np.multiply(rng.integers(-3, 4, 2), scale * 100)
+        for vecs in (rng.normal(0, 1, (n, 2)) * scale + offset,
+                     np.outer(rng.integers(-50, 50, n), (1.0, 1.0)) * scale,
+                     two_clusters(rng, (n // 2 + 1, n // 2 - 1), 0.1) * scale,
+                     anchored_set() * scale):
+            assert_median(vecs)
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_median_of_partial_edge_blocks(size):
+    # A 24x20 field of 16 px blocks has blocks of 256, 128, 64 and 32 members.
+    rng = np.random.default_rng(19 + size)
+    for field in (rng.normal(1, 2, (20, 24, 2)),
+                  np.where(rng.random((20, 24, 1)) < 0.5, (2.0, -1.0), (-1.5, 0.5)),
+                  np.where(np.arange(24)[:, None] < 13, (0.25, 0.0), (4.0, 3.0))[None]
+                  .repeat(20, 0) + rng.normal(0, 1e-3, (20, 24, 2))):
+        blocks = downsample_flow(field, size, "vector-median")
+        for r in range(blocks.rows):
+            for c in range(blocks.cols):
+                vectors = list_of(block(field, c * size, r * size, size, size))
+                want = quantize_to_quarter_pel(*ref_vector_median(vectors))
+                assert blocks.vector(c, r) == want, (r, c)
+
+
+def test_median_fuzz_over_random_block_sets():
+    rng = np.random.default_rng(20)
+    for trial in range(150):
+        n = int(rng.choice([1, 2, 3, 16, 32, 64, 128, 256]))
+        kind = trial % 5
+        if kind == 0:
+            vecs = rng.normal(rng.normal(0, 5, 2), rng.uniform(0.01, 4), (n, 2))
+        elif kind == 1:
+            vecs = rng.integers(-3, 4, (n, 2)) / 4  # few distinct values, exact ties
+        elif kind == 2:
+            k = int(rng.integers(1, 5))
+            vecs = rng.normal(0, 3, (k, 2))[rng.integers(0, k, n)] + rng.normal(0, 1e-6, (n, 2))
+        elif kind == 3:
+            vecs = rng.standard_cauchy((n, 2))  # heavy tails: far outliers
+        else:
+            vecs = rng.normal(0, 2, (n, 2)).astype(np.float32).astype(np.float64)
+        assert_median(vecs)
 
 
 # --- shared estimator properties -----------------------------------------------
@@ -279,9 +434,9 @@ def test_downsample_partial_median_blocks_match_bruteforce():
 
 
 def test_downsample_median_blocks_of_one_and_of_256_distinct_vectors():
-    # Blocks alternate constant and noisy flow, so each block's distance
-    # matrix is 1x1 or 256x256 in the same scratch buffer; the last column
-    # and row are partial (128, 64 and 32 members).
+    # Blocks alternate constant and noisy flow, so each block has one
+    # distinct vector or as many as members, in the same chunk; the last
+    # column and row are partial (128, 64 and 32 members).
     rng = np.random.default_rng(14)
     field = rng.normal(1, 3, (36, 40, 2)).astype(np.float32)
     for r in range(3):

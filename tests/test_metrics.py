@@ -24,6 +24,30 @@ def test_bd_rate_of_scaled_rates_is_k_minus_one(k):
     assert bd_rate(CURVE, _scaled(CURVE, k)) == pytest.approx((k - 1.0) * 100.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_bd_rate_rejects_a_repeated_psnr(which):
+    # PSNRs 40, 40, 36, 34 (two points at PSNR_CAP in a real sweep, say):
+    # the cubic fit of rate over PSNR is rank deficient.
+    repeated = [RDPoint(40, 1100.0, 34.0), RDPoint(30, 2000.0, 36.0),
+                RDPoint(20, 4200.0, 40.0), RDPoint(10, 9500.0, 40.0)]
+    curves = [CURVE, CURVE]
+    curves[which] = repeated
+    with pytest.raises(ValueError, match="repeats a PSNR value"):
+        bd_rate(*curves)
+    assert np.isfinite(bd_psnr(*curves))  # the rates differ
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_bd_psnr_rejects_a_repeated_rate(which):
+    repeated = [RDPoint(40, 1200.0, 31.0), RDPoint(30, 2100.0, 33.5),
+                RDPoint(20, 2100.0, 36.2), RDPoint(10, 9000.0, 40.1)]
+    curves = [CURVE, CURVE]
+    curves[which] = repeated
+    with pytest.raises(ValueError, match="repeats a rate value"):
+        bd_psnr(*curves)
+    assert np.isfinite(bd_rate(*curves))  # the PSNRs differ
+
+
 def test_median_aggregate_takes_lower_median_per_q():
     curves = [_scaled(CURVE, k) for k in (1.0, 3.0, 2.0, 4.0)]
     curves[1] = [RDPoint(p.q, p.rate, p.psnr + 1.0) for p in reversed(curves[1])]
