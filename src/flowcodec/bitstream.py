@@ -17,27 +17,37 @@ of codes go through numpy, with the same bits:
   array of one entry per bit. It returns them as one Python int and its bit
   length, which the caller appends with `acc << length | bits`. It refuses
   a value whose code is longer than a reader takes.
-- Parse: `CodeParser` unpacks a window of `_WINDOW_BITS` bits and counts,
-  for every position, the zeros before the next one bit. That gives the
-  length of the code that starts there, and of the pair of codes that
-  starts there; it tabulates the pair lengths. The caller's loop steps from
-  pair to pair through that table and records where each step ends.
-  `CodeParser.prefixes` and `CodeParser.values` then read the prefix lengths
-  and values of all recorded codes at once, with one 8-byte load per code.
-  The codec parses its run-level (level, run) pairs this way; it reads the
-  few vector codes of a P frame one at a time with `BitReader`.
+- Parse: `CodeParser.codes` finds where the codes of a bit range start,
+  with no Python step per code. A code's length comes from a word gather:
+  the 64 bits from its first bit, of which the top 53 convert exactly to
+  float64, whose exponent counts the leading zeros. The range is cut into
+  segments of `_SEGMENT_BITS` bits and a chain of codes starts at the
+  first bit of each; all chains step together, one code per numpy row, and
+  each runs `_RUN_ON` codes past its segment, except in a segment more
+  than twice as dense in codes as half of them, which is left short. Only
+  the first chain is known to start on a code, but exp-Golomb is a prefix
+  code: a parse begun at a wrong bit falls into step with the true one
+  within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
+  parses that share one position agree from there on. Where a chain's last position is also one of the
+  next chain's, the parse continues in the next chain; where it is not, a
+  serial read, `_WALK_CODES` codes per Python step through a jump table of
+  the gap's bits, bridges to the first position a later chain reached.
+  `CodeParser.values` then reads the values of all codes at once, with the
+  same word gather. The codec parses its run-level codes this way; it
+  reads the few vector codes of a P frame one at a time with `BitReader`.
 
 A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
-runs past the end of the data) raises its error from `BitReader.read_ue`
-itself: `CodeParser.pairs` re-reads a pair that its table refuses.
+runs past the end of the data) ends the parse at its start, and
+`CodeParser.refuse` raises its error from `BitReader.read_ue` itself.
 """
 from __future__ import annotations
 
+from array import array
+from typing import NoReturn
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_PREFIX = 32     # longest zero prefix a reader accepts: values up to 2**33 - 2
-_WINDOW_BITS = 1 << 14
 
 
 class BitstreamError(ValueError):
@@ -226,82 +236,211 @@ class BitReader:
 
 
 class CodeParser:
-    """Finds the exp-Golomb code pairs of a byte string and reads their codes
-    with numpy.
-
-    A window of the data starting at bit base has one table, as bytes so that
-    a Python loop reads it at the cost of an index: entry i is 1 where the
-    code that starts at bit base + i is a single bit (value 0), else that
-    code's length plus the length of the code after it, or 0 where either is
-    not a whole code of at most `MAX_PREFIX` zeros inside the window. It steps
-    over lists of code pairs that a 0 in the first position ends.
-    """
+    """Finds the exp-Golomb codes of a byte string from a known code start,
+    chains of codes in lockstep (`codes`, `_follow`) and serial reads
+    between them (`_walk`), and reads their values, with numpy."""
 
     def __init__(self, data: bytes):
         self.end = len(data) * 8
         self._data = bytes(data)
-        self._bytes = np.frombuffer(self._data + bytes(8), np.uint8)  # 8-byte loads stay inside
-        self._words = sliding_window_view(self._bytes, 8)
-        self._base = 0
-        self._table = b"\0"
 
-    def pairs(self, pos: int) -> tuple[int, bytes]:
-        """(base, pair table) of a window with a pair at pos: the current one
-        if it has, else a new one from pos. Raises the `BitstreamError` that
-        `BitReader.read_ue` raises for the pair's first bad code."""
-        base, table = self._base, self._table
-        if 0 <= pos - base < len(table) and table[pos - base]:
-            return base, table
-        table = self._tabulate(pos)
-        if not table[0]:
-            reader = BitReader(self._data, pos)
-            reader.read_ue()
-            reader.read_ue()
-            # Unreachable: a window holds any pair (at most 130 bits) at its base.
-            raise AssertionError(f"pair table refused the valid pair at bit {pos}")
-        self._base, self._table = pos, table
-        return pos, table
+    def codes(self, pos: int, stop: int) -> np.ndarray:
+        """The bounds of the codes of the parse that starts at bit pos (a
+        code start), up to the first code that starts at or past stop: code
+        i spans bounds[i]:bounds[i + 1] (int64). The parse stops early at a
+        code that `BitReader.read_ue` refuses; then bounds[-1] < stop is its
+        start, and `refuse` raises the reader's error there."""
+        stop = min(stop, self.end + 1)  # a code at the end is always refused
+        base = pos & ~31
+        words = self._words(base, stop + _READ_PAST)
+        rel = stop - base
+        firsts = np.arange(pos - base, rel, _SEGMENT_BITS)
+        ends = np.append(firsts[1:], rel)
+        grid = np.empty((_MAX_ROWS, len(firsts)), np.int64)
+        grid[0] = at = firsts
+        row, half = 0, _MAX_ROWS
+        while row < 2 * half:
+            # Check at rows 1, 2 and 4 (short ranges), then every _CHECK_ROWS.
+            if not (row % _CHECK_ROWS and row & (row - 1)):
+                crossed = np.count_nonzero(at >= ends)
+                if crossed == len(at):
+                    break
+                if 2 * crossed >= len(at):
+                    half = min(half, row)
+            row += 1
+            np.add(at, _lengths(words, at), out=grid[row])
+            at = grid[row]
+        # Every chain has crossed its end, or all but those of segments
+        # twice as dense as half of them, which a serial read bridges: run
+        # on, to meet the next chain.
+        for row in range(row + 1, row + 1 + (_RUN_ON if len(firsts) > 1 else 0)):
+            np.add(at, _lengths(words, at), out=grid[row])
+            at = grid[row]
+        path = self._follow(grid[:row + 1], words, rel)
+        bounds = path[:np.searchsorted(path, rel) + 1]
+        lengths = np.diff(bounds)
+        if lengths.max(initial=1) > 2 * MAX_PREFIX + 1 or bounds[-1] > self.end - base:
+            bad = np.flatnonzero((lengths > 2 * MAX_PREFIX + 1) | (bounds[1:] > self.end - base))
+            bounds = bounds[:bad[0] + 1]
+        return bounds + base
 
-    def _bits(self, pos: int, stop: int) -> np.ndarray:
-        first = pos >> 3
-        chunk = np.unpackbits(self._bytes[first:(stop + 7) >> 3])
-        return chunk[pos - 8 * first:stop - 8 * first]
+    def values(self, bounds: np.ndarray) -> np.ndarray:
+        """uint64 values of the valid codes that span bounds[i]:bounds[i + 1]
+        (int64), with one word gather each."""
+        base = int(bounds[0]) & ~31
+        words = self._words(base, int(bounds[-1]))
+        zeros = np.diff(bounds) >> 1
+        lead = bounds[:-1] - base + zeros  # the one bit, then zeros value bits
+        top = words.take(lead >> 5) << (lead & 31).view(np.uint64)
+        return (top >> (63 - zeros).view(np.uint64)) - 1
 
-    def _tabulate(self, pos: int) -> bytes:
-        """The pair table of the window from pos."""
-        bits = self._bits(pos, min(pos + _WINDOW_BITS, self.end))
-        n = len(bits)
-        ones = np.flatnonzero(bits.view(bool))  # much faster than on uint8
-        # Distance from each position up to the last one bit to the next one bit.
-        zeros = np.repeat(ones, np.diff(ones, prepend=-1))
-        at = np.arange(n + 1)
-        zeros -= at[:len(zeros)]
-        np.minimum(zeros, MAX_PREFIX + 1, out=zeros)
-        lengths = np.zeros(n + 1, np.uint8)  # lengths[n] stays 0
-        lengths[:len(zeros)] = 2 * zeros + 1
-        lengths[lengths > 2 * MAX_PREFIX + 1] = 0
-        tail = max(0, n - 2 * MAX_PREFIX)  # only codes from here on can run past the window
-        lengths[tail:][at[tail:] + lengths[tail:] > n] = 0
-        second = lengths[at + lengths]
-        single = lengths == 1
-        second *= ~single
-        pairs = lengths + second  # at most 2 * 65
-        pairs *= single | (second > 0)
-        return pairs.tobytes()
+    def refuse(self, pos: int) -> NoReturn:
+        """Raise the `BitstreamError` that `BitReader.read_ue` raises for
+        the code at pos, one that `codes` refused."""
+        BitReader(self._data, pos).read_ue()
+        raise AssertionError(f"the reader accepts the code at bit {pos}")
 
-    def _load(self, pos: np.ndarray) -> np.ndarray:
-        """The 64 bits from each bit position (int64 array) as uint64; the
-        first 57 of them are always data."""
-        words = self._words[pos >> 3].view(">u8")[:, 0].astype(np.uint64)
-        return words << (pos & 7).astype(np.uint64)
+    def _words(self, base: int, stop: int) -> np.ndarray:
+        """The 64 bits from every 32nd bit of the data, from bit base (a
+        multiple of 32) until past bit stop, as uint64; zero past the end."""
+        size = 4 * ((stop - base >> 5) + 3)
+        chunk = self._data[base >> 3:(base >> 3) + size]
+        halves = np.frombuffer(chunk + bytes(size - len(chunk)), ">u4").astype(np.uint64)
+        return halves[:-1] << np.uint64(32) | halves[1:]
 
-    def prefixes(self, starts: np.ndarray) -> np.ndarray:
-        """Zero prefix lengths (int64) of the valid codes at starts (int64)."""
-        top = self._load(starts) >> 11  # 53 bits, exact in float64, that hold the one bit
-        return 53 - np.frexp(top.astype(np.float64))[1].astype(np.int64)
+    def _follow(self, grid: np.ndarray, words: np.ndarray, stop: int) -> np.ndarray:
+        """The positions of the true parse through the chains of grid
+        (rows x chains, bits from the words' base) and the bridges between
+        them, in order, up to one at or past stop."""
+        depth, count = grid.shape
+        last = grid[-1]
+        if count == 1 and last[0] >= stop:  # the one chain is the parse
+            return grid[:, 0]
+        # The row where each chain's last position would sit in the next one.
+        into = (grid[:, 1:] < last[:-1]).sum(0)
+        joins = np.zeros(count, bool)
+        near = np.flatnonzero(into < depth)
+        joins[near] = grid[into[near], near + 1] == last[near]
+        breaks = np.flatnonzero(~joins)  # includes the last chain
+        first = np.append(0, into)  # the row each chain is entered at
+        taken = np.where(joins, depth - 1, depth)  # and the row it is left at
+        bridges = []
+        entered = np.zeros(count, bool)
+        chain, row = 0, 0
+        while True:
+            first[chain] = row
+            end = int(breaks[np.searchsorted(breaks, chain)])
+            entered[chain:end + 1] = True
+            if last[end] >= stop:
+                break
+            bridge, chain, row = self._walk(words, grid, end, stop)
+            bridges.append(bridge)
+            if chain < 0:
+                break
+        counts = np.where(entered, taken - first, 0)
+        total = int(counts.sum())
+        # Chain c contributes grid[first[c]:taken[c], c], in chain order.
+        offset = np.cumsum(counts) - counts
+        flat = np.repeat(np.arange(count) + count * (first - offset), counts)
+        flat += count * np.arange(total)
+        path = grid.ravel().take(flat)
+        if bridges:
+            places = np.searchsorted(path, [bridge[0] for bridge in bridges])
+            pieces = np.split(path, places)
+            path = np.concatenate([pieces[0], *(x for pair in zip(bridges, pieces[1:]) for x in pair)])
+        return path
 
-    def values(self, starts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-        """uint64 values of the valid codes at starts (int64) whose prefixes
-        are zeros (int64) long."""
-        lead = starts + zeros  # the one bit that opens the zeros + 1 value bits
-        return (self._load(lead) >> (63 - zeros).astype(np.uint64)) - 1
+    def _walk(self, words: np.ndarray, grid: np.ndarray, after: int,
+              stop: int) -> tuple[np.ndarray, int, int]:
+        """Read codes serially, `_WALK_CODES` at a time, from the last
+        position of chain after to a position that a later chain reached:
+        (the positions read before it, that chain, its row there). Reading on
+        to a position at or past stop gives (the positions read, it
+        included, -1, -1). A chain met inside a step is met at its end."""
+        last = grid[-1]
+        y = int(last[after])
+        origin = int(grid[0, 0])
+        read = []  # the codes read, window by window
+        width = _SEGMENT_BITS
+        found = None
+        while found is None:
+            low = y
+            # The bits that 1, 2, 4, ... codes from each position take, each
+            # from the one before, for the positions a step can start at.
+            lengths = _lengths(words, np.arange(low, low + width + (_WALK_CODES - 1) * _LONGEST))
+            jumps, span = lengths, _LONGEST  # span: the longest jump so far
+            while span < _WALK_CODES * _LONGEST:
+                inside = len(jumps) - span
+                jumps = jumps[:inside] + jumps.take(np.arange(inside) + jumps[:inside])
+                span *= 2
+            jumps = array("H", jumps.astype(np.uint16).tobytes())
+            # Positions of the later chains in reach of this window's steps.
+            reach = width + span
+            chains = np.arange(after + 1, min(len(last), (low + reach - origin) // _SEGMENT_BITS + 1))
+            near = grid[:, chains[last[chains] > low]]
+            marks = np.zeros(reach, bool)
+            marks[near[(near > low) & (near < low + reach)] - low] = True
+            marks[min(width, max(0, stop - low)):] = True  # stop, or the window's end
+            marks = marks.tobytes()
+            steps = array("q")  # where each step starts, from low
+            while True:
+                steps.append(y - low)
+                y += jumps[y - low]
+                if marks[y - low]:
+                    break
+            codes = np.empty((len(steps), _WALK_CODES), np.int64)
+            codes[:, 0] = np.frombuffer(steps, np.int64)
+            for k in range(1, _WALK_CODES):  # the codes inside each step
+                codes[:, k] = codes[:, k - 1] + lengths.take(codes[:, k - 1])
+            read.append(codes.ravel() + low)
+            if y >= stop:
+                found = -1, -1
+            elif y - low < width:
+                for chain in range(after + 1, grid.shape[1]):
+                    row = int(np.searchsorted(grid[:, chain], y))
+                    if row < len(grid) and grid[row, chain] == y:
+                        found = chain, row
+                        break
+                else:
+                    raise AssertionError(f"no chain reached the marked bit {y}")
+            width = min(2 * width, _WALK_BITS)
+        seen = np.append(np.concatenate(read)[1:], y)  # the first is chain after's
+        return (seen if found[0] < 0 else seen[:-1]), *found
+
+
+# Bits per chain, rows between the checks that every chain has crossed the
+# end of its segment, and rows each chain then runs on.
+_SEGMENT_BITS = 256
+_CHECK_ROWS = 8
+_RUN_ON = 16
+# A chain crosses its end within _SEGMENT_BITS codes, and the check within
+# _CHECK_ROWS more.
+_MAX_ROWS = _SEGMENT_BITS + _CHECK_ROWS + _RUN_ON + 1
+# Codes per step of a serial read (a power of two), and its widest window.
+_WALK_CODES = 8
+_WALK_BITS = 1 << 14
+
+
+def _lengths(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Length of the code that starts at each bit of at (int64, from the
+    words' base); `_LONGEST`, which no code has, where more than
+    `MAX_PREFIX` zeros lead. The 53 bits from each position hold the one bit
+    of any valid code, and their float64 exponent is their bit length,
+    exactly."""
+    top = words.take(at >> 5)
+    top <<= (at & 31).view(np.uint64)
+    top >>= _ELEVEN
+    return _CODE_LENGTHS.take(top.astype(np.float64).view(np.int64) >> 52)
+
+
+_ELEVEN = np.uint64(11)
+_LONGEST = 2 * MAX_PREFIX + 2  # the step over a code that read_ue refuses
+# By the float64 exponent field 1022 + k of a 53-bit value of bit length k:
+# 53 - k leading zeros, a code of 2 * (53 - k) + 1 bits; _LONGEST past
+# MAX_PREFIX zeros, and for 0, whose exponent field is 0.
+_CODE_LENGTHS = np.full(1022 + 54, _LONGEST, np.int64)
+_CODE_LENGTHS[1022 + 53 - MAX_PREFIX:] = 2 * np.arange(MAX_PREFIX, -1, -1) + 1
+# Bits read past stop: by the chains, _MAX_ROWS steps and one 64-bit load;
+# by a serial read from before stop, one window.
+_READ_PAST = _LONGEST * _MAX_ROWS + 64
+assert _WALK_BITS + _WALK_CODES * _LONGEST <= _READ_PAST

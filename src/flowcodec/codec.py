@@ -52,19 +52,25 @@ counts are the lengths of its packed codes.
 
 The decoder reads the vector codes one at a time with a `BitReader`, block
 by block under the median predictor (`_read_vectors`); they are about 1% of
-a P frame's bits. It steps over the run-level codes a (level, run) pair at a
-time through the pair table of `bitstream.CodeParser`, keeping the bit after
-every step (`_walk_blocks`; a 1-bit step is the EOB), `_CHUNK_BLOCKS` blocks
-at a time, then reads every value at once and scatters the levels into their
-blocks (`_read_levels`). A malformed frame raises the `BitstreamError` of its
-first bad code or symbol in stream order, as reading one code at a time
-would. Before any of that, a header that claims more frames or blocks than
-the payload can hold is rejected.
+a P frame's bits. The frame's three residual planes follow as one run of
+codes, which `_read_levels` takes a range of bits at a time: the bounds of
+every code from `bitstream.CodeParser.codes` and their values from
+`CodeParser.values`, with no Python step per code. After any 1-bit code a
+level follows, and levels and runs alternate up to the next 1-bit code, so
+a code is a level where an even number of codes separates it from the
+previous 1-bit code, and a 1-bit level is an EOB. Without the EOBs, the
+codes are the blocks' (level, run) pairs in order, and every level is
+scattered into its block at once. The first range is a quarter longer than
+the residual of the frame before (the mean payload, for the first frame),
+and another follows only while EOBs are missing; no range is longer than
+`_MAX_RANGE_BITS`, so no array grows with the frame. A malformed frame
+raises the `BitstreamError` of its first bad code or symbol in stream
+order, as reading one code at a time would. Before any of that, a header
+that claims more frames or blocks than the payload can hold is rejected.
 """
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
@@ -220,11 +226,14 @@ def zigzag_order(n: int) -> tuple[int, ...]:
 # Per block, each nonzero coefficient in scan order is coded as
 # (signed exp-Golomb level, unsigned exp-Golomb zero run); the level is
 # written first so the 1-bit zero level can double as the end-of-block
-# symbol. Blocks are coded and parsed _CHUNK_BLOCKS at a time, which bounds
-# the size of every per-code array.
+# symbol. Blocks are coded _CHUNK_BLOCKS at a time and parsed by ranges of
+# bits, _CHUNK_CODES codes at a time, which bounds every per-code array.
 
 _CHUNK_BLOCKS = 128
 _INT32 = np.iinfo(np.int32)
+_MIN_RANGE_BITS = 1 << 12
+_MAX_RANGE_BITS = 1 << 18  # the parser's arrays grow with the range
+_CHUNK_CODES = 1 << 14
 
 
 def _level_codes(scanned: np.ndarray) -> np.ndarray:
@@ -253,71 +262,77 @@ def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
-def _walk_blocks(parser: CodeParser, nblocks: int, size: int, ends: array) -> None:
-    """Step over the run-level codes of nblocks blocks of size coefficients
-    from bit ends[-1], a (level, run) pair or an EOB (a 1-bit code where a
-    level belongs) at a time, appending the bit after every step to ends.
-    Raises the `BitstreamError` of a malformed pair. Stops early in a block
-    of more pairs than coefficients, one of whose runs then overflows it."""
-    p = ends[-1]
-    append = ends.append
-    base, table = parser.pairs(p)
-    for _ in range(nblocks):
-        for _ in range(size + 1):
-            length = table[p - base]
-            if not length:
-                base, table = parser.pairs(p)
-                length = table[0]
-            p += length
-            append(p)
-            if length == 1:
-                break
-        else:
-            return
-
-
-def _read_levels(parser: CodeParser, p: int, nblocks: int, t: int) -> tuple[np.ndarray, int]:
-    """Read the run-level codes of nblocks t x t blocks from bit p; returns
-    the (nblocks, t*t) levels in raster order and the bit after the codes.
+def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
+                 span: int) -> tuple[list[np.ndarray], int]:
+    """Read the run-level codes of consecutive planes of blocks from bit p,
+    planes giving each plane's (block count, transform size t). Returns each
+    plane's (blocks, t*t) levels in raster order and the bit after the
+    codes. span, the expected length of the codes in bits, sizes the first
+    range of bits parsed; later ranges follow while blocks are missing.
 
     Raises the error of the earliest malformed code or pair, in stream
     order, as reading them one by one would."""
-    size = t * t
-    zz = np.asarray(zigzag_order(t))
-    levels = np.zeros((nblocks, size), np.int32)
-    for first in range(0, nblocks, _CHUNK_BLOCKS):
-        ends = array("q", [p])
-        error = None
-        try:
-            _walk_blocks(parser, min(_CHUNK_BLOCKS, nblocks - first), size, ends)
-        except BitstreamError as exc:
-            error = exc
-        bounds = np.asarray(ends, np.int64)
+    counts = [n for n, _ in planes]
+    areas = [t * t for _, t in planes]
+    size = np.repeat(areas, counts)  # coefficients per block
+    first = np.cumsum(size) - size  # of the block's coefficients in levels
+    scan = np.concatenate([zigzag_order(t) for _, t in planes])
+    scan_of = np.repeat(np.cumsum(areas) - areas, counts)  # the block's scan in scan
+    levels = np.zeros(int(size.sum()), np.int32)
+    need, done = len(size), 0
+    at = values = np.zeros(0, np.int64)  # starts and values of the open block's codes
+    start = p
+    while True:
+        stop = p + min(max(span * 5 // 4, _MIN_RANGE_BITS), _MAX_RANGE_BITS)
+        bounds = parser.codes(p, stop)
+        for lo in range(0, len(bounds) - 1, _CHUNK_CODES):
+            piece = bounds[lo:lo + _CHUNK_CODES + 1]
+            at = np.concatenate([at, piece[:-1]])
+            values = np.concatenate([values, parser.values(piece).view(np.int64)])
+            # After a 1-bit code a level follows, and levels and runs
+            # alternate up to the next 1-bit code; a 1-bit level is an EOB.
+            ones = np.flatnonzero(values == 0)
+            eobs = ones[np.diff(ones, prepend=-1) & 1 == 1]
+            finished = len(eobs) >= need - done
+            if finished:
+                eobs = eobs[:need - done]
+            closed = len(eobs)
+            limit = int(eobs[-1]) if finished else len(values)
+            paired = np.ones(limit, bool)
+            paired[eobs[eobs < limit]] = False
+            codes = values[:limit][paired]  # level, run, level, run, ...
+            pairs = len(codes) // 2
+            per_block = np.diff(eobs, prepend=-1) - 1 >> 1
+            per_block = np.append(per_block, pairs - per_block.sum())  # and the open block
+            block = np.repeat(np.arange(done, done + closed + 1), per_block)
+            level = ue_to_se_array(codes[:2 * pairs:2].view(np.uint64))
+            step = codes[1:2 * pairs:2] + 1  # run + 1, below 2**33
+            # A level sits at the sum of (run + 1) over its block's pairs so
+            # far, minus one.
+            end = np.cumsum(step)
+            pos = end - 1 - np.repeat(np.append(0, end)[np.cumsum(per_block) - per_block], per_block)
+            overflow = pos >= size[block]
+            bad = np.flatnonzero(overflow | (level < _INT32.min) | (level > _INT32.max))
+            if bad.size:
+                k = bad[0]
+                run = np.flatnonzero(paired)[2 * k + 1]
+                after = at[run + 1] if run + 1 < len(at) else piece[-1]
+                what = "run overflows block" if overflow[k] else "level out of range"
+                raise BitstreamError(f"coefficient {what} at bit {after}")
+            kept = pairs - per_block[-1]  # the pairs of closed blocks
+            levels[first[block[:kept]] + scan[scan_of[block[:kept]] + pos[:kept]]] = level[:kept]
+            done += closed
+            if finished:
+                cuts = np.cumsum([n * a for n, a in zip(counts, areas)])[:-1]
+                return ([part.reshape(n, a) for part, n, a in zip(np.split(levels, cuts), counts, areas)],
+                        int(at[limit]) + 1)
+            cut = int(eobs[-1]) + 1 if closed else 0
+            at, values = at[cut:], values[cut:]
+        if bounds[-1] < stop:
+            parser.refuse(int(bounds[-1]))
         p = int(bounds[-1])
-        eob = np.diff(bounds) == 1  # a pair is at least 4 bits
-        paired = np.flatnonzero(~eob)
-        pair_block = np.cumsum(eob)[paired]
-        at_level, pair_end = bounds[paired], bounds[paired + 1]
-        level_zeros = parser.prefixes(at_level)
-        at_run = at_level + 2 * level_zeros + 1
-        level = ue_to_se_array(parser.values(at_level, level_zeros))
-        run = parser.values(at_run, (pair_end - at_run - 1) >> 1)
-        # A level sits at the sum of (run + 1) over its block's pairs so far,
-        # minus one; runs below 2**33 keep a chunk's sums far inside int64.
-        step = run.astype(np.int64) + 1
-        end = np.cumsum(step)
-        opens = np.append(True, eob)[paired]  # the chunk's first step, or after an EOB
-        pos = end - 1 - np.maximum.accumulate(np.where(opens, end - step, 0))
-        overflow = pos >= size
-        bad = np.flatnonzero(overflow | (level < _INT32.min) | (level > _INT32.max))
-        if bad.size:
-            k = bad[0]
-            what = "run overflows block" if overflow[k] else "level out of range"
-            raise BitstreamError(f"coefficient {what} at bit {pair_end[k]}")
-        if error is not None:
-            raise error
-        levels[first + pair_block, zz[pos]] = level
-    return levels, p
+        # The next range: the bits per block so far, for the blocks missing.
+        span = (p - start) * (need - done) // max(done, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +374,6 @@ def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
     bits = _write_levels(levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
     h, w = cur.shape
     return _reconstruct_plane(pred, levels, nby, nbx, q, h, w), bits
-
-
-def _decode_plane(parser: CodeParser, p: int, pred: np.ndarray, t: int,
-                  q: int) -> tuple[np.ndarray, int]:
-    """Decode one plane from bit p; returns it and the bit after its codes."""
-    h, w = pred.shape
-    nby, nbx = -(-h // t), -(-w // t)
-    levels, p = _read_levels(parser, p, nby * nbx, t)
-    return _reconstruct_plane(pred, levels.reshape(-1, t, t), nby, nbx, q, h, w), p
 
 
 def _transform_sizes(block_size: int) -> tuple[int, int, int]:
@@ -630,8 +636,11 @@ def decode_sequence(data: bytes) -> list[Frame]:
     w0, h0, bs, q = info.width, info.height, info.block_size, info.q
     cols, rows = block_grid(w0, h0, bs)
     sizes = _transform_sizes(bs)
+    grids = [(-(-ph // t), -(-pw // t), t) for (ph, pw), t in
+             zip(((h0, w0), (h0 // 2, w0 // 2), (h0 // 2, w0 // 2)), sizes)]
     parser = CodeParser(data)
     p = HEADER_SIZE * 8
+    span = 8 * (len(data) - HEADER_SIZE) // max(info.frame_count, 1)  # residual bits expected
     frames: list[Frame] = []
     for n in range(info.frame_count):
         if p + 8 > parser.end:
@@ -645,11 +654,11 @@ def decode_sequence(data: bytes) -> list[Frame]:
         if ftype == 1:
             ref = frames[-1]
             vectors, p = _read_vectors(data, p, rows, cols, n)
-        planes = []
-        for plane_pred, t in zip(_prediction(ref, vectors, bs, w0, h0), sizes):
-            plane, p = _decode_plane(parser, p, plane_pred, t, q)
-            planes.append(plane)
-        frames.append(Frame(*planes, n))
+        levels, end = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids], span)
+        span, p = end - p, end
+        frames.append(Frame(*(_reconstruct_plane(pred, lv.reshape(-1, t, t), nby, nbx, q, *pred.shape)
+                              for pred, lv, (nby, nbx, t) in
+                              zip(_prediction(ref, vectors, bs, w0, h0), levels, grids)), n))
         p = -(-p // 8) * 8
     if p != parser.end:
         raise BitstreamError(f"{len(data) - p // 8} trailing bytes after "

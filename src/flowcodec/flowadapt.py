@@ -69,10 +69,9 @@ is at most A' / (1 - gamma_{k-1}). So 2*gamma_k*A' bounds the distance from
 S' to the fsum result, with room for the rounding of the bound itself. The
 key floor(|s|/n*4 + 0.5) is monotone in |s|; where it is the same at both
 ends of |S'| -+ 2*gamma_k*A', it is the key of the fsum result, and a
-nonzero key leaves S' the sign of S. Any other block, and any block whose
-sum or bound is not finite, takes the ``block_mean`` path: an exact tie on
-a quarter-pel half, large cancelling values, or a sum that overflows, which
-raises fsum's ``OverflowError``.
+nonzero key leaves S' the sign of S. Any other block, one whose sum lies
+within that bound of a quarter-pel half (an exact tie, say), takes the
+``block_mean`` path.
 """
 from __future__ import annotations
 
@@ -80,6 +79,7 @@ import math
 
 import numpy as np
 
+from .io import FLO_SENTINEL
 from .model import (
     DEFAULT_MV_BOUND,
     LUMA_BLOCK_SIZES,
@@ -132,22 +132,11 @@ def block_mean(vecs: np.ndarray) -> MotionVector:
     return quantize_to_quarter_pel(u, v)
 
 
-def block_vector_median(vecs: np.ndarray) -> MotionVector:
-    """Member of a block's (n, 2) float64 vector set with the least summed
-    Euclidean distance to all members.
-
-    Ties break toward the smaller magnitude, then lexicographically on
-    (u, v). Per-candidate sums use exact float summation so equal-by-
-    symmetry candidates tie exactly.
-    """
-    tiles = np.asarray(vecs, np.float64).reshape(1, 1, -1, 1, 2)
-    return quantize_to_quarter_pel(*_vector_medians(tiles)[0, 0].tolist())
-
-
 def _vector_medians(tiles: np.ndarray) -> np.ndarray:
-    """The member that `block_vector_median` picks from each block of a
-    (rows, cols, bh, bw, 2) float64 array, as (rows, cols, 2) float64;
-    `_CHUNK_ELEMENTS` bounds the blocks taken at a time."""
+    """The Vector Median of each block of a (rows, cols, bh, bw, 2) float64
+    array: the member of least summed Euclidean distance to all members,
+    ties to the smaller magnitude, then the lesser (u, v). (rows, cols, 2)
+    float64; `_CHUNK_ELEMENTS` bounds the blocks taken at a time."""
     rows, cols = tiles.shape[:2]
     n = tiles.shape[2] * tiles.shape[3]
     step = max(1, _CHUNK_ELEMENTS // (len(_ANCHORS) * n))
@@ -267,8 +256,10 @@ def downsample_flow(field: FlowField, block_size: int,
     """Estimate one quarter-pel vector per block of the covering grid.
 
     Edge blocks use only the in-bounds vectors. A block size outside
-    LUMA_BLOCK_SIZES, or a field with any NaN or infinite component, is
-    rejected with ValueError.
+    LUMA_BLOCK_SIZES, or a field with a NaN or infinite component or one
+    beyond +-`FLO_SENTINEL` px (the .flo cut-off for unknown flow), is
+    rejected with ValueError. Within that bound no sum, distance or
+    quarter-pel value overflows.
     """
     check_block_size(block_size)
     field = np.asarray(field, np.float64)
@@ -277,6 +268,9 @@ def downsample_flow(field: FlowField, block_size: int,
     bad = field.size - np.count_nonzero(np.isfinite(field))
     if bad:
         raise ValueError(f"flow field has {bad} non-finite components")
+    far = field.size - np.count_nonzero(np.abs(field) <= FLO_SENTINEL)
+    if far:
+        raise ValueError(f"flow field has {far} components beyond +-{FLO_SENTINEL:g} px")
     if method == "median":
         method = "vector-median"
     if method not in METHODS:
@@ -292,9 +286,9 @@ def downsample_flow(field: FlowField, block_size: int,
 
 
 def _block_medians(field: np.ndarray, size: int) -> np.ndarray:
-    """`block_vector_median` of every block of a finite (h, w, 2) float64
-    field, one group of equal member counts at a time: the full blocks, the
-    right edge, the bottom edge and the corner."""
+    """The quarter-pel Vector Median of every block of a bounded (h, w, 2)
+    float64 field, one group of equal member counts at a time: the full
+    blocks, the right edge, the bottom edge and the corner."""
     h, w = field.shape[:2]
     cols, rows = block_grid(w, h, size)
     full_c, full_r = w // size, h // size
@@ -306,20 +300,15 @@ def _block_medians(field: np.ndarray, size: int) -> np.ndarray:
                 r, c = ys.stop - ys.start, xs.stop - xs.start
                 tiles = part.reshape(r, part.shape[0] // r, c, part.shape[1] // c, 2)
                 medians[ys, xs] = _vector_medians(tiles.swapaxes(1, 2))
-    with np.errstate(over="ignore"):
-        steps = np.floor(np.abs(medians) * QPEL + 0.5)
-    bad = ~np.isfinite(steps).all(axis=2)
-    if bad.any():
-        quantize_to_quarter_pel(*medians[bad][0].tolist())  # raises its OverflowError
-    steps = np.minimum(steps, DEFAULT_MV_BOUND)
+    steps = np.minimum(np.floor(np.abs(medians) * QPEL + 0.5), DEFAULT_MV_BOUND)
     return np.where(medians < 0, -steps, steps).astype(np.int32)
 
 
 def _block_means(field: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`block_mean` of every block of a finite (h, w, 2) float64 field, from
-    one numpy sum per block: the (rows, cols, 2) int32 vectors, and where
-    they are exact. A block whose sum may round to another quarter-pel, or
-    overflows, is not exact and its vector is 0."""
+    """`block_mean` of every block of a bounded (h, w, 2) float64 field,
+    from one numpy sum per block: the (rows, cols, 2) int32 vectors, and
+    where they are exact. A block whose sum may round to another
+    quarter-pel is not exact and its vector is 0."""
     h, w = field.shape[:2]
     cols, rows = block_grid(w, h, size)
     if (h, w) != (rows * size, cols * size):
@@ -329,14 +318,13 @@ def _block_means(field: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     tiles = field.reshape(rows, size, cols, size, 2)
     counts = (np.minimum(size, h - size * np.arange(rows))[:, None, None]
               * np.minimum(size, w - size * np.arange(cols))[:, None])
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = tiles.sum(axis=1).sum(axis=2)  # much faster than axis=(1, 3)
-        bound = np.abs(tiles).sum(axis=1).sum(axis=2) * (2 * _gamma(size * size))
-        magnitude = np.abs(sums)
-        low = np.floor((magnitude - bound) / counts * QPEL + 0.5)
-        high = np.floor((magnitude + bound) / counts * QPEL + 0.5)
-        exact = ((low == high) & np.isfinite(high)).all(axis=2)
-        steps = np.where(exact[..., None], np.minimum(low, DEFAULT_MV_BOUND), 0).astype(np.int32)
+    sums = tiles.sum(axis=1).sum(axis=2)  # much faster than axis=(1, 3)
+    bound = np.abs(tiles).sum(axis=1).sum(axis=2) * (2 * _gamma(size * size))
+    magnitude = np.abs(sums)
+    low = np.floor((magnitude - bound) / counts * QPEL + 0.5)
+    high = np.floor((magnitude + bound) / counts * QPEL + 0.5)
+    exact = (low == high).all(axis=2)
+    steps = np.where(exact[..., None], np.minimum(low, DEFAULT_MV_BOUND), 0).astype(np.int32)
     return np.where(sums < 0, -steps, steps), exact
 
 

@@ -28,8 +28,6 @@ class MotionVector(NamedTuple):
     dy: int
 
 
-ZERO_MV = MotionVector(0, 0)
-
 #: Dense optic flow as a (height, width, 2) float array of (u, v) in pixels.
 FlowField: TypeAlias = np.ndarray
 

@@ -4,7 +4,8 @@ The sequential coders read and write one exp-Golomb code at a time through
 `BitWriter` and `BitReader`, the way the stream format describes it, and
 share everything else with the codec: the header, the payload size check,
 the prediction (`_prediction` of the previous decoded `Frame`) and the
-reconstruction. `full_search` is the exhaustive block search that bounds
+reconstruction. `block_vector_median` is `flowadapt`'s Vector Median of
+one block. `full_search` is the exhaustive block search that bounds
 the pattern searches. `diamond_search` and `hex_search` search one block at
 a time, each candidate once, which the wave searches of `blockmatch` must
 match vector for vector and cost for cost.
@@ -35,15 +36,27 @@ from flowcodec.codec import (
     read_bitstream_info,
     zigzag_order,
 )
+from flowcodec.flowadapt import _vector_medians
 from flowcodec.model import (
     QPEL,
-    ZERO_MV,
     Frame,
     MotionVector,
     ReferencePlane,
     block_grid,
     clip_block,
+    quantize_to_quarter_pel,
 )
+
+ZERO_MV = MotionVector(0, 0)
+
+
+def block_vector_median(vecs: np.ndarray) -> MotionVector:
+    """`downsample_flow`'s Vector Median of one block's (n, 2) float64
+    vectors, on the quarter-pel grid: the member of least summed Euclidean
+    distance to all members, ties to the smaller magnitude, then the lesser
+    (u, v)."""
+    tiles = np.asarray(vecs, np.float64).reshape(1, 1, -1, 1, 2)
+    return quantize_to_quarter_pel(*_vector_medians(tiles)[0, 0].tolist())
 
 
 def _best(ev: _Evaluator, candidates) -> tuple[MotionVector, float]:

@@ -235,19 +235,26 @@ def test_array_se_bits_match_scalar_ones():
     assert [int(b) for b in got.ravel()] == [se_bits(v) for v in values]
 
 
-def parse(data: bytes, count: int, pos: int = 0) -> list[int]:
-    """count codes from bit pos: their starts from the per-code reader, their
-    prefixes and values from the parser's gather."""
+def parse(data: bytes, count: int, pos: int = 0, span: int | None = None) -> list[int]:
+    """count codes from bit pos, found by the parser in ranges of span bits
+    (or one range to the end): their starts must be the per-code reader's.
+    Returns their values, read by the parser."""
+    parser = CodeParser(data)
+    bounds = [np.array([pos])]
+    while sum(map(len, bounds)) <= count:
+        at = int(bounds[-1][-1])
+        more = parser.codes(at, at + span if span else parser.end + 1)[1:]
+        if not len(more):  # refused: the reader raises below
+            break
+        bounds.append(more)
+    bounds = np.concatenate(bounds)[:count + 1]
     reader = BitReader(data, pos)
     starts = []
     for _ in range(count):
         starts.append(reader.bit_pos)
         reader.read_ue()
-    starts = np.array(starts, np.int64)
-    parser = CodeParser(data)
-    zeros = parser.prefixes(starts)
-    assert list(2 * zeros[:-1] + 1) == list(np.diff(starts))
-    return [int(v) for v in parser.values(starts, zeros)]
+    assert list(bounds) == starts + [reader.bit_pos]
+    return [int(v) for v in parser.values(bounds)]
 
 
 @pytest.mark.parametrize("lead", [0, 3, 7])
@@ -257,8 +264,8 @@ def test_parser_reads_what_the_per_code_reader_reads(lead):
 
 
 def test_parser_reads_across_windows():
-    values = list(range(40000))  # ~1.1 Mbit: many parse windows long
-    assert parse(written(values, False, 0, True), len(values)) == values
+    values = list(range(40000))  # ~1.1 Mbit: many parse ranges long
+    assert parse(written(values, False, 0, True), len(values), span=1 << 12) == values
 
 
 def codes_with_prefix(zeros: int) -> bytes:
@@ -274,9 +281,12 @@ def reader_error(data: bytes) -> str:
     return str(exc.value)
 
 
-def pair_table_error(data: bytes) -> str:
+def parser_error(data: bytes) -> str:
+    """The error of the first code the parser refuses from bit 0."""
+    parser = CodeParser(data)
+    bounds = parser.codes(0, parser.end + 1)
     with pytest.raises(BitstreamError) as exc:
-        CodeParser(data).pairs(0)
+        parser.refuse(int(bounds[-1]))
     return str(exc.value)
 
 
@@ -284,16 +294,17 @@ def test_prefix_of_32_zeros_parses_and_33_raise():
     data = codes_with_prefix(MAX_PREFIX)
     assert parse(data, 1) == [BitReader(data).read_ue()] == [2 ** 33 - 2]
     data = codes_with_prefix(MAX_PREFIX + 1)
+    assert list(CodeParser(data).codes(0, 1)) == [0]
     with pytest.raises(BitstreamError, match="prefix too long at bit 33") as exc:
         parse(data, 1)
-    assert str(exc.value) == reader_error(data) == pair_table_error(data)
+    assert str(exc.value) == reader_error(data) == parser_error(data)
 
 
 @pytest.mark.parametrize("data", [b"", b"\x00", b"\x00\x01", b"\x01", b"\x00\x00\x00\x07"])
 def test_parser_overruns_like_the_per_code_reader(data):
     with pytest.raises(BitstreamError, match="overrun") as exc:
         parse(data, 1)
-    assert str(exc.value) == reader_error(data) == pair_table_error(data)
+    assert str(exc.value) == reader_error(data) == parser_error(data)
 
 
 def test_code_cut_short_by_the_data_overruns_at_its_value_bits():
@@ -301,31 +312,70 @@ def test_code_cut_short_by_the_data_overruns_at_its_value_bits():
     assert reader_error(b"\x00\x00\x00\x07") == "bitstream overrun reading 29 bits at bit 30"
 
 
-def read_length(data: bytes, pos: int):
-    """Bits that read_ue takes from pos and, unless that code is one bit,
-    the code after it, or the message it raises."""
+def serial_parse(data: bytes, pos: int, stop: int):
+    """Code starts from pos by `BitReader`, up to the first at or past stop,
+    then the error message if a code before stop does not read."""
     reader = BitReader(data, pos)
-    try:
-        reader.read_ue()
-        if reader.bit_pos - pos > 1:
+    starts = [pos]
+    while starts[-1] < stop:
+        try:
             reader.read_ue()
+        except BitstreamError as exc:
+            return starts, str(exc)
+        starts.append(reader.bit_pos)
+    return starts, None
+
+
+def parser_parse(parser: CodeParser, pos: int, stop: int):
+    """`serial_parse` by the parser."""
+    bounds = parser.codes(pos, stop)
+    if bounds[-1] >= stop:
+        return list(bounds), None
+    try:
+        parser.refuse(int(bounds[-1]))
     except BitstreamError as exc:
-        return str(exc)
-    return reader.bit_pos - pos
+        return list(bounds), str(exc)
+    raise AssertionError("refuse did not raise")
 
 
-def test_pair_table_gives_every_position_what_the_per_code_reader_reads():
+def test_parser_gives_every_position_what_the_per_code_reader_reads():
     rng = np.random.default_rng(11)
     data = bytearray(rng.integers(0, 256, 3000, dtype=np.uint8).tobytes())
     for at in (100, 1500, 2990):  # prefixes longer than MAX_PREFIX, one at the end
         data[at:at + 9] = bytes(9)
     data = bytes(data)
-    assert len(data) * 8 > bitstream._WINDOW_BITS  # windows that end before the data
     parser = CodeParser(data)
-    for pos in range(len(data) * 8 + 1):
-        try:
-            base, table = parser.pairs(pos)
-            got = table[pos - base]
-        except BitstreamError as exc:
-            got = str(exc)
-        assert got == read_length(data, pos), pos
+    for pos in range(len(data) * 8 + 1):  # the code at every position
+        assert parser_parse(parser, pos, pos + 1) == serial_parse(data, pos, pos + 1), pos
+    for pos in range(0, len(data) * 8 + 1, 37):  # five chains from a sample of them
+        stop = pos + 4 * bitstream._SEGMENT_BITS + 100
+        assert parser_parse(parser, pos, stop) == serial_parse(data, pos, stop), pos
+
+
+def test_parser_bridges_chains_that_never_meet():
+    """After two 1-bit codes, 0101... parses as 010 1 010 1 ...: the true
+    codes start 2 and 1 bits past a multiple of 4, every chain starts on a
+    multiple of 4 and parses 1 010 1 010 ..., and the two never share a
+    position. So the parse is read serially all the way."""
+    data = bytes([0b11010101]) + bytes([0b01010101]) * 1000
+    assert serial_parse(data, 0, 10)[0] == [0, 1, 2, 5, 6, 9, 10]
+    parser = CodeParser(data)
+    for pos, stop in ((0, 30 * bitstream._SEGMENT_BITS), (0, parser.end + 1), (5, 2000)):
+        assert parser_parse(parser, pos, stop) == serial_parse(data, pos, stop)
+    # Chains that start in step with the parse meet it at once.
+    assert parser_parse(parser, 2, 7000) == serial_parse(data, 2, 7000)
+
+
+def test_parser_bridges_segments_denser_than_the_rest():
+    """A run of 1-bit codes (all-zero vectors, or empty blocks) packs 256
+    codes into a segment where the codes around it pack about 40. Its chains
+    stop before their ends, and serial reads cross the run, or end it at
+    the end of the data."""
+    rng = np.random.default_rng(12)
+    values = rng.integers(0, 60, 3600)
+    values[1000:1900] = 0
+    values[3000:] = 0
+    data = written(values.tolist(), False, 0, True)
+    parser = CodeParser(data)
+    for pos in (0, 3, 3100):
+        assert parser_parse(parser, pos, parser.end + 1) == serial_parse(data, pos, parser.end + 1)

@@ -16,10 +16,10 @@ from flowcodec.blockmatch import (
     wavefronts,
 )
 from flowcodec.codec import _block_tiles
-from flowcodec.model import MotionVector, ReferencePlane, ZERO_MV, block_grid, clip_block
+from flowcodec.model import MotionVector, ReferencePlane, block_grid, clip_block
 
 import oracles
-from oracles import full_search
+from oracles import ZERO_MV, full_search
 from synth import flat_frame, smooth_texture
 from test_model import ref_bilinear
 

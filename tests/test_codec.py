@@ -407,16 +407,32 @@ def test_run_level_writer_matches_the_sequential_writer():
 
 
 def test_large_frames_round_trip():
-    """A payload longer than a parse window, with more blocks per plane than
-    a chunk."""
+    """A payload longer than several parse ranges, with more blocks per
+    plane than a chunk."""
     rng = np.random.default_rng(5)
     frames = [random_frame(352, 288, rng, n) for n in range(2)]
     result = encode_sequence(frames, CodecConfig("zero", q=1, block_size=16))
-    assert min(s.bits_total for s in result.stats) > 10 * bitstream._WINDOW_BITS
+    assert min(s.bits_total for s in result.stats) > 4 * codec._MAX_RANGE_BITS
     assert (288 // 8) * (352 // 8) > 4 * codec._CHUNK_BLOCKS
     for rec, dec in zip(result.recon, decode_sequence(result.bitstream)):
         assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
         assert np.array_equal(rec.v, dec.v)
+
+
+def test_frames_of_several_parse_ranges_decode_like_the_sequential_decoder():
+    """A flat intra frame sizes the first range of the noisy frame after it
+    far too small, so the decoder grows it range by range; the noisy frame
+    after that needs several full ranges."""
+    rng = np.random.default_rng(8)
+    frames = [flat_frame(176, 144, 0, 0)] + [random_frame(176, 144, rng, n) for n in (1, 2)]
+    result = encode_sequence(frames, CodecConfig("zero", q=1, block_size=8, gop_size=1))
+    bits = [s.bits_residual for s in result.stats]
+    assert bits[0] < codec._MIN_RANGE_BITS and min(bits[1:]) > 2 * codec._MAX_RANGE_BITS
+    decoded = decode_sequence(result.bitstream)
+    assert decode_outcome(lambda _: decoded, b"") == decode_outcome(decode_one_code_at_a_time,
+                                                                     result.bitstream)
+    for rec, dec in zip(result.recon, decoded):
+        assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
 
 
 def decode_outcome(decode, data: bytes):

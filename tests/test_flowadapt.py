@@ -7,12 +7,18 @@ import pytest
 from flowcodec import flowadapt
 from flowcodec.flowadapt import (
     block_mean,
-    block_vector_median,
     downsample_flow,
     expand_block_field,
 )
-from flowcodec.model import BlockMotionField, MotionVector, quantize_to_quarter_pel
+from flowcodec.io import FLO_SENTINEL
+from flowcodec.model import (
+    DEFAULT_MV_BOUND,
+    BlockMotionField,
+    MotionVector,
+    quantize_to_quarter_pel,
+)
 
+from oracles import block_vector_median
 from synth import constant_flow, random_flow
 
 
@@ -258,7 +264,11 @@ def test_median_of_all_equal_blocks(n, value):
     vecs = np.tile(value, (n, 1))
     assert block_vector_median(vecs) == quantize_to_quarter_pel(*value)
     field = np.tile(value, (20, 24, 1))  # full, edge and corner blocks
-    assert (downsample_flow(field, 16).vectors == quantize_to_quarter_pel(*value)).all()
+    if np.abs(value).max() > FLO_SENTINEL:
+        with pytest.raises(ValueError, match="beyond"):
+            downsample_flow(field, 16)
+    else:
+        assert (downsample_flow(field, 16).vectors == quantize_to_quarter_pel(*value)).all()
 
 
 def anchored_set():
@@ -512,36 +522,46 @@ def test_grid_means_on_a_quarter_pel_half_take_the_exact_sum(size):
 
 
 def test_grid_means_of_large_cancelling_values():
+    # Pairs up to the .flo bound cost the numpy sum at most about 1e-7 px,
+    # far inside the rounding bound's room: it still decides every block.
     rng = np.random.default_rng(22)
     field = random_flow(32, 24, rng).astype(np.float64)
-    big = np.array([1e300, 1e16, 2.0 ** 60, 1e5])
+    big = np.array([FLO_SENTINEL, 1e8, 2.0 ** 29, 1e5])
     for k, value in enumerate(big):  # block k of the top row: a big pair that cancels
         field[0, 8 * k] = (value, -value)
         field[1, 8 * k + 3] = (-value, value)
-    exact = assert_means_are_block_means(field, 8)
-    assert not exact[0, :3].any()  # the numpy sum of those is worthless
-    assert exact[1:].all()
+    assert assert_means_are_block_means(field, 8).all()
 
 
-def test_grid_means_of_an_overflowing_sum_raise_the_exact_sums_error():
-    field = np.zeros((16, 16, 2))
-    field[:2, :2, 0] = 1e308
-    with pytest.raises(OverflowError) as want:
-        block_mean(field.reshape(-1, 2))
+@pytest.mark.parametrize("method", ["mean", "vector-median"])
+def test_downsample_rejects_components_beyond_the_flo_bound(method):
+    # Three (1e300, 0) and two (-1.7e300, 0) overflowed the Vector Median's
+    # squared distances, which then picked the minority side; a Mean of
+    # 1.7e308 raised a bare OverflowError.
+    huge = np.array([[[1e300, 0.0]] * 3 + [[-1.7e300, 0.0]] * 2])
+    past = np.nextafter(FLO_SENTINEL, np.inf)
+    for field, count in ((huge, 5), (np.full((4, 4, 2), 1.7e308), 32),
+                         (np.array([[[past, 0.0], [0.0, -past]]]), 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"has {count} components beyond"):
+                downsample_flow(field, 16, method)
+
+
+@pytest.mark.parametrize("method, one", [("mean", block_mean),
+                                         ("vector-median", block_vector_median)])
+def test_downsample_takes_components_up_to_the_flo_bound(method, one):
+    rng = np.random.default_rng(40)
+    field = rng.choice([-FLO_SENTINEL, FLO_SENTINEL, 0.0, 1.5], (20, 24, 2))
+    field[:8, :8] = [[FLO_SENTINEL, 0.0]] * 3 + [[-FLO_SENTINEL, 0.0]] * 5  # each row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError) as got:
-            downsample_flow(field, 8, "mean")
-    assert str(got.value) == str(want.value)
-    field = np.zeros((5, 5, 2))
-    field[4, 4, 1] = -1.7e308  # a one-vector edge block whose mean overflows in quarter-pels
-    with pytest.raises(OverflowError) as want:
-        block_mean(field[4:, 4:].reshape(-1, 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OverflowError) as got:
-            downsample_flow(field, 4, "mean")
-    assert str(got.value) == str(want.value)
+        blocks = downsample_flow(field, 8, method)
+    for r in range(blocks.rows):
+        for c in range(blocks.cols):
+            assert blocks.vector(c, r) == one(block(field, 8 * c, 8 * r, 8, 8)), (r, c)
+    # 24 members at +1e9 px and 40 at -1e9 px: both estimates clamp to -bound.
+    assert blocks.vector(0, 0) == MotionVector(-DEFAULT_MV_BOUND, 0)
 
 
 def test_downsample_validates_inputs():
