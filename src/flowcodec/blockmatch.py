@@ -11,8 +11,9 @@ frame.
 `SearchConfig` is the one parameter object of every search: the window,
 the block size, the quarter-pel switch and the quantiser q that sets
 lambda. The diamond and hexagon descents start from the better of (0,0)
-and the median predictor; every step takes the best of a ring under
-`_cost_key`, which ends in the vector itself, so candidates never tie.
+and the median predictor; every step takes the candidate of least key
+(cost, |dx| + |dy|, dy, dx), which ends in the vector itself, so
+candidates never tie.
 
 The searches run a wave of blocks in lockstep:
 
@@ -24,14 +25,19 @@ The searches run a wave of blocks in lockstep:
   descent and of the small ring scores every still-moving block of the wave
   at once: one fancy index of the reference phases (`ReferencePlane.blocks`),
   one SAD over the (blocks, candidates) array, one vectorised exp-Golomb
-  rate (`se_bits_array`) and one `np.lexsort` on the `_cost_key` fields. A
-  block leaves the descent when its ring keeps its centre.
+  rate (`se_bits_array`) and one `np.lexsort` on the key's fields. A
+  block leaves the descent when its ring keeps its centre. The hybrid
+  modes' flow-derived vectors are extra columns of the start pair's step:
+  scored there, never searched from, and their costs returned beside the
+  searched ones, so the caller decides each block without scoring again.
 - **Quarter-pel steps, replayed.** A step of the quarter-pel descent
   re-centres on every win, so its later candidates depend on its earlier
   ones. Each step scores the 3x3 neighbourhood of every moving block at
-  once, then replays `_quarter_pel_step`, the one definition of the step,
-  over those cached costs block by block. A candidate outside the 3x3 is
-  scored alone with `sad`.
+  once, then replays the step block by block over plain (dx, dy) ints and
+  a dict of the block's cached costs. A candidate outside the 3x3 is scored
+  alone with `sad`. A block whose centre alone has the least cost of its
+  3x3 cannot move, and stops without a replay. `tests/oracles.py` holds the
+  one-block step that the replay must match.
 - **Same costs.** A batched cost is lambda_y * bits + sad in float64, from
   exact integer bits and SAD: the same two IEEE operations on the same
   values as `rd_cost`'s Python floats. So the batched and the one-block
@@ -109,65 +115,11 @@ def rd_cost(distortion: int, mv: MotionVector, predictor: MotionVector,
     return lambda_y * mv_rate_bits(mv, predictor) + distortion
 
 
-def _cost_key(cost: float, mv: MotionVector):
-    # Deterministic tie-break: cheaper, then shorter, then smaller dy, dx.
-    return (cost, abs(mv.dx) + abs(mv.dy), mv.dy, mv.dx)
-
-
-class _Evaluator:
-    """Caches the RD costs of one block's candidates; a miss scores the
-    candidate alone with `sad`."""
-
-    def __init__(self, cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
-                 lambda_y: float, predictor: MotionVector):
-        self.cur_block = cur_block
-        self.ref = ref
-        self.origin = origin
-        self.lambda_y = lambda_y
-        self.predictor = predictor
-        self._cache: dict[MotionVector, float] = {}
-
-    def cost(self, mv: MotionVector) -> float:
-        cached = self._cache.get(mv)
-        if cached is None:
-            cached = rd_cost(sad(self.cur_block, self.ref, self.origin, mv),
-                             mv, self.predictor, self.lambda_y)
-            self._cache[mv] = cached
-        return cached
-
-
-def _quarter_pel_step(ev, best: MotionVector, best_key: tuple,
-                      bound: int) -> tuple[MotionVector, tuple]:
-    # One step of the quarter-pel descent over the 8 neighbours of best. A
-    # win re-centres the rest of its step, so one step can move the vector
-    # up to 3 quarter-pels per axis. The (cached) centre never beats itself.
-    for ox, oy in _QPEL_OFFSETS:
-        cand = MotionVector(max(-bound, min(bound, best.dx + ox)),
-                            max(-bound, min(bound, best.dy + oy)))
-        key = _cost_key(ev.cost(cand), cand)
-        if key < best_key:
-            best_key = key
-            best = cand
-    return best, best_key
-
-
-def _refine_quarter_pel(ev, mv: MotionVector, cost: float,
-                        bound: int) -> tuple[MotionVector, float]:
-    # Greedy descent of at most 3 steps, up to 9 quarter-pels (2.25 px) off
-    # the integer optimum.
-    best, best_key = mv, _cost_key(cost, mv)
-    for _ in range(_QPEL_STEPS):
-        start = best
-        best, best_key = _quarter_pel_step(ev, best, best_key, bound)
-        if best == start:
-            break
-    return best, best_key[0]
-
-
 def _wave_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                  config: SearchConfig, predictors: np.ndarray,
                  large_pattern: np.ndarray, small_pattern: np.ndarray,
-                 ) -> list[tuple[MotionVector, float]]:
+                 flow: np.ndarray | None,
+                 ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
     n, size = len(cur), config.block_size
     r, lambda_y = config.search_range, config.lambda_y
     cur16 = cur.astype(np.int16)
@@ -178,20 +130,26 @@ def _wave_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
         distortion = np.abs(pred - cur16[idx, None]).reshape(*cand.shape[:2], -1).sum(-1)
         return lambda_y * se_bits_array(cand - predictors[idx, None]).sum(-1) + distortion
 
-    def best(idx: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Each block's candidate of least `_cost_key`, and its cost.
-        cost = score(idx, cand)
+    def pick(cand: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Each block's candidate of least (cost, |dx| + |dy|, dy, dx), and its cost.
         dx, dy = cand[..., 0], cand[..., 1]
-        pick = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), cost), axis=-1)[:, 0]
-        at = np.arange(len(idx))
-        return cand[at, pick], cost[at, pick]
+        at = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), cost), axis=-1)[:, 0]
+        rows = np.arange(len(cand))
+        return cand[rows, at], cost[rows, at]
 
     def ring(idx: np.ndarray, center: np.ndarray, pattern: np.ndarray):
-        return best(idx, np.minimum(np.maximum(center[:, None] // QPEL + pattern, -r), r) * QPEL)
+        cand = np.minimum(np.maximum(center[:, None] // QPEL + pattern, -r), r) * QPEL
+        return pick(cand, score(idx, cand))
 
     every = np.arange(n)
     pel = np.minimum(np.maximum(np.rint(predictors / QPEL), -r), r).astype(np.int64)
-    center = best(every, np.stack([np.zeros_like(predictors), pel * QPEL], 1))[0]
+    start = np.stack([np.zeros_like(predictors), pel * QPEL], 1)
+    if flow is not None:
+        # Scored beside the start pair, never searched from.
+        start = np.concatenate([start, np.asarray(flow, np.int64)[:, None]], 1)
+    cost = score(every, start)
+    flow_costs = None if flow is None else cost[:, 2].tolist()
+    center = pick(start[:, :2], cost[:, :2])[0]
     # Large-pattern descent: recentre while a ring beats its centre.
     active = every
     while active.size:
@@ -200,52 +158,75 @@ def _wave_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
         center[active] = moved
         active = active[still]
     center, cost = ring(every, center, small_pattern)
-    found = [(MotionVector(dx, dy), c) for (dx, dy), c in zip(center.tolist(), cost.tolist())]
+    vectors, costs = center.tolist(), cost.tolist()
     if not config.refine_subpel:
-        return found
+        return [(MotionVector(dx, dy), c) for (dx, dy), c in zip(vectors, costs)], flow_costs
 
     # Quarter-pel descent in lockstep: each step scores the 3x3 neighbourhood
-    # of every moving block at once, then replays the step over those costs.
+    # of every moving block at once, then replays the step block by block
+    # over those costs. A win re-centres the rest of its step, so one step
+    # can move a vector up to 3 quarter-pels per axis; a candidate that
+    # leaves the 3x3 is scored alone. The (cached) centre never beats itself.
     bound = r * QPEL
-    evs = [_Evaluator(cur16[i], ref, (x0, y0), lambda_y, MotionVector(pdx, pdy))
-           for i, (x0, y0), (pdx, pdy) in zip(range(n), origins.tolist(), predictors.tolist())]
-    keys = [_cost_key(c, mv) for mv, c in found]
+    cached: list[dict[tuple[int, int], float]] = [{} for _ in range(n)]
+    corners, preds = origins.tolist(), predictors.tolist()
     active = every
     for _ in range(_QPEL_STEPS):
-        cand = np.minimum(np.maximum(center[active, None] + _QPEL_OFFSETS, -bound), bound)
-        costs = score(active, cand).tolist()
+        cand = np.minimum(np.maximum(center[:, None] + _QPEL_OFFSETS, -bound), bound)
         moving = []
-        for i, vectors, vcosts in zip(active.tolist(), cand.tolist(), costs):
-            ev = evs[i]
-            ev._cache.update(zip(map(tuple, vectors), vcosts))
-            start = found[i][0]
-            mv, keys[i] = _quarter_pel_step(ev, start, keys[i], bound)
-            found[i] = (mv, keys[i][0])
-            if mv != start:
-                center[i] = mv
+        for i, scored, step_costs in zip(active.tolist(), cand.tolist(),
+                                         score(active, cand).tolist()):
+            (sx, sy), bc = vectors[i], costs[i]
+            if min(step_costs) == bc and step_costs.count(bc) == 1:
+                continue  # the centre alone is this cheap: nothing in the 3x3 wins
+            cache = cached[i]
+            cache.update(zip(map(tuple, scored), step_costs))
+            bx, by, bl = sx, sy, abs(sx) + abs(sy)
+            for ox, oy in _QPEL_OFFSETS:
+                dx, dy = bx + ox, by + oy
+                if not (-bound <= dx <= bound and -bound <= dy <= bound):
+                    dx, dy = min(max(dx, -bound), bound), min(max(dy, -bound), bound)
+                c = cache.get((dx, dy))
+                if c is None:
+                    mv = MotionVector(dx, dy)
+                    c = cache[dx, dy] = rd_cost(sad(cur16[i], ref, corners[i], mv), mv,
+                                                MotionVector(*preds[i]), lambda_y)
+                if c < bc or c == bc and (abs(dx) + abs(dy), dy, dx) < (bl, by, bx):
+                    bx, by, bc, bl = dx, dy, c, abs(dx) + abs(dy)
+            if bx != sx or by != sy:
+                vectors[i], costs[i] = [bx, by], bc
                 moving.append(i)
         if not moving:
             break
         active = np.array(moving)
-    return found
+        center = np.array([vectors[i] for i in moving])
+    return [(MotionVector(dx, dy), c) for (dx, dy), c in zip(vectors, costs)], flow_costs
 
 
 def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
-                   config: SearchConfig,
-                   predictors: np.ndarray) -> list[tuple[MotionVector, float]]:
+                   config: SearchConfig, predictors: np.ndarray,
+                   flow: np.ndarray | None = None,
+                   ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
     """Large/small diamond descent of a wave of blocks, each seeded at (0,0)
     and at its predictor. cur holds the blocks' (n, size, size) pixels,
     origins their (n, 2) top-left corners and predictors their (n, 2) median
-    predictors, as int64; returns each block's vector and RD cost."""
-    return _wave_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL)
+    predictors, as int64; returns each block's searched vector and RD cost.
+
+    flow, the blocks' (n, 2) flow-derived vectors when given, is scored in
+    the start pair's step and never searched from; its RD costs come back
+    beside the searched pairs (None without flow)."""
+    return _wave_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL,
+                        flow)
 
 
 def hex_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
-               config: SearchConfig,
-               predictors: np.ndarray) -> list[tuple[MotionVector, float]]:
+               config: SearchConfig, predictors: np.ndarray,
+               flow: np.ndarray | None = None,
+               ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
     """Large hexagon then small cross descent of a wave of blocks, each
-    seeded at (0,0) and at its predictor; arguments as `diamond_search`."""
-    return _wave_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL)
+    seeded at (0,0) and at its predictor; arguments and result as
+    `diamond_search`."""
+    return _wave_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL, flow)
 
 
 def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:

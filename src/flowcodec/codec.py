@@ -34,9 +34,11 @@ encoder: it reads the reference luma through one `ReferencePlane` per P
 frame, which interpolates all 16 quarter-pel phases once. It visits the
 blocks wave by wave (`blockmatch.wavefronts`): a block's median predictor
 reads only blocks of earlier waves, so one `diamond_search` or `hex_search`
-call searches every block of a wave together, and `select_block_vector`
-then decides each block from its searched vector and cost
-(`_search_vectors`).
+call searches every block of a wave together. In the hybrid modes the same
+call scores every block's flow-derived vector in its first batched step and
+returns those costs beside the searched ones. `select_block_vector` then
+decides each block from the (vector, cost) pairs it is given, and scores
+nothing itself (`_search_vectors`).
 
 Every mode codes its vector differences once the field is known, against
 the median predictors of the whole grid at once (`median_predictors`). This
@@ -73,6 +75,7 @@ from __future__ import annotations
 import struct
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -92,8 +95,7 @@ from .blockmatch import (
     hex_search,
     median_predictor,
     median_predictors,
-    rd_cost,
-    sad,
+    sad,  # noqa: F401  (kept as a name bench/tracer.py wraps)
     wavefronts,
 )
 from .flowadapt import downsample_flow
@@ -106,7 +108,6 @@ from .model import (
     ReferencePlane,
     block_grid,
     chroma_vectors,
-    clip_block,
     predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
 
@@ -420,18 +421,17 @@ def _compensate_plane(plane: np.ndarray, vectors: np.ndarray, size: int) -> np.n
     return ((acc + 8) >> 4).astype(np.uint8).reshape(rows * size, cols * size)[:h, :w]
 
 
-def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane,
-                        origin: tuple[int, int], search: SearchConfig,
-                        predictor: MotionVector, flow_mv: MotionVector | None = None,
-                        searched: tuple[MotionVector, float] | None = None) -> BlockDecision:
-    """Pick the block vector of a searching mode; ref is the reference luma.
+def select_block_vector(mode: str, searched: tuple[MotionVector, float] | None,
+                        flow: tuple[MotionVector, float] | None = None) -> BlockDecision:
+    """Decide one block's vector in a searching mode.
 
     searched is the block's (vector, RD cost) from the mode's search:
     diamond for internal-diamond, hexagon for internal-hex and the hybrids.
-    Hybrid modes evaluate exactly two candidates under the RD cost: the
-    searched vector and the flow-derived vector; ties keep the searched one.
-    A mode outside SEARCH_MODES raises ValueError: it knows its whole vector
-    field before any decision.
+    flow is a hybrid block's flow-derived (vector, RD cost), which the
+    search scored beside its start pair. A hybrid takes the flow vector
+    only when it is strictly cheaper, so ties keep the searched one; the
+    other modes take the searched vector. A mode outside SEARCH_MODES raises
+    ValueError: it knows its whole vector field before any decision.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"motion mode {mode!r} does not search")
@@ -439,19 +439,16 @@ def select_block_vector(mode: str, cur: Frame, ref: ReferencePlane,
         raise ValueError(f"motion mode {mode} requires a searched vector")
     if mode not in HYBRID_MODES:
         return BlockDecision(searched[0])
-    if flow_mv is None:
+    if flow is None:
         raise ValueError(f"motion mode {mode} requires a flow-derived vector")
-    internal_mv, internal_cost = searched
-    cur_block = clip_block(cur.y, origin[0], origin[1], search.block_size)
-    flow_cost = rd_cost(sad(cur_block, ref, origin, flow_mv), flow_mv, predictor,
-                        search.lambda_y)
+    (internal_mv, internal_cost), (flow_mv, flow_cost) = searched, flow
     mv = flow_mv if flow_cost < internal_cost else internal_mv
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
 
 
 def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray:
     """The (rows, cols, bs, bs) blocks of a plane; partial edge blocks
-    replicate the border, as `clip_block` reads them."""
+    replicate the border, as `tests/oracles.clip_block` reads them."""
     h, w = plane.shape
     padded = np.pad(plane, ((0, rows * bs - h), (0, cols * bs - w)), mode="edge")
     return padded.reshape(rows, bs, cols, bs).swapaxes(1, 2)
@@ -460,8 +457,9 @@ def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray
 def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
                     config: CodecConfig, cols: int, rows: int) -> np.ndarray:
     """The (rows, cols, 2) int32 vectors of a searching mode. The blocks go
-    wave by wave: one search call per wave, then `select_block_vector` per
-    block."""
+    wave by wave: one search call per wave scores the hybrids' flow vectors
+    with its start pair, then `select_block_vector` decides each block from
+    the costs the search returned."""
     mode, bs = config.motion_mode, config.block_size
     luma = ReferencePlane(ref.y)
     search = diamond_search if mode == "internal-diamond" else hex_search
@@ -470,12 +468,13 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     for wave in wavefronts(cols, rows):
         predictors = [median_predictor(vectors, c, r) for r, c in wave]
         at = np.array(wave)
-        found = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
-                       np.array(predictors, np.int64))
-        for (r, c), predictor, searched in zip(wave, predictors, found):
-            flow_mv = flow_field.vector(c, r) if flow_field is not None else None
-            vectors[r, c] = select_block_vector(mode, cur, luma, (c * bs, r * bs), config,
-                                                predictor, flow_mv, searched).mv
+        flow = None if flow_field is None else flow_field.vectors[at[:, 0], at[:, 1]]
+        found, flow_costs = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
+                                   np.array(predictors, np.int64), flow)
+        flows = (repeat(None) if flow is None else
+                 zip(map(MotionVector._make, flow.tolist()), flow_costs))
+        for (r, c), searched, flow_pair in zip(wave, found, flows):
+            vectors[r, c] = select_block_vector(mode, searched, flow_pair).mv
     return vectors
 
 

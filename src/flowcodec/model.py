@@ -128,14 +128,6 @@ class RDPoint:
 RDCurve: TypeAlias = "list[RDPoint]"
 
 
-def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
-    """Copy a size x size window; reads outside the plane replicate the border."""
-    h, w = plane.shape
-    xs = np.minimum(np.maximum(np.arange(x0, x0 + size), 0), w - 1)
-    ys = np.minimum(np.maximum(np.arange(y0, y0 + size), 0), h - 1)
-    return plane[np.ix_(ys, xs)]
-
-
 def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
     """Motion-compensated block of a reference plane, rounded to integers.
 

@@ -7,24 +7,29 @@ the prediction (`_prediction` of the previous decoded `Frame`) and the
 reconstruction. `block_vector_median` is `flowadapt`'s Vector Median of
 one block. `full_search` is the exhaustive block search that bounds
 the pattern searches. `diamond_search` and `hex_search` search one block at
-a time, each candidate once, which the wave searches of `blockmatch` must
-match vector for vector and cost for cost.
+a time, each candidate once through an `_Evaluator`, and refine with the
+one-block quarter-pel descent (`_refine_quarter_pel`); the wave searches of
+`blockmatch` must match them vector for vector and cost for cost.
+`flow_cost` scores a hybrid block's flow-derived vector alone, as the wave
+search's start step must. `clip_block` reads a block of a plane with the
+border replicated.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from flowcodec import blockmatch
 from flowcodec.bitstream import BitReader, BitstreamError, BitWriter
 from flowcodec.blockmatch import (
     _DIAMOND_LARGE,
     _DIAMOND_SMALL,
     _HEX_LARGE,
     _HEX_SMALL,
+    _QPEL_OFFSETS,
+    _QPEL_STEPS,
     SearchConfig,
-    _cost_key,
-    _Evaluator,
-    _refine_quarter_pel,
     median_predictor,
+    rd_cost,
 )
 from flowcodec.codec import (
     HEADER_SIZE,
@@ -43,11 +48,73 @@ from flowcodec.model import (
     MotionVector,
     ReferencePlane,
     block_grid,
-    clip_block,
     quantize_to_quarter_pel,
 )
 
 ZERO_MV = MotionVector(0, 0)
+
+
+def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
+    """Copy a size x size window; reads outside the plane replicate the border."""
+    h, w = plane.shape
+    xs = np.minimum(np.maximum(np.arange(x0, x0 + size), 0), w - 1)
+    ys = np.minimum(np.maximum(np.arange(y0, y0 + size), 0), h - 1)
+    return plane[np.ix_(ys, xs)]
+
+
+def _cost_key(cost: float, mv: MotionVector):
+    # Deterministic tie-break: cheaper, then shorter, then smaller dy, dx.
+    return (cost, abs(mv.dx) + abs(mv.dy), mv.dy, mv.dx)
+
+
+class _Evaluator:
+    """Caches the RD costs of one block's candidates; a miss scores the
+    candidate alone with `blockmatch.sad`, looked up at call time."""
+
+    def __init__(self, cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+                 lambda_y: float, predictor: MotionVector):
+        self.cur_block = cur_block
+        self.ref = ref
+        self.origin = origin
+        self.lambda_y = lambda_y
+        self.predictor = predictor
+        self._cache: dict[MotionVector, float] = {}
+
+    def cost(self, mv: MotionVector) -> float:
+        cached = self._cache.get(mv)
+        if cached is None:
+            cached = rd_cost(blockmatch.sad(self.cur_block, self.ref, self.origin, mv),
+                             mv, self.predictor, self.lambda_y)
+            self._cache[mv] = cached
+        return cached
+
+
+def _quarter_pel_step(ev, best: MotionVector, best_key: tuple,
+                      bound: int) -> tuple[MotionVector, tuple]:
+    # One step of the quarter-pel descent over the 8 neighbours of best. A
+    # win re-centres the rest of its step, so one step can move the vector
+    # up to 3 quarter-pels per axis. The (cached) centre never beats itself.
+    for ox, oy in _QPEL_OFFSETS:
+        cand = MotionVector(max(-bound, min(bound, best.dx + ox)),
+                            max(-bound, min(bound, best.dy + oy)))
+        key = _cost_key(ev.cost(cand), cand)
+        if key < best_key:
+            best_key = key
+            best = cand
+    return best, best_key
+
+
+def _refine_quarter_pel(ev, mv: MotionVector, cost: float,
+                        bound: int) -> tuple[MotionVector, float]:
+    # Greedy descent of at most 3 steps, up to 9 quarter-pels (2.25 px) off
+    # the integer optimum.
+    best, best_key = mv, _cost_key(cost, mv)
+    for _ in range(_QPEL_STEPS):
+        start = best
+        best, best_key = _quarter_pel_step(ev, best, best_key, bound)
+        if best == start:
+            break
+    return best, best_key[0]
 
 
 def block_vector_median(vecs: np.ndarray) -> MotionVector:
@@ -127,6 +194,14 @@ def hex_search(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, in
     """`blockmatch.hex_search` of one block, searched on its own."""
     return _pattern_search(cur_plane, ref, origin, config, predictor,
                            _HEX_LARGE, _HEX_SMALL)
+
+
+def flow_cost(cur_plane: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
+              config: SearchConfig, predictor: MotionVector, flow_mv: MotionVector) -> float:
+    """RD cost of one block's flow-derived vector, scored on its own."""
+    block = clip_block(cur_plane, *origin, config.block_size)
+    return rd_cost(blockmatch.sad(block, ref, origin, flow_mv), flow_mv, predictor,
+                   config.lambda_y)
 
 
 def write_block_levels(writer: BitWriter, scanned: np.ndarray) -> None:

@@ -16,10 +16,10 @@ from flowcodec.blockmatch import (
     wavefronts,
 )
 from flowcodec.codec import _block_tiles
-from flowcodec.model import MotionVector, ReferencePlane, block_grid, clip_block
+from flowcodec.model import QPEL, REF_MARGIN, MotionVector, ReferencePlane, block_grid
 
 import oracles
-from oracles import ZERO_MV, full_search
+from oracles import ZERO_MV, clip_block, full_search
 from synth import flat_frame, smooth_texture
 from test_model import ref_bilinear
 
@@ -142,7 +142,7 @@ def _translated_pair(shift, size=48, seed=4):
 def search_one(search, cur_plane, ref, origin, config, predictor=ZERO_MV):
     """One block searched as a wave of its own."""
     block = clip_block(cur_plane, *origin, config.block_size)[None]
-    return search(block, ref, np.array([origin]), config, np.array([predictor]))[0]
+    return search(block, ref, np.array([origin]), config, np.array([predictor]))[0][0]
 
 
 def test_full_search_identical_returns_zero():
@@ -285,8 +285,9 @@ def _search_frame(search, cur, ref, config, predictor=None):
         predictors = [median_predictor(vectors, c, r) if predictor is None else predictor
                       for r, c in wave]
         at = np.array(wave)
-        got = search(tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, config,
-                     np.array(predictors, np.int64))
+        got, flow_costs = search(tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, config,
+                                 np.array(predictors, np.int64))
+        assert flow_costs is None
         for (r, c), (mv, cost) in zip(wave, got):
             vectors[r, c] = mv
             found[r, c] = (mv, cost)
@@ -325,21 +326,22 @@ def test_wave_search_matches_the_oracle(monkeypatch, name, block_size, search_ra
     cfg = SearchConfig(search_range=search_range, block_size=block_size,
                        refine_subpel=refine, q=10)
     want = _oracle_frame(getattr(oracles, name), cur, ref, cfg)
-    misses = 0
+    misses = []
 
-    def counted(*args):
-        nonlocal misses
-        misses += 1
-        return sad(*args)
+    def counted(cur_block, ref, origin, mv):
+        misses.append((tuple(origin), mv))
+        return sad(cur_block, ref, origin, mv)
 
     monkeypatch.setattr(blockmatch, "sad", counted)
     assert _search_frame(getattr(blockmatch, name), cur, ref, cfg) == want
     # Only a quarter-pel step that leaves its gathered 3x3 scores one
-    # candidate alone; at 4 px blocks that happens on this content.
+    # candidate alone; at 4 px blocks that happens on this content. No
+    # block scores a candidate alone twice.
     if not refine:
-        assert misses == 0
+        assert not misses
     elif block_size == 4:
-        assert misses > 0
+        assert misses
+    assert len(set(misses)) == len(misses)
 
 
 @pytest.mark.parametrize("predictor", [(120, -77), (2**31 - 1, -2**31), (-2**31, 2**31 - 1),
@@ -367,6 +369,53 @@ def test_wave_search_matches_the_oracle_on_flat_content(name, refine):
             == _oracle_frame(getattr(oracles, name), cur, ref, cfg, far))
 
 
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("predictor", [3, 5])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_wave_search_matches_the_oracle_on_diagonal_ties(name, predictor, refine):
+    # Stripes along x + y on a square plane, with a predictor on the
+    # diagonal: blocks on the diagonal score (a, b) and (b, a) alike, so
+    # candidates tie in cost and in |dx| + |dy| and only the order of dy
+    # and dx in the key tells them apart.
+    stripes = np.add.outer(np.arange(40), np.arange(40)) * (2 * np.pi / 9)
+    tex = np.rint(128 + 60 * np.sin(stripes)).astype(np.uint8)
+    ref = ReferencePlane(np.ascontiguousarray(tex[:32, :32]))
+    cur = tex[3:35, :32]
+    cfg = SearchConfig(search_range=5, block_size=8, refine_subpel=refine, q=10)
+    diagonal = MotionVector(predictor, predictor)
+    assert (_search_frame(getattr(blockmatch, name), cur, ref, cfg, diagonal)
+            == _oracle_frame(getattr(oracles, name), cur, ref, cfg, diagonal))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("block_size", [4, 8, 16])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_wave_flow_costs_match_the_oracle(name, block_size, refine):
+    # 40x26 leaves partial blocks on the right and bottom edges. The flow
+    # vectors reach past the 5 px window and past the REF_MARGIN padding,
+    # one of them to the ends of the int32 range.
+    cur, ref = _moved_pair(40, 26, block_size)
+    cfg = SearchConfig(search_range=5, block_size=block_size, refine_subpel=refine, q=10)
+    bs = block_size
+    cols, rows = block_grid(40, 26, bs)
+    far = (REF_MARGIN + 8) * QPEL
+    flow = np.random.default_rng(bs).integers(-far, far + 1, (rows, cols, 2))
+    flow[0, -1] = (2**31 - 1, -2**31)
+    want = _oracle_frame(getattr(oracles, name), cur, ref, cfg)
+    predictors = median_predictors([[want[r, c][0] for c in range(cols)] for r in range(rows)])
+    tiles = _block_tiles(cur, bs, cols, rows)
+    for wave in wavefronts(cols, rows):
+        at = np.array(wave)
+        found, flow_costs = getattr(blockmatch, name)(
+            tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, cfg,
+            predictors[at[:, 0], at[:, 1]], flow[at[:, 0], at[:, 1]])
+        for (r, c), searched, cost in zip(wave, found, flow_costs, strict=True):
+            assert searched == want[r, c]  # the flow vector is never searched from
+            assert cost == oracles.flow_cost(cur, ref, (c * bs, r * bs), cfg,
+                                             MotionVector(*predictors[r, c].tolist()),
+                                             MotionVector(*flow[r, c].tolist()))
+
+
 @pytest.mark.parametrize("cols, rows", [(1, 1), (1, 5), (5, 1), (11, 9), (3, 7)])
 def test_wavefronts_follow_the_predictor(cols, rows):
     order = {}
@@ -389,7 +438,7 @@ def test_quarter_pel_refinement_recentres_within_a_step():
         def cost(self, mv):
             return abs(mv.dx + 10) + abs(mv.dy + 10)
 
-    mv, cost = blockmatch._refine_quarter_pel(Stub(), ZERO_MV, 20, 64)
+    mv, cost = oracles._refine_quarter_pel(Stub(), ZERO_MV, 20, 64)
     assert (mv, cost) == (MotionVector(-3, -9), 8)
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowcodec import bitstream, codec
+from flowcodec import bitstream, blockmatch, codec
 from flowcodec.bitstream import (
     MAX_PREFIX,
     BitstreamError,
@@ -37,7 +37,7 @@ from flowcodec.model import (
     predict_block,
 )
 
-from oracles import decode_sequential, hex_search, write_block_levels
+from oracles import decode_sequential, flow_cost, hex_search, write_block_levels
 from test_bitstream import joined
 from synth import flat_frame, random_frame, translating_frames
 
@@ -191,6 +191,9 @@ def test_encode_is_deterministic(frames):
 
 @pytest.mark.parametrize("noise", [0.0, 1.5, 6.0])
 def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
+    # The per-block oracle decides in raster order: each block searched on
+    # its own and its flow vector scored on its own. The encoder's wave
+    # search, which scores the flow vectors in its start step, must agree.
     cur, ref = frames[1], frames[0]
     bs = 8
     config = CodecConfig("hybrid-mean", q=6, block_size=bs, search_range=8)
@@ -205,10 +208,10 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
             flow_mv = field.vector(c, r)
             origin = (c * bs, r * bs)
             searched = hex_search(cur.y, luma, origin, config, predictor)
-            decision = select_block_vector("hybrid-mean", cur, luma, origin,
-                                           config, predictor, flow_mv, searched)
+            flow = (flow_mv, flow_cost(cur.y, luma, origin, config, predictor, flow_mv))
+            decision = select_block_vector("hybrid-mean", searched, flow)
             assert (decision.internal_mv, decision.internal_cost) == searched
-            assert decision.internal_mv is not None
+            assert decision.flow_cost == flow[1]
             if decision.flow_cost < decision.internal_cost:
                 assert decision.mv == flow_mv
                 flow_wins += 1
@@ -216,6 +219,7 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
                 assert decision.mv == decision.internal_mv
             vectors[r, c] = decision.mv
     assert 0 < flow_wins < rows * cols  # both branches are exercised
+    assert np.array_equal(codec._search_vectors(cur, ref, field, config, cols, rows), vectors)
 
 
 def test_non_hybrid_decisions_have_no_candidates(frames):
@@ -225,26 +229,46 @@ def test_non_hybrid_decisions_have_no_candidates(frames):
     flow_mv = downsample_flow(StubProvider().get_flow("s", 1, cur, ref), 8, "mean").vector(1, 1)
     luma = ReferencePlane(ref.y)
     searched = hex_search(cur.y, luma, (8, 8), config, predictor)
+    flow = (flow_mv, flow_cost(cur.y, luma, (8, 8), config, predictor, flow_mv))
     for mode in ("internal-diamond", "internal-hex"):
-        for flow in (flow_mv, None):
-            decision = select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow,
-                                           searched)
+        for pair in (flow, None):
+            decision = select_block_vector(mode, searched, pair)
             assert decision == BlockDecision(searched[0])
             assert decision.internal_mv is None
     # Modes that know their whole vector field before any decision do not
     # come here.
     for mode in ("zero", "flow-mean", "flow-median", "bogus"):
         with pytest.raises(ValueError, match="does not search"):
-            select_block_vector(mode, cur, luma, (8, 8), config, predictor, flow_mv, searched)
+            select_block_vector(mode, searched, flow)
 
 
-def test_searching_modes_need_the_searched_vector(frames):
-    cur, ref = frames[1], frames[0]
-    config = CodecConfig("hybrid-mean", block_size=8, search_range=8)
+def test_searching_modes_need_the_searched_vector():
+    flow = (MotionVector(4, 4), 20.0)
     for mode in ("internal-diamond", "internal-hex", "hybrid-mean", "hybrid-median"):
         with pytest.raises(ValueError, match="searched vector"):
-            select_block_vector(mode, cur, ReferencePlane(ref.y), (8, 8), config,
-                                MotionVector(0, 0), MotionVector(4, 4))
+            select_block_vector(mode, None, flow)
+    # A hybrid also needs its flow-derived pair.
+    for mode in ("hybrid-mean", "hybrid-median"):
+        with pytest.raises(ValueError, match="flow-derived vector"):
+            select_block_vector(mode, (MotionVector(0, 0), 10.0))
+
+
+@pytest.mark.parametrize("search", [blockmatch.diamond_search, blockmatch.hex_search])
+def test_hybrid_tie_keeps_the_searched_vector(search):
+    # Every SAD of a flat plane is 0. Against the predictor (13, -7) the
+    # searched (12, -8) and the flow vector (14, -6) both code in 6 bits.
+    plane = flat_frame(W, H, 90).y
+    config = CodecConfig("hybrid-mean", block_size=8, search_range=5, refine_subpel=False, q=30)
+    cols, rows = block_grid(W, H, 8)
+    origins = np.array([(c * 8, r * 8) for r in range(rows) for c in range(cols)])
+    n = len(origins)
+    found, flow_costs = search(codec._block_tiles(plane, 8, cols, rows).reshape(n, 8, 8),
+                               ReferencePlane(plane), origins, config,
+                               np.tile([13, -7], (n, 1)), np.tile([14, -6], (n, 1)))
+    for searched, cost in zip(found, flow_costs, strict=True):
+        assert searched == (MotionVector(12, -8), 6 * config.lambda_y) and cost == searched[1]
+        decision = select_block_vector("hybrid-mean", searched, (MotionVector(14, -6), cost))
+        assert decision.mv == searched[0]
 
 
 # --- motion compensation against predict_block ---------------------------------------

@@ -13,11 +13,11 @@ from flowcodec.model import (
     ReferencePlane,
     block_grid,
     chroma_vectors,
-    clip_block,
     predict_block,
     quantize_to_quarter_pel,
 )
 
+from oracles import clip_block
 from synth import flat_frame, random_frame
 
 
