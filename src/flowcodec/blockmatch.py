@@ -15,14 +15,16 @@ and the median predictor; every step takes the candidate of least key
 (cost, |dx| + |dy|, dy, dx), which ends in the vector itself, so
 candidates never tie.
 
-The searches run a wave of blocks in lockstep:
+The searches run a batch of blocks in lockstep:
 
-- **Waves.** A block's median predictor reads its left, top and top-right
-  neighbours, so the blocks on one anti-diagonal c + 2r = k depend only on
-  earlier ones (`wavefronts`; the two-block lag of wavefront parallel
-  processing). The caller searches the waves in order of k.
+- **Batches.** A call searches any set of blocks, each under the median
+  predictor it is given, and no block's search reads another block of the
+  call: its vector and cost depend only on its pixels, its origin, its
+  predictor and its flow vector. So the caller may batch blocks whose
+  predictors are still guesses and search again those whose predictor
+  turns out different (`codec._search_vectors`).
 - **One batched step.** Each step of the start pair, of the large-ring
-  descent and of the small ring scores every still-moving block of the wave
+  descent and of the small ring scores every still-moving block of the batch
   at once: one fancy index of the reference phases (`ReferencePlane.blocks`),
   one SAD over the (blocks, candidates) array, one vectorised exp-Golomb
   rate (`se_bits_array`) and one `np.lexsort` on the key's fields. A
@@ -115,11 +117,11 @@ def rd_cost(distortion: int, mv: MotionVector, predictor: MotionVector,
     return lambda_y * mv_rate_bits(mv, predictor) + distortion
 
 
-def _wave_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
-                 config: SearchConfig, predictors: np.ndarray,
-                 large_pattern: np.ndarray, small_pattern: np.ndarray,
-                 flow: np.ndarray | None,
-                 ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
+def _batch_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
+                  config: SearchConfig, predictors: np.ndarray,
+                  large_pattern: np.ndarray, small_pattern: np.ndarray,
+                  flow: np.ndarray | None,
+                  ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
     n, size = len(cur), config.block_size
     r, lambda_y = config.search_range, config.lambda_y
     cur16 = cur.astype(np.int16)
@@ -207,7 +209,7 @@ def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                    config: SearchConfig, predictors: np.ndarray,
                    flow: np.ndarray | None = None,
                    ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
-    """Large/small diamond descent of a wave of blocks, each seeded at (0,0)
+    """Large/small diamond descent of a batch of blocks, each seeded at (0,0)
     and at its predictor. cur holds the blocks' (n, size, size) pixels,
     origins their (n, 2) top-left corners and predictors their (n, 2) median
     predictors, as int64; returns each block's searched vector and RD cost.
@@ -215,31 +217,18 @@ def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
     flow, the blocks' (n, 2) flow-derived vectors when given, is scored in
     the start pair's step and never searched from; its RD costs come back
     beside the searched pairs (None without flow)."""
-    return _wave_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL,
-                        flow)
+    return _batch_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL,
+                         flow)
 
 
 def hex_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                config: SearchConfig, predictors: np.ndarray,
                flow: np.ndarray | None = None,
                ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
-    """Large hexagon then small cross descent of a wave of blocks, each
+    """Large hexagon then small cross descent of a batch of blocks, each
     seeded at (0,0) and at its predictor; arguments and result as
     `diamond_search`."""
-    return _wave_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL, flow)
-
-
-def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:
-    """The (row, col) blocks of a grid in waves c + 2r = k, k ascending,
-    without the empty ones.
-
-    A block's median predictor reads its left, top and top-right
-    neighbours, which all lie on earlier waves, so the blocks of one wave
-    can be searched together once the waves before it are done.
-    """
-    waves = ([(r, k - 2 * r) for r in range((k - cols + 2) // 2, k // 2 + 1) if 0 <= r < rows]
-             for k in range(cols + 2 * rows - 2))
-    return [wave for wave in waves if wave]  # a one-column grid has no odd waves
+    return _batch_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL, flow)
 
 
 def _median3(a, b, c, lo=min, hi=max):

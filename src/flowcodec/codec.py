@@ -31,14 +31,17 @@ The `zero`, `flow-mean` and `flow-median` modes know the whole vector field
 before any decision: zeros, or the provider's dense flow reduced by
 `downsample_flow`. Only the internal and hybrid modes search, and only the
 encoder: it reads the reference luma through one `ReferencePlane` per P
-frame, which interpolates all 16 quarter-pel phases once. It visits the
-blocks wave by wave (`blockmatch.wavefronts`): a block's median predictor
-reads only blocks of earlier waves, so one `diamond_search` or `hex_search`
-call searches every block of a wave together. In the hybrid modes the same
-call scores every block's flow-derived vector in its first batched step and
-returns those costs beside the searched ones. `select_block_vector` then
-decides each block from the (vector, cost) pairs it is given, and scores
-nothing itself (`_search_vectors`).
+frame, which interpolates all 16 quarter-pel phases once. A block's median
+predictor reads its left, top and top-right neighbours, so `_search_vectors`
+searches the whole frame under guessed predictors (the previous P frame's,
+or zeros after an intra frame), then re-searches only the blocks whose
+predictor changed, until none does. No block's search reads another block
+of its `diamond_search` or `hex_search` call, so this fixed point is the
+raster-order field. In the hybrid modes the same calls score every block's
+flow-derived vector in their first batched step and return those costs
+beside the searched ones. The passes decide from them in numpy; after the
+last one, `select_block_vector` decides each block once from its final
+(vector, cost) pairs, and scores nothing itself.
 
 Every mode codes its vector differences once the field is known, against
 the median predictors of the whole grid at once (`median_predictors`). This
@@ -96,7 +99,6 @@ from .blockmatch import (
     median_predictor,
     median_predictors,
     sad,  # noqa: F401  (kept as a name bench/tracer.py wraps)
-    wavefronts,
 )
 from .flowadapt import downsample_flow
 from .model import (
@@ -446,6 +448,11 @@ def select_block_vector(mode: str, searched: tuple[MotionVector, float] | None,
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
 
 
+# The most blocks one search call takes, so that no search array grows with
+# the frame; a QCIF or CIF frame of 16 px blocks is one call.
+_SEARCH_BLOCKS = 512
+
+
 def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray:
     """The (rows, cols, bs, bs) blocks of a plane; partial edge blocks
     replicate the border, as `tests/oracles.clip_block` reads them."""
@@ -455,27 +462,51 @@ def _block_tiles(plane: np.ndarray, bs: int, cols: int, rows: int) -> np.ndarray
 
 
 def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
-                    config: CodecConfig, cols: int, rows: int) -> np.ndarray:
-    """The (rows, cols, 2) int32 vectors of a searching mode. The blocks go
-    wave by wave: one search call per wave scores the hybrids' flow vectors
-    with its start pair, then `select_block_vector` decides each block from
-    the costs the search returned."""
-    mode, bs = config.motion_mode, config.block_size
+                    config: CodecConfig, cols: int, rows: int, guess: np.ndarray) -> np.ndarray:
+    """The (rows, cols, 2) int32 vectors of a searching mode, found in passes
+    over the whole frame; guess holds each block's (rows, cols, 2) predictor
+    for the first pass.
+
+    Every pass decides the hybrid blocks with `select_block_vector`'s strict
+    `<`. Wave k, the blocks with c + 2r = k, has predictors that read only
+    earlier waves, and waves 0 and 1 lie in row 0, whose predictors are zero
+    whatever the field; so after pass p >= 2 every wave below p is final,
+    and the passes end within max(2, number of waves). A search call takes
+    at most _SEARCH_BLOCKS blocks.
+    """
+    mode, bs, n = config.motion_mode, config.block_size, rows * cols
     luma = ReferencePlane(ref.y)
     search = diamond_search if mode == "internal-diamond" else hex_search
-    tiles = _block_tiles(cur.y, bs, cols, rows)
-    vectors = np.zeros((rows, cols, 2), np.int32)
-    for wave in wavefronts(cols, rows):
-        predictors = [median_predictor(vectors, c, r) for r, c in wave]
-        at = np.array(wave)
-        flow = None if flow_field is None else flow_field.vectors[at[:, 0], at[:, 1]]
-        found, flow_costs = search(tiles[at[:, 0], at[:, 1]], luma, at[:, ::-1] * bs, config,
-                                   np.array(predictors, np.int64), flow)
-        flows = (repeat(None) if flow is None else
-                 zip(map(MotionVector._make, flow.tolist()), flow_costs))
-        for (r, c), searched, flow_pair in zip(wave, found, flows):
-            vectors[r, c] = select_block_vector(mode, searched, flow_pair).mv
-    return vectors
+    tiles = _block_tiles(cur.y, bs, cols, rows).reshape(n, bs, bs)
+    origins = np.stack(np.meshgrid(np.arange(cols), np.arange(rows)), -1).reshape(n, 2) * bs
+    flow = None if flow_field is None else flow_field.vectors.reshape(n, 2).astype(np.int64)
+    used = np.array(guess, np.int64).reshape(n, 2)  # each block's predictor when last searched
+    vectors, costs, flow_costs = np.zeros((n, 2), np.int64), np.zeros(n), np.zeros(n)
+    todo = np.arange(n)
+    passes = max(2, cols + 2 * rows - 2 if cols > 1 else rows)  # a lone column has no odd waves
+    for _ in range(passes):
+        for lo in range(0, len(todo), _SEARCH_BLOCKS):
+            batch = todo[lo:lo + _SEARCH_BLOCKS]
+            found, scored = search(tiles[batch], luma, origins[batch], config, used[batch],
+                                   None if flow is None else flow[batch])
+            vectors[batch] = [mv for mv, _ in found]
+            costs[batch] = [cost for _, cost in found]
+            if scored is not None:
+                flow_costs[batch] = scored
+        field = vectors if flow is None else np.where((flow_costs < costs)[:, None], flow, vectors)
+        predictors = median_predictors(field.reshape(rows, cols, 2)).reshape(n, 2)
+        todo = np.flatnonzero((predictors != used).any(axis=1))
+        if not todo.size:
+            break
+        used[todo] = predictors[todo]
+    else:
+        raise AssertionError(f"block search of a {cols}x{rows} grid did not settle "
+                             f"in {passes} passes")
+    searched = zip(map(MotionVector._make, vectors.tolist()), costs.tolist())
+    flows = (repeat(None) if flow is None else
+             zip(map(MotionVector._make, flow.tolist()), flow_costs.tolist()))
+    return np.array([select_block_vector(mode, pair, flow_pair).mv
+                     for pair, flow_pair in zip(searched, flows)], np.int32).reshape(rows, cols, 2)
 
 
 def _flow_method(mode: str) -> str:
@@ -537,20 +568,23 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
         ref = None if n % config.gop_size == 0 else recon[-1]
         vectors = None
         vector_codes = (0, 0)
-        if ref is not None:
+        if ref is None:
+            predictors = np.zeros((rows, cols, 2), np.int64)  # the next search's guess
+        else:
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             if mode in SEARCH_MODES:
-                vectors = _search_vectors(cur, ref, flow_field, config, cols, rows)
+                vectors = _search_vectors(cur, ref, flow_field, config, cols, rows, predictors)
             elif flow_field is not None:
                 vectors = flow_field.vectors
             else:
                 vectors = np.zeros((rows, cols, 2), np.int32)
             # The predictor reads only vectors chosen earlier, so the
             # differences can all be coded once every vector is known.
-            vector_codes = ue_pack(se_to_ue_array((vectors - median_predictors(vectors)).ravel()))
+            predictors = median_predictors(vectors)
+            vector_codes = ue_pack(se_to_ue_array((vectors - predictors).ravel()))
 
         pred = _prediction(ref, vectors, bs, w0, h0)
         planes, chunks = zip(*(_encode_plane(plane, p, t, config.q)

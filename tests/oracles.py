@@ -8,11 +8,13 @@ reconstruction. `block_vector_median` is `flowadapt`'s Vector Median of
 one block. `full_search` is the exhaustive block search that bounds
 the pattern searches. `diamond_search` and `hex_search` search one block at
 a time, each candidate once through an `_Evaluator`, and refine with the
-one-block quarter-pel descent (`_refine_quarter_pel`); the wave searches of
+one-block quarter-pel descent (`_refine_quarter_pel`); the batch searches of
 `blockmatch` must match them vector for vector and cost for cost.
-`flow_cost` scores a hybrid block's flow-derived vector alone, as the wave
+`flow_cost` scores a hybrid block's flow-derived vector alone, as the batch
 search's start step must. `clip_block` reads a block of a plane with the
-border replicated.
+border replicated. `wavefronts` orders a grid's blocks in anti-diagonal
+waves whose median predictors read only earlier waves: the order in which
+the tests search waves, and the bound on the encoder's search passes.
 """
 from __future__ import annotations
 
@@ -60,6 +62,19 @@ def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
     xs = np.minimum(np.maximum(np.arange(x0, x0 + size), 0), w - 1)
     ys = np.minimum(np.maximum(np.arange(y0, y0 + size), 0), h - 1)
     return plane[np.ix_(ys, xs)]
+
+
+def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:
+    """The (row, col) blocks of a grid in waves c + 2r = k, k ascending,
+    without the empty ones.
+
+    A block's median predictor reads its left, top and top-right
+    neighbours, which all lie on earlier waves, so the blocks of one wave
+    can be searched together once the waves before it are done.
+    """
+    waves = ([(r, k - 2 * r) for r in range((k - cols + 2) // 2, k // 2 + 1) if 0 <= r < rows]
+             for k in range(cols + 2 * rows - 2))
+    return [wave for wave in waves if wave]  # a one-column grid has no odd waves
 
 
 def _cost_key(cost: float, mv: MotionVector):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcodec import blockmatch
+from flowcodec import blockmatch, codec
 from flowcodec.blockmatch import (
     SearchConfig,
     diamond_search,
@@ -13,13 +13,20 @@ from flowcodec.blockmatch import (
     mv_rate_bits,
     rd_cost,
     sad,
-    wavefronts,
 )
-from flowcodec.codec import _block_tiles
-from flowcodec.model import QPEL, REF_MARGIN, MotionVector, ReferencePlane, block_grid
+from flowcodec.codec import CodecConfig, _block_tiles
+from flowcodec.model import (
+    QPEL,
+    REF_MARGIN,
+    BlockMotionField,
+    Frame,
+    MotionVector,
+    ReferencePlane,
+    block_grid,
+)
 
 import oracles
-from oracles import ZERO_MV, clip_block, full_search
+from oracles import ZERO_MV, clip_block, full_search, wavefronts
 from synth import flat_frame, smooth_texture
 from test_model import ref_bilinear
 
@@ -294,26 +301,40 @@ def _search_frame(search, cur, ref, config, predictor=None):
     return found
 
 
-def _oracle_frame(search, cur, ref, config, predictor=None):
+def _oracle_frame(search, cur, ref, config, predictor=None, flow=None):
     """Every block's (vector, cost) from the one-block oracle, in raster
-    order; predictor as in `_search_frame`."""
+    order; predictor as in `_search_frame`. flow, a hybrid's (rows, cols, 2)
+    flow-derived vectors, replaces a block's searched pair with the flow
+    vector and its cost, scored on its own, where that is strictly cheaper."""
     bs = config.block_size
     cols, rows = block_grid(cur.shape[1], cur.shape[0], bs)
     vectors = np.zeros((rows, cols, 2), np.int64)
     found = {}
     for r in range(rows):
         for c in range(cols):
-            mv, cost = search(cur, ref, (c * bs, r * bs), config,
-                              median_predictor(vectors, c, r) if predictor is None else predictor)
+            origin = (c * bs, r * bs)
+            block_predictor = median_predictor(vectors, c, r) if predictor is None else predictor
+            mv, cost = search(cur, ref, origin, config, block_predictor)
+            if flow is not None:
+                flow_mv = MotionVector(*flow[r, c].tolist())
+                flow_cost = oracles.flow_cost(cur, ref, origin, config, block_predictor, flow_mv)
+                if flow_cost < cost:
+                    mv, cost = flow_mv, flow_cost
             vectors[r, c] = mv
             found[r, c] = (mv, cost)
     return found
 
 
-def _moved_pair(w, h, seed):
+def _moved_planes(w, h, seed):
+    """A current and a reference luma plane; the content moved by (-3, 3) px."""
     rng = np.random.default_rng(seed)
     tex = smooth_texture(h + 20, w + 20, rng)
-    return tex[8:8 + h, 4:4 + w], ReferencePlane(np.ascontiguousarray(tex[5:5 + h, 7:7 + w]))
+    return tex[8:8 + h, 4:4 + w], np.ascontiguousarray(tex[5:5 + h, 7:7 + w])
+
+
+def _moved_pair(w, h, seed):
+    cur, ref = _moved_planes(w, h, seed)
+    return cur, ReferencePlane(ref)
 
 
 @pytest.mark.parametrize("refine", [False, True])
@@ -429,6 +450,161 @@ def test_wavefronts_follow_the_predictor(cols, rows):
     for (r, c), k in order.items():
         for neighbour in ((r, c - 1), (r - 1, c), (r - 1, c + 1)):
             assert order.get(neighbour, -1) < k
+
+
+# --- the encoder's search passes against the raster-order oracle -------------
+
+def _frame(luma):
+    h, w = luma.shape
+    chroma = np.zeros((h // 2, w // 2), np.uint8)
+    return Frame(np.ascontiguousarray(luma), chroma, chroma)
+
+
+def _search_passes(monkeypatch, mode, cur, ref, config, flow=None, guess=None):
+    """`codec._search_vectors` of luma planes cur and ref, guess defaulting
+    to zeros. Checks that the field the passes settled on is the one
+    returned, and returns it with the blocks of each search call."""
+    bs = config.block_size
+    cols, rows = block_grid(cur.shape[1], cur.shape[0], bs)
+    name = "diamond_search" if mode == "internal-diamond" else "hex_search"
+    search, medians, calls, fields = getattr(codec, name), codec.median_predictors, [], []
+
+    def counted(tiles, *args):
+        calls.append(len(tiles))
+        return search(tiles, *args)
+
+    def recorded(vectors):
+        fields.append(np.array(vectors))
+        return medians(vectors)
+
+    monkeypatch.setattr(codec, name, counted)
+    monkeypatch.setattr(codec, "median_predictors", recorded)
+    field = None if flow is None else BlockMotionField(bs, flow.astype(np.int32))
+    guess = np.zeros((rows, cols, 2), np.int64) if guess is None else guess
+    got = codec._search_vectors(_frame(cur), _frame(ref), field,
+                                CodecConfig(mode, **vars(config)), cols, rows, guess)
+    assert np.array_equal(fields[-1], got)  # the last pass's field
+    return got, calls
+
+
+def _oracle_field(mode, cur, ref, config, flow=None):
+    cols, rows = block_grid(cur.shape[1], cur.shape[0], config.block_size)
+    search = oracles.diamond_search if mode == "internal-diamond" else oracles.hex_search
+    found = _oracle_frame(search, cur, ReferencePlane(ref), config, flow=flow)
+    return np.array([[found[r, c][0] for c in range(cols)] for r in range(rows)], np.int32)
+
+
+def _flow_near(cols, rows, seed):
+    """A hybrid's flow field: the content's motion (-3, 3) px, off by up to
+    two quarter-pels on most blocks and anywhere in +-6 px on some."""
+    rng = np.random.default_rng(seed)
+    flow = np.array((-12, 12)) + rng.integers(-2, 3, (rows, cols, 2))
+    far = rng.random((rows, cols)) < 0.3
+    flow[far] = rng.integers(-24, 25, (int(far.sum()), 2))
+    return flow
+
+
+SEARCH_MODES = ["internal-diamond", "internal-hex", "hybrid-mean", "hybrid-median"]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("block_size", [4, 8, 16])
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+def test_search_passes_reach_the_raster_order_field(monkeypatch, mode, block_size, refine):
+    # 40x26 leaves partial blocks on the right and bottom edges.
+    cur, ref = _moved_planes(40, 26, block_size)
+    cfg = SearchConfig(search_range=5, block_size=block_size, refine_subpel=refine, q=10)
+    cols, rows = block_grid(40, 26, block_size)
+    flow = _flow_near(cols, rows, SEARCH_MODES.index(mode)) if mode.startswith("hybrid") else None
+    field, calls = _search_passes(monkeypatch, mode, cur, ref, cfg, flow)
+    assert np.array_equal(field, _oracle_field(mode, cur, ref, cfg, flow))
+    assert field.dtype == np.int32 and field.shape == (rows, cols, 2)
+    # One call per pass; the first searches every block, the later ones
+    # only the blocks whose predictor moved.
+    assert calls[0] == rows * cols and all(n < rows * cols for n in calls[1:])
+    assert len(calls) <= len(wavefronts(cols, rows))
+
+
+@pytest.mark.parametrize("mode", ["internal-hex", "hybrid-median"])
+def test_search_guess_changes_only_the_passes(monkeypatch, mode):
+    cur, ref = _moved_planes(40, 26, 4)
+    rng = np.random.default_rng(4)
+    cfg = SearchConfig(search_range=5, block_size=8, q=10)
+    cols, rows = block_grid(40, 26, 8)
+    flow = _flow_near(cols, rows, 9) if mode.startswith("hybrid") else None
+    want = _oracle_field(mode, cur, ref, cfg, flow)
+    # The field's own predictors are a perfect guess: one pass settles it.
+    field, calls = _search_passes(monkeypatch, mode, cur, ref, cfg, flow, median_predictors(want))
+    assert np.array_equal(field, want) and calls == [rows * cols]
+    # Random predictors, even where the true one is always zero (row 0),
+    # give the zero guess's field.
+    wrong = rng.integers(-2**31, 2**31, (rows, cols, 2))
+    for guess in (None, wrong, rng.integers(-60, 61, (rows, cols, 2))):
+        field, calls = _search_passes(monkeypatch, mode, cur, ref, cfg, flow, guess)
+        assert np.array_equal(field, want)
+        assert len(calls) <= len(wavefronts(cols, rows))
+
+
+@pytest.mark.parametrize("mode", ["internal-diamond", "hybrid-mean"])
+def test_search_passes_on_noise(monkeypatch, mode):
+    # I.i.d. noise has no motion to find: the vectors scatter, each change
+    # moves the predictors behind it, and the passes run long.
+    rng = np.random.default_rng(12)
+    cur, ref = (rng.integers(0, 256, (40, 64), dtype=np.uint8) for _ in range(2))
+    cfg = SearchConfig(search_range=6, block_size=8, q=8)
+    cols, rows = block_grid(64, 40, 8)
+    flow = rng.integers(-24, 25, (rows, cols, 2)) if mode.startswith("hybrid") else None
+    field, calls = _search_passes(monkeypatch, mode, cur, ref, cfg, flow)
+    assert np.array_equal(field, _oracle_field(mode, cur, ref, cfg, flow))
+    assert 3 <= len(calls) <= len(wavefronts(cols, rows))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("mode", ["internal-hex", "hybrid-mean"])
+def test_search_passes_on_flat_content(monkeypatch, mode, refine):
+    # Every SAD is 0, so candidates tie on cost and only the rest of the
+    # key tells them apart; a flow vector that is its block's searched one
+    # ties with it.
+    plane = flat_frame(40, 24, 90).y
+    cfg = SearchConfig(search_range=5, block_size=8, refine_subpel=refine, q=30)
+    cols, rows = block_grid(40, 24, 8)
+    flow = np.tile([[1, -1], [0, 0], [-3, 2]], (rows, -(-cols // 3), 1))[:, :cols]
+    flow = flow if mode.startswith("hybrid") else None
+    field, _ = _search_passes(monkeypatch, mode, plane, plane, cfg, flow,
+                              np.full((rows, cols, 2), 7, np.int64))
+    assert np.array_equal(field, _oracle_field(mode, plane, plane, cfg, flow))
+
+
+def test_search_passes_keep_the_searched_vector_on_a_tie(monkeypatch):
+    # At q = 12 lambda is 1, so a flow vector's SAD and rate can sum to
+    # exactly its block's searched cost; on this content they do for a
+    # block. The passes, like the final decision, keep the searched vector.
+    cur, ref = _moved_planes(40, 26, 1)
+    cfg = SearchConfig(search_range=5, block_size=4, q=12)
+    cols, rows = block_grid(40, 26, 4)
+    flow = _flow_near(cols, rows, 1)
+    field, _ = _search_passes(monkeypatch, "hybrid-mean", cur, ref, cfg, flow)
+    assert np.array_equal(field, _oracle_field("hybrid-mean", cur, ref, cfg, flow))
+    plane, predictors, ties = ReferencePlane(ref), median_predictors(field), 0
+    for r in range(rows):
+        for c in range(cols):
+            origin, predictor = (c * 4, r * 4), MotionVector(*predictors[r, c].tolist())
+            flow_mv = MotionVector(*flow[r, c].tolist())
+            mv, cost = oracles.hex_search(cur, plane, origin, cfg, predictor)
+            ties += (flow_mv != mv
+                     and oracles.flow_cost(cur, plane, origin, cfg, predictor, flow_mv) == cost)
+    assert ties
+
+
+def test_search_batches_never_exceed_the_block_limit(monkeypatch):
+    monkeypatch.setattr(codec, "_SEARCH_BLOCKS", 7)
+    cur, ref = _moved_planes(40, 26, 5)
+    cfg = SearchConfig(search_range=5, block_size=4, q=10)
+    cols, rows = block_grid(40, 26, 4)
+    flow = _flow_near(cols, rows, 2)
+    field, calls = _search_passes(monkeypatch, "hybrid-mean", cur, ref, cfg, flow)
+    assert np.array_equal(field, _oracle_field("hybrid-mean", cur, ref, cfg, flow))
+    assert max(calls) == 7 and calls[:10] == [7] * 10  # the first pass: 70 blocks
 
 
 def test_quarter_pel_refinement_recentres_within_a_step():

@@ -12,7 +12,7 @@ from flowcodec.bitstream import (
     se_to_ue,
     ue_bits,
 )
-from flowcodec.blockmatch import median_predictor
+from flowcodec.blockmatch import median_predictor, median_predictors
 from flowcodec.codec import (
     _HEADER,
     HEADER_SIZE,
@@ -219,7 +219,58 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
                 assert decision.mv == decision.internal_mv
             vectors[r, c] = decision.mv
     assert 0 < flow_wins < rows * cols  # both branches are exercised
-    assert np.array_equal(codec._search_vectors(cur, ref, field, config, cols, rows), vectors)
+    guess = np.zeros((rows, cols, 2), np.int64)
+    assert np.array_equal(codec._search_vectors(cur, ref, field, config, cols, rows, guess),
+                          vectors)
+
+
+@pytest.mark.parametrize("mode", ["internal-diamond", "hybrid-mean"])
+def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
+    # The passes decide hybrid blocks in numpy; `select_block_vector`, whose
+    # decisions the benchmark's tracer counts, sees each block of a P frame
+    # once, after the last pass, and its decisions are the field returned.
+    # (tests/test_blockmatch.py checks that this is the passes' field.)
+    decisions, per_frame = [], []
+    select, search = codec.select_block_vector, codec._search_vectors
+
+    def recorded_select(*args):
+        decisions.append(select(*args))
+        return decisions[-1]
+
+    def recorded_search(*args):
+        decisions.clear()
+        field = search(*args)
+        per_frame.append(len(decisions))
+        assert [d.mv for d in decisions] == [tuple(v) for v in field.reshape(-1, 2).tolist()]
+        return field
+
+    monkeypatch.setattr(codec, "select_block_vector", recorded_select)
+    monkeypatch.setattr(codec, "_search_vectors", recorded_search)
+    clip = translating_frames(W, H, 5, dx=4, dy=2, seed=3)
+    encode_sequence(clip, CodecConfig(mode, q=6, gop_size=3, block_size=8, search_range=8),
+                    StubProvider(), "seq")
+    cols, rows = block_grid(W, H, 8)
+    assert per_frame == [rows * cols] * 3  # frames 1, 2 and 4 are P frames
+
+
+def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
+    # Zeros on a GOP's first P frame, then the median predictors of the
+    # previous P frame's field.
+    searches = []
+    search = codec._search_vectors
+
+    def recorded(*args):
+        searches.append((np.array(args[-1]), search(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(codec, "_search_vectors", recorded)
+    clip = translating_frames(W, H, 6, dx=4, dy=2, seed=3)
+    encode_sequence(clip, CodecConfig("internal-hex", q=6, gop_size=3, block_size=8,
+                                      search_range=8))
+    (g1, v1), (g2, _), (g4, v4), (g5, _) = searches  # frames 0 and 3 are intra
+    assert not g1.any() and not g4.any()
+    assert np.array_equal(g2, median_predictors(v1)) and np.array_equal(g5, median_predictors(v4))
+    assert v1.any()
 
 
 def test_non_hybrid_decisions_have_no_candidates(frames):
