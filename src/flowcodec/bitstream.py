@@ -28,13 +28,13 @@ of codes go through numpy, with the same bits:
   the first chain is known to start on a code, but exp-Golomb is a prefix
   code: a parse begun at a wrong bit falls into step with the true one
   within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
-  parses that share one position agree from there on. Where a chain's last position is also one of the
-  next chain's, the parse continues in the next chain; where it is not, a
-  serial read, `_WALK_CODES` codes per Python step through a jump table of
-  the gap's bits, bridges to the first position a later chain reached.
-  `CodeParser.values` then reads the values of all codes at once, with the
-  same word gather. The codec parses its run-level codes this way; it
-  reads the few vector codes of a P frame one at a time with `BitReader`.
+  parses that share one position agree from there on. Where a chain's last
+  position is also one of the next chain's, the parse continues in the next
+  chain; where it is not, a serial read, one code per Python step over the
+  code length at every bit of the gap, bridges to the first position a
+  later chain reached. `CodeParser.values` then reads the values of all
+  codes at once, with the same word gather. The codec parses every code of
+  a frame this way, vector differences and run-level codes alike.
 
 A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
 runs past the end of the data) ends the parse at its start, and
@@ -334,7 +334,8 @@ class CodeParser:
             if last[end] >= stop:
                 break
             bridge, chain, row = self._walk(words, grid, end, stop)
-            bridges.append(bridge)
+            if len(bridge):  # a walk can meet a chain after one code
+                bridges.append(bridge)
             if chain < 0:
                 break
         counts = np.where(entered, taken - first, 0)
@@ -352,60 +353,41 @@ class CodeParser:
 
     def _walk(self, words: np.ndarray, grid: np.ndarray, after: int,
               stop: int) -> tuple[np.ndarray, int, int]:
-        """Read codes serially, `_WALK_CODES` at a time, from the last
-        position of chain after to a position that a later chain reached:
-        (the positions read before it, that chain, its row there). Reading on
-        to a position at or past stop gives (the positions read, it
-        included, -1, -1). A chain met inside a step is met at its end."""
+        """Read codes serially, one per Python step, from the last position
+        of chain after to a position that a later chain reached: (the
+        positions read before it, that chain, its row there). Reading on to
+        a position at or past stop gives (the positions read, it included,
+        -1, -1). Each window tabulates the length of the code at every bit."""
         last = grid[-1]
         y = int(last[after])
         origin = int(grid[0, 0])
-        read = []  # the codes read, window by window
+        read = array("q")  # the position after each code read
         width = _SEGMENT_BITS
-        found = None
-        while found is None:
+        while True:
             low = y
-            # The bits that 1, 2, 4, ... codes from each position take, each
-            # from the one before, for the positions a step can start at.
-            lengths = _lengths(words, np.arange(low, low + width + (_WALK_CODES - 1) * _LONGEST))
-            jumps, span = lengths, _LONGEST  # span: the longest jump so far
-            while span < _WALK_CODES * _LONGEST:
-                inside = len(jumps) - span
-                jumps = jumps[:inside] + jumps.take(np.arange(inside) + jumps[:inside])
-                span *= 2
-            jumps = array("H", jumps.astype(np.uint16).tobytes())
-            # Positions of the later chains in reach of this window's steps.
-            reach = width + span
+            lengths = _lengths(words, np.arange(low, low + width)).tolist()
+            # Positions of the later chains that the window's codes can reach.
+            reach = width + _LONGEST
             chains = np.arange(after + 1, min(len(last), (low + reach - origin) // _SEGMENT_BITS + 1))
             near = grid[:, chains[last[chains] > low]]
             marks = np.zeros(reach, bool)
             marks[near[(near > low) & (near < low + reach)] - low] = True
             marks[min(width, max(0, stop - low)):] = True  # stop, or the window's end
             marks = marks.tobytes()
-            steps = array("q")  # where each step starts, from low
             while True:
-                steps.append(y - low)
-                y += jumps[y - low]
+                y += lengths[y - low]
+                read.append(y)
                 if marks[y - low]:
                     break
-            codes = np.empty((len(steps), _WALK_CODES), np.int64)
-            codes[:, 0] = np.frombuffer(steps, np.int64)
-            for k in range(1, _WALK_CODES):  # the codes inside each step
-                codes[:, k] = codes[:, k - 1] + lengths.take(codes[:, k - 1])
-            read.append(codes.ravel() + low)
             if y >= stop:
-                found = -1, -1
-            elif y - low < width:
+                return np.array(read, np.int64), -1, -1
+            if y - low < width:
                 for chain in range(after + 1, grid.shape[1]):
                     row = int(np.searchsorted(grid[:, chain], y))
                     if row < len(grid) and grid[row, chain] == y:
-                        found = chain, row
-                        break
-                else:
-                    raise AssertionError(f"no chain reached the marked bit {y}")
+                        return np.array(read[:-1], np.int64), chain, row
+                raise AssertionError(f"no chain reached the marked bit {y}")
             width = min(2 * width, _WALK_BITS)
-        seen = np.append(np.concatenate(read)[1:], y)  # the first is chain after's
-        return (seen if found[0] < 0 else seen[:-1]), *found
 
 
 # Bits per chain, rows between the checks that every chain has crossed the
@@ -416,8 +398,7 @@ _RUN_ON = 16
 # A chain crosses its end within _SEGMENT_BITS codes, and the check within
 # _CHECK_ROWS more.
 _MAX_ROWS = _SEGMENT_BITS + _CHECK_ROWS + _RUN_ON + 1
-# Codes per step of a serial read (a power of two), and its widest window.
-_WALK_CODES = 8
+# The widest window of a serial read.
 _WALK_BITS = 1 << 14
 
 
@@ -443,4 +424,4 @@ _CODE_LENGTHS[1022 + 53 - MAX_PREFIX:] = 2 * np.arange(MAX_PREFIX, -1, -1) + 1
 # Bits read past stop: by the chains, _MAX_ROWS steps and one 64-bit load;
 # by a serial read from before stop, one window.
 _READ_PAST = _LONGEST * _MAX_ROWS + 64
-assert _WALK_BITS + _WALK_CODES * _LONGEST <= _READ_PAST
+assert _WALK_BITS <= _READ_PAST

@@ -231,37 +231,13 @@ def hex_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
     return _batch_search(cur, ref, origins, config, predictors, _HEX_LARGE, _HEX_SMALL, flow)
 
 
-def _median3(a, b, c, lo=min, hi=max):
-    return hi(lo(a, b), lo(hi(a, b), c))
-
-
-def median_predictor(vectors, col: int, row: int) -> MotionVector:
-    """Component-wise median of the left, top, and top-right neighbours.
-
-    vectors[row][col] is a block's (dx, dy): an (rows, cols, 2) array, or
-    the rows decoded so far as lists of pairs. Must be queried in raster
-    order; neighbours outside the grid count as zero vectors.
-    """
-    left = vectors[row][col - 1] if col > 0 else (0, 0)
-    top = topright = (0, 0)
-    if row > 0:
-        above = vectors[row - 1]
-        top = above[col]
-        if col + 1 < len(above):
-            topright = above[col + 1]
-    return MotionVector(
-        _median3(int(left[0]), int(top[0]), int(topright[0])),
-        _median3(int(left[1]), int(top[1]), int(topright[1])),
-    )
-
-
 def median_predictors(vectors: np.ndarray) -> np.ndarray:
-    """`median_predictor` of every block of an (rows, cols, 2) integer
+    """The median predictor of every block of an (rows, cols, 2) integer
     vector field at once, as int64: the component-wise median of the left,
-    top and top-right shifted fields, with zeros outside the grid."""
+    top and top-right neighbours, with zeros outside the grid."""
     vectors = np.asarray(vectors, np.int64)
     left, top, topright = (np.zeros_like(vectors) for _ in range(3))
     left[:, 1:] = vectors[:, :-1]
     top[1:] = vectors[:-1]
     topright[1:, :-1] = vectors[:-1, 1:]
-    return _median3(left, top, topright, np.minimum, np.maximum)
+    return np.maximum(np.minimum(left, top), np.minimum(np.maximum(left, top), topright))

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--block-size", type=int, default=16, choices=LUMA_BLOCK_SIZES)
-    p.add_argument("--method", choices=METHODS + ("median",), default="vector-median")
+    p.add_argument("--method", choices=METHODS, default="vector-median")
     p.set_defaults(func=cmd_downsample_flow)
 
     return parser

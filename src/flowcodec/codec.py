@@ -13,8 +13,8 @@ is, MSB first:
 
 - a type byte: 0 for an intra frame (first of each GOP), 1 for a P frame;
 - P frames only: for each block in raster order, se(dx - pdx) then
-  se(dy - pdy), where (pdx, pdy) is the median predictor of the vectors
-  already decoded (`median_predictor`);
+  se(dy - pdy), where (pdx, pdy) is the median of the left, top and
+  top-right vectors (`median_predictors`), zero outside the grid;
 - the Y, U and V residual sections: for each transform block in raster
   order, the run-level code of its zig-zag scanned levels. Luma transforms
   are min(8, bs) wide, chroma ones max(2, bs/2) (`_transform_sizes`);
@@ -33,11 +33,11 @@ before any decision: zeros, or the provider's dense flow reduced by
 encoder: it reads the reference luma through one `ReferencePlane` per P
 frame, which interpolates all 16 quarter-pel phases once. A block's median
 predictor reads its left, top and top-right neighbours, so `_search_vectors`
-searches the whole frame under guessed predictors (the previous P frame's,
-or zeros after an intra frame), then re-searches only the blocks whose
-predictor changed, until none does. No block's search reads another block
-of its `diamond_search` or `hex_search` call, so this fixed point is the
-raster-order field. In the hybrid modes the same calls score every block's
+searches the whole frame under guessed predictors (the previous P frame's;
+after an intra frame, the flow field's, or zeros), then re-searches only
+the blocks whose predictor changed, until none does. No block's search
+reads another block of its `diamond_search` or `hex_search` call, so this
+fixed point is the raster-order field. In the hybrid modes the same calls score every block's
 flow-derived vector in their first batched step and return those costs
 beside the searched ones. The passes decide from them in numpy; after the
 last one, `select_block_vector` decides each block once from its final
@@ -55,23 +55,27 @@ payload appends them after the type byte with `acc << length | bits` and
 pads with zeros to the next byte. The frame's motion and residual bit
 counts are the lengths of its packed codes.
 
-The decoder reads the vector codes one at a time with a `BitReader`, block
-by block under the median predictor (`_read_vectors`); they are about 1% of
-a P frame's bits. The frame's three residual planes follow as one run of
-codes, which `_read_levels` takes a range of bits at a time: the bounds of
-every code from `bitstream.CodeParser.codes` and their values from
-`CodeParser.values`, with no Python step per code. After any 1-bit code a
-level follows, and levels and runs alternate up to the next 1-bit code, so
-a code is a level where an even number of codes separates it from the
-previous 1-bit code, and a 1-bit level is an EOB. Without the EOBs, the
-codes are the blocks' (level, run) pairs in order, and every level is
-scattered into its block at once. The first range is a quarter longer than
-the residual of the frame before (the mean payload, for the first frame),
-and another follows only while EOBs are missing; no range is longer than
-`_MAX_RANGE_BITS`, so no array grows with the frame. A malformed frame
-raises the `BitstreamError` of its first bad code or symbol in stream
-order, as reading one code at a time would. Before any of that, a header
-that claims more frames or blocks than the payload can hold is rejected.
+The decoder parses all of a frame's codes as one run, which `_read_levels`
+takes a range of bits at a time: the bounds of every code from
+`bitstream.CodeParser.codes` and their values from `CodeParser.values`,
+with no Python step per code. In a P frame the first 2 * rows * cols codes
+are the vector differences d, and `_vectors` solves v = d + P(v) for the
+field v, P being `median_predictors`, by iterating it over the whole grid
+until nothing changes. A block's predictor reads only earlier blocks, so
+row 0 is exact after the first pass, block (r, c) below it after pass
+c + 2r, and the fixed point is the raster-order field. The three residual
+planes follow. After any 1-bit code a level follows, and levels and runs
+alternate up to the next 1-bit code, so a code is a level where an even
+number of codes separates it from the previous 1-bit code, and a 1-bit
+level is an EOB. Without the EOBs, the codes are the blocks' (level, run)
+pairs in order, and every level is scattered into its block at once. The
+first range is a quarter longer than the codes of the frame before (the
+mean payload, for the first frame), and another follows only while EOBs
+are missing; no range is longer than `_MAX_RANGE_BITS`, so no array grows
+with the frame. A malformed frame raises the `BitstreamError` of its first
+bad code or symbol in stream order, as reading one code at a time would.
+Before any of that, a header that claims more frames or blocks than the
+payload can hold is rejected.
 """
 from __future__ import annotations
 
@@ -85,7 +89,6 @@ from scipy.fft import dctn, idctn
 
 from . import metrics
 from .bitstream import (
-    BitReader,
     BitstreamError,
     CodeParser,
     se_to_ue_array,
@@ -96,7 +99,6 @@ from .blockmatch import (
     SearchConfig,
     diamond_search,
     hex_search,
-    median_predictor,
     median_predictors,
     sad,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
@@ -265,16 +267,20 @@ def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
-def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
-                 span: int) -> tuple[list[np.ndarray], int]:
-    """Read the run-level codes of consecutive planes of blocks from bit p,
-    planes giving each plane's (block count, transform size t). Returns each
-    plane's (blocks, t*t) levels in raster order and the bit after the
-    codes. span, the expected length of the codes in bits, sizes the first
-    range of bits parsed; later ranges follow while blocks are missing.
+def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]], span: int,
+                 grid: tuple[int, int] | None,
+                 frame: int) -> tuple[np.ndarray | None, list[np.ndarray], int]:
+    """Read a frame's codes from bit p: in a P frame, whose block grid is
+    (rows, cols), the vector differences, then the run-level codes of
+    consecutive planes of blocks, planes giving each plane's (block count,
+    transform size t). Returns the (rows, cols, 2) int32 vectors (None
+    without a grid), each plane's (blocks, t*t) levels in raster order and
+    the bit after the codes. span, the expected length of the codes in bits,
+    sizes the first range of bits parsed; later ranges follow while blocks
+    are missing.
 
-    Raises the error of the earliest malformed code or pair, in stream
-    order, as reading them one by one would."""
+    Raises the error of the earliest malformed code, vector or pair, in
+    stream order, as reading them one by one would."""
     counts = [n for n, _ in planes]
     areas = [t * t for _, t in planes]
     size = np.repeat(areas, counts)  # coefficients per block
@@ -283,7 +289,9 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
     scan_of = np.repeat(np.cumsum(areas) - areas, counts)  # the block's scan in scan
     levels = np.zeros(int(size.sum()), np.int32)
     need, done = len(size), 0
-    at = values = np.zeros(0, np.int64)  # starts and values of the open block's codes
+    motion = 0 if grid is None else 2 * grid[0] * grid[1]  # vector codes not split off yet
+    vectors = None
+    at = values = np.zeros(0, np.int64)  # starts and values of the codes not yet used
     start = p
     while True:
         stop = p + min(max(span * 5 // 4, _MIN_RANGE_BITS), _MAX_RANGE_BITS)
@@ -292,6 +300,11 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
             piece = bounds[lo:lo + _CHUNK_CODES + 1]
             at = np.concatenate([at, piece[:-1]])
             values = np.concatenate([values, parser.values(piece).view(np.int64)])
+            if motion:
+                if len(values) < motion:
+                    continue
+                vectors = _vectors(values[:motion], np.append(at, piece[-1])[:motion + 1], grid, frame)
+                at, values, motion = at[motion:], values[motion:], 0
             # After a 1-bit code a level follows, and levels and runs
             # alternate up to the next 1-bit code; a 1-bit level is an EOB.
             ones = np.flatnonzero(values == 0)
@@ -327,15 +340,45 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
             done += closed
             if finished:
                 cuts = np.cumsum([n * a for n, a in zip(counts, areas)])[:-1]
-                return ([part.reshape(n, a) for part, n, a in zip(np.split(levels, cuts), counts, areas)],
+                return (vectors,
+                        [part.reshape(n, a) for part, n, a in zip(np.split(levels, cuts), counts, areas)],
                         int(at[limit]) + 1)
             cut = int(eobs[-1]) + 1 if closed else 0
             at, values = at[cut:], values[cut:]
         if bounds[-1] < stop:
+            if motion:  # the vectors complete before the bad code come first
+                _vectors(values, np.append(at, bounds[-1]), grid, frame)
             parser.refuse(int(bounds[-1]))
         p = int(bounds[-1])
         # The next range: the bits per block so far, for the blocks missing.
         span = (p - start) * (need - done) // max(done, 1)
+
+
+def _vectors(codes: np.ndarray, bounds: np.ndarray, grid: tuple[int, int],
+             frame: int) -> np.ndarray:
+    """The (rows, cols, 2) int32 vectors v = d + `median_predictors`(v), d
+    being the se values of codes (ue, int64; dx then dy of each block in
+    raster order, zero past them), code i spanning bounds[i]:bounds[i + 1].
+    Values stay below passes * 2**32 in size. Raises, as reading the codes
+    one by one would, at the end of the first complete block outside int32."""
+    rows, cols = grid
+    diffs = np.zeros(2 * rows * cols, np.int64)
+    diffs[:len(codes)] = ue_to_se_array(codes.view(np.uint64))
+    diffs = diffs.reshape(rows, cols, 2)
+    used = np.zeros_like(diffs)  # the predictors of the last pass
+    for _ in range(_settle_passes(cols, rows)):
+        field = diffs + used
+        predictors = median_predictors(field)
+        if np.array_equal(predictors, used):
+            break
+        used = predictors
+    else:
+        raise AssertionError(f"vectors of a {cols}x{rows} grid did not settle")
+    out = ((field < _INT32.min) | (field > _INT32.max)).any(2).ravel()[:len(codes) // 2]
+    if out.any():
+        raise BitstreamError(f"frame {frame}: motion vector out of range at "
+                             f"bit {bounds[2 * out.argmax() + 2]}")
+    return field.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +491,13 @@ def select_block_vector(mode: str, searched: tuple[MotionVector, float] | None,
     return BlockDecision(mv, internal_mv, internal_cost, flow_cost)
 
 
+def _settle_passes(cols: int, rows: int) -> int:
+    """The most passes a field needs to settle under its own median
+    predictors, at least 2: the number of waves c + 2r = k (a lone column
+    has no odd ones), whose predictors read only earlier waves."""
+    return max(2, cols + 2 * rows - 2 if cols > 1 else rows)
+
+
 # The most blocks one search call takes, so that no search array grows with
 # the frame; a QCIF or CIF frame of 16 px blocks is one call.
 _SEARCH_BLOCKS = 512
@@ -468,11 +518,9 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     for the first pass.
 
     Every pass decides the hybrid blocks with `select_block_vector`'s strict
-    `<`. Wave k, the blocks with c + 2r = k, has predictors that read only
-    earlier waves, and waves 0 and 1 lie in row 0, whose predictors are zero
-    whatever the field; so after pass p >= 2 every wave below p is final,
-    and the passes end within max(2, number of waves). A search call takes
-    at most _SEARCH_BLOCKS blocks.
+    `<`. After pass p >= 2 every wave c + 2r below p is final, so the
+    passes end within `_settle_passes`. A search call takes at most
+    _SEARCH_BLOCKS blocks.
     """
     mode, bs, n = config.motion_mode, config.block_size, rows * cols
     luma = ReferencePlane(ref.y)
@@ -483,7 +531,7 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     used = np.array(guess, np.int64).reshape(n, 2)  # each block's predictor when last searched
     vectors, costs, flow_costs = np.zeros((n, 2), np.int64), np.zeros(n), np.zeros(n)
     todo = np.arange(n)
-    passes = max(2, cols + 2 * rows - 2 if cols > 1 else rows)  # a lone column has no odd waves
+    passes = _settle_passes(cols, rows)
     for _ in range(passes):
         for lo in range(0, len(todo), _SEARCH_BLOCKS):
             batch = todo[lo:lo + _SEARCH_BLOCKS]
@@ -569,13 +617,16 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
         vectors = None
         vector_codes = (0, 0)
         if ref is None:
-            predictors = np.zeros((rows, cols, 2), np.int64)  # the next search's guess
+            predictors = None  # no P frame of this GOP to guess the next search from
         else:
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             if mode in SEARCH_MODES:
+                if predictors is None:  # a GOP's first P frame
+                    predictors = (np.zeros((rows, cols, 2), np.int64) if flow_field is None
+                                  else median_predictors(flow_field.vectors))
                 vectors = _search_vectors(cur, ref, flow_field, config, cols, rows, predictors)
             elif flow_field is not None:
                 vectors = flow_field.vectors
@@ -624,26 +675,6 @@ def read_bitstream_info(data: bytes) -> BitstreamInfo:
     return BitstreamInfo(w, h, q, bs, MOTION_MODES[mode_id], gop, count, fps_num, fps_den)
 
 
-def _read_vectors(data: bytes, p: int, rows: int, cols: int,
-                  n: int) -> tuple[np.ndarray, int]:
-    """Read frame n's block vectors from bit p, one code at a time; returns
-    them and the bit after their codes."""
-    reader = BitReader(data, p)
-    lo, hi = _INT32.min, _INT32.max
-    field: list[list[tuple[int, int]]] = []
-    for r in range(rows):
-        row: list[tuple[int, int]] = []
-        field.append(row)
-        for c in range(cols):
-            pdx, pdy = median_predictor(field, c, r)
-            dx, dy = pdx + reader.read_se(), pdy + reader.read_se()
-            if not (lo <= dx <= hi and lo <= dy <= hi):
-                raise BitstreamError(f"frame {n}: motion vector out of range at "
-                                     f"bit {reader.bit_pos}")
-            row.append((dx, dy))
-    return np.array(field, np.int32), reader.bit_pos
-
-
 def _check_payload_size(info: BitstreamInfo, size: int) -> None:
     """Reject a header that claims more than size payload bytes can hold:
     every frame needs its type byte, one EOB bit per transform block and, in
@@ -683,11 +714,9 @@ def decode_sequence(data: bytes) -> list[Frame]:
         expected = 0 if n % info.gop_size == 0 else 1
         if ftype != expected:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
-        ref = vectors = None
-        if ftype == 1:
-            ref = frames[-1]
-            vectors, p = _read_vectors(data, p, rows, cols, n)
-        levels, end = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids], span)
+        ref = frames[-1] if ftype == 1 else None
+        vectors, levels, end = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids],
+                                            span, None if ref is None else (rows, cols), n)
         span, p = end - p, end
         frames.append(Frame(*(_reconstruct_plane(pred, lv.reshape(-1, t, t), nby, nbx, q, *pred.shape)
                               for pred, lv, (nby, nbx, t) in

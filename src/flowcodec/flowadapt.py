@@ -271,8 +271,6 @@ def downsample_flow(field: FlowField, block_size: int,
     far = field.size - np.count_nonzero(np.abs(field) <= FLO_SENTINEL)
     if far:
         raise ValueError(f"flow field has {far} components beyond +-{FLO_SENTINEL:g} px")
-    if method == "median":
-        method = "vector-median"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "vector-median":

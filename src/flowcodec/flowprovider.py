@@ -13,7 +13,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .io import read_flo_file, write_pgm
@@ -34,21 +34,30 @@ class FlowProvider:
 
     T0 and T1 read `<flow_dir>/<sequence>/frame_%04d.flo` (index of the
     current frame; the two modes differ only in what the directory holds).
-    T2 shells out to `estimator_cmd`, which never sees chroma.
+    T2 shells out to `estimator_cmd`, which never sees chroma. The command
+    is split once, here, with `shlex.split`; one that does not split, or
+    splits into nothing, raises ValueError.
     """
 
     mode: str
     flow_dir: Path | str | None = None
     estimator_cmd: str | None = None
     timeout: float = 60.0
+    _argv: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in PROVENANCE_MODES:
             raise ValueError(f"provenance mode must be one of {PROVENANCE_MODES}")
         if self.mode in ("T0", "T1") and self.flow_dir is None:
             raise ValueError(f"mode {self.mode} requires flow_dir")
-        if self.mode == "T2" and not self.estimator_cmd:
-            raise ValueError("mode T2 requires estimator_cmd")
+        if self.mode == "T2":
+            try:
+                argv = tuple(shlex.split(self.estimator_cmd or ""))
+            except ValueError as exc:
+                raise ValueError(f"estimator command {self.estimator_cmd!r}: {exc}") from None
+            if not argv:
+                raise ValueError("mode T2 requires estimator_cmd")
+            object.__setattr__(self, "_argv", argv)
         if not (self.timeout > 0 and math.isfinite(self.timeout)):
             raise ValueError(f"estimator timeout must be a positive finite number of seconds, "
                              f"got {self.timeout}")
@@ -83,13 +92,15 @@ class FlowProvider:
                 fh.write(write_pgm(cur.y))
             with open(ref_path, "wb") as fh:
                 fh.write(write_pgm(ref_decoded.y))
-            argv = shlex.split(self.estimator_cmd) + [cur_path, ref_path, out_path]
+            argv = [*self._argv, cur_path, ref_path, out_path]
             try:
                 proc = subprocess.run(argv, capture_output=True, timeout=self.timeout)
             except subprocess.TimeoutExpired as exc:
                 raise FlowProviderError(
                     f"estimator timed out after {self.timeout}s: {self.estimator_cmd}"
                 ) from exc
+            except OSError as exc:
+                raise FlowProviderError(f"estimator did not start: {exc}") from exc
             if proc.returncode != 0:
                 tail = proc.stderr.decode(errors="replace").strip()[-500:]
                 raise FlowProviderError(

@@ -12,9 +12,11 @@ one-block quarter-pel descent (`_refine_quarter_pel`); the batch searches of
 `blockmatch` must match them vector for vector and cost for cost.
 `flow_cost` scores a hybrid block's flow-derived vector alone, as the batch
 search's start step must. `clip_block` reads a block of a plane with the
-border replicated. `wavefronts` orders a grid's blocks in anti-diagonal
-waves whose median predictors read only earlier waves: the order in which
-the tests search waves, and the bound on the encoder's search passes.
+border replicated. `median_predictor` predicts one block's vector from the
+blocks before it, as the stream format defines it. `wavefronts` orders a
+grid's blocks in anti-diagonal waves whose median predictors read only
+earlier waves: the order in which the tests search waves, and the bound on
+the encoder's search passes and the decoder's prediction passes.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from flowcodec.blockmatch import (
     _QPEL_OFFSETS,
     _QPEL_STEPS,
     SearchConfig,
-    median_predictor,
     rd_cost,
 )
 from flowcodec.codec import (
@@ -62,6 +63,24 @@ def clip_block(plane: np.ndarray, x0: int, y0: int, size: int) -> np.ndarray:
     xs = np.minimum(np.maximum(np.arange(x0, x0 + size), 0), w - 1)
     ys = np.minimum(np.maximum(np.arange(y0, y0 + size), 0), h - 1)
     return plane[np.ix_(ys, xs)]
+
+
+def median_predictor(vectors, col: int, row: int) -> MotionVector:
+    """Component-wise median of the left, top, and top-right neighbours, the
+    reference for `blockmatch.median_predictors`.
+
+    vectors[row][col] is a block's (dx, dy): an (rows, cols, 2) array, or
+    the rows decoded so far as lists of pairs. Must be queried in raster
+    order; neighbours outside the grid count as zero vectors.
+    """
+    left = vectors[row][col - 1] if col > 0 else (0, 0)
+    top = topright = (0, 0)
+    if row > 0:
+        above = vectors[row - 1]
+        top = above[col]
+        if col + 1 < len(above):
+            topright = above[col + 1]
+    return MotionVector(*(sorted(int(v[k]) for v in (left, top, topright))[1] for k in (0, 1)))
 
 
 def wavefronts(cols: int, rows: int) -> list[list[tuple[int, int]]]:

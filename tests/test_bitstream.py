@@ -379,3 +379,20 @@ def test_parser_bridges_segments_denser_than_the_rest():
     parser = CodeParser(data)
     for pos in (0, 3, 3100):
         assert parser_parse(parser, pos, parser.end + 1) == serial_parse(data, pos, parser.end + 1)
+
+
+def test_parser_bridges_a_chain_met_after_one_code(monkeypatch):
+    """In the codes of 0..199 a chain's run-on stops one code short of a
+    later chain's parse: the serial read meets that chain with its first
+    code and bridges no position."""
+    walks, walk = [], CodeParser._walk
+
+    def recorded(self, *args):
+        walks.append(walk(self, *args))
+        return walks[-1]
+
+    monkeypatch.setattr(CodeParser, "_walk", recorded)
+    data = written(list(range(200)), False, 0, True)
+    parser = CodeParser(data)
+    assert parser_parse(parser, 0, parser.end + 1) == serial_parse(data, 0, parser.end + 1)
+    assert any(not len(bridge) and chain >= 0 for bridge, chain, _ in walks)

@@ -8,7 +8,6 @@ from flowcodec.blockmatch import (
     SearchConfig,
     diamond_search,
     hex_search,
-    median_predictor,
     median_predictors,
     mv_rate_bits,
     rd_cost,
@@ -26,7 +25,7 @@ from flowcodec.model import (
 )
 
 import oracles
-from oracles import ZERO_MV, clip_block, full_search, wavefronts
+from oracles import ZERO_MV, clip_block, full_search, median_predictor, wavefronts
 from synth import flat_frame, smooth_texture
 from test_model import ref_bilinear
 

@@ -184,3 +184,12 @@ def test_downsample_flow_writes_block_field(tmp_path):
     assert main(["downsample-flow", "--input", str(flo), "--out", str(out),
                  "--block-size", "8", "--method", "mean"]) == EXIT_OK
     assert np.array_equal(read_flo_file(out), constant_flow(20, 12, 1.25, -0.5))
+
+
+def test_downsample_flow_refuses_a_second_name_for_a_method(tmp_path, capsys):
+    flo = tmp_path / "a.flo"
+    write_flo_file(flo, constant_flow(16, 16, 1.0, 0.0))
+    assert main(["downsample-flow", "--input", str(flo), "--out", str(tmp_path / "b.flo"),
+                 "--method", "median"]) == EXIT_INPUT
+    assert "invalid choice: 'median'" in capsys.readouterr().err
+    assert not (tmp_path / "b.flo").exists()

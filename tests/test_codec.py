@@ -12,9 +12,10 @@ from flowcodec.bitstream import (
     se_to_ue,
     ue_bits,
 )
-from flowcodec.blockmatch import median_predictor, median_predictors
+from flowcodec.blockmatch import median_predictors
 from flowcodec.codec import (
     _HEADER,
+    _INT32,
     HEADER_SIZE,
     HYBRID_MODES,
     MAGIC,
@@ -37,7 +38,7 @@ from flowcodec.model import (
     predict_block,
 )
 
-from oracles import decode_sequential, flow_cost, hex_search, write_block_levels
+from oracles import decode_sequential, flow_cost, hex_search, median_predictor, write_block_levels
 from test_bitstream import joined
 from synth import flat_frame, random_frame, translating_frames
 
@@ -254,8 +255,9 @@ def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
 
 
 def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
-    # Zeros on a GOP's first P frame, then the median predictors of the
-    # previous P frame's field.
+    # On a GOP's first P frame, the predictors of the flow field in the
+    # hybrid modes and zeros in the others; then the median predictors of
+    # the previous P frame's field.
     searches = []
     search = codec._search_vectors
 
@@ -265,12 +267,19 @@ def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
 
     monkeypatch.setattr(codec, "_search_vectors", recorded)
     clip = translating_frames(W, H, 6, dx=4, dy=2, seed=3)
-    encode_sequence(clip, CodecConfig("internal-hex", q=6, gop_size=3, block_size=8,
-                                      search_range=8))
-    (g1, v1), (g2, _), (g4, v4), (g5, _) = searches  # frames 0 and 3 are intra
-    assert not g1.any() and not g4.any()
-    assert np.array_equal(g2, median_predictors(v1)) and np.array_equal(g5, median_predictors(v4))
-    assert v1.any()
+    for mode in ("internal-hex", "hybrid-mean"):
+        searches.clear()
+        encode_sequence(clip, CodecConfig(mode, q=6, gop_size=3, block_size=8, search_range=8),
+                        StubProvider(), "seq")
+        (g1, v1), (g2, _), (g4, v4), (g5, _) = searches  # frames 0 and 3 are intra
+        for n, guess in ((1, g1), (4, g4)):
+            flow = downsample_flow(StubProvider().get_flow("seq", n, clip[n], clip[n - 1]), 8,
+                                   "mean")
+            want = median_predictors(flow.vectors) if mode in HYBRID_MODES else 0 * guess
+            assert np.array_equal(guess, want)
+        assert np.array_equal(g2, median_predictors(v1))
+        assert np.array_equal(g5, median_predictors(v4))
+        assert v1.any() and g1.any() == (mode in HYBRID_MODES)
 
 
 def test_non_hybrid_decisions_have_no_candidates(frames):
@@ -653,21 +662,47 @@ def test_first_error_in_stream_order_wins():
     assert_decodes_like_the_oracle(intra_stream([(1, 0)], closing=0), "overrun")
 
 
-def p_frame_stream(diffs, rows: int = 1) -> bytes:
-    """A 32 x 16*rows intra frame, then a P frame at block size 16 whose
-    2 x rows block vectors differ from their predictors by diffs, and an
-    empty residual."""
-    intra = encode_sequence([flat_frame(32, 16 * rows)],
-                            CodecConfig("zero", block_size=16)).bitstream
+def p_frame_stream(diffs, rows: int = 1, cols: int = 2, block_size: int = 16,
+                   intra: Frame | None = None) -> bytes:
+    """An intra frame (flat unless given) of rows x cols blocks, then a P
+    frame whose block vectors differ from their predictors by diffs, and an
+    empty residual. A difference of None writes a prefix of MAX_PREFIX + 1
+    zeros, which no reader takes."""
+    w, h = cols * block_size, rows * block_size
+    intra = encode_sequence([flat_frame(w, h) if intra is None else intra],
+                            CodecConfig("zero", block_size=block_size)).bitstream
     writer = BitWriter()
     writer.write_bytes(_with_header(intra, count=2))
     writer.write_bits(1, 8)
     for d in diffs:
-        writer.write_se(d)
-    for _ in range(12 * rows):  # 8 luma and 2 + 2 chroma transforms per row
+        if d is None:
+            writer.write_bits(1, MAX_PREFIX + 2)
+        else:
+            writer.write_se(d)
+    luma, chroma, _ = codec._transform_sizes(block_size)
+    for _ in range(w * h // luma ** 2 + w * h // (2 * chroma ** 2)):  # one EOB per transform
         writer.write_se(0)
     writer.align()
     return writer.getvalue()
+
+
+def differences(field: np.ndarray) -> list[int]:
+    """The coded differences of a (rows, cols, 2) vector field."""
+    return (np.asarray(field, np.int64) - median_predictors(field)).ravel().tolist()
+
+
+def decoded_vectors(monkeypatch, data: bytes) -> list[np.ndarray]:
+    """The vector fields that `decode_sequence` predicts its P frames with."""
+    fields, prediction = [], codec._prediction
+
+    def recorded(ref, vectors, *args):
+        if vectors is not None:
+            fields.append(vectors)
+        return prediction(ref, vectors, *args)
+
+    monkeypatch.setattr(codec, "_prediction", recorded)
+    decode_sequence(data)
+    return fields
 
 
 def test_vector_range_is_exactly_int32():
@@ -695,6 +730,62 @@ def test_largest_vector_difference_takes_the_longest_code(top, bottom):
             diffs += [dx - p.dx, dy - p.dy]
     assert max(map(abs, diffs)) == 2 ** 32 - 1
     assert_decodes_like_the_oracle(p_frame_stream(diffs, rows=2))
+
+
+def test_vector_codes_span_several_parse_ranges(monkeypatch):
+    """4096 blocks of 4 px with differences near 2**20 and 2**30: their
+    codes fill more than one parse range of the P frame."""
+    rng = np.random.default_rng(19)
+    field = rng.integers(-(2 ** 30), 2 ** 30, (64, 64, 2))
+    field[::2] >>= 10
+    diffs = differences(field)
+    data = p_frame_stream(diffs, 64, 64, 4, random_frame(256, 256, rng))
+    assert_decodes_like_the_oracle(data)
+    (start, end), = vector_sections(data)
+    ranges, codes = [], bitstream.CodeParser.codes
+
+    def recorded(self, pos, stop):
+        ranges.append(pos)
+        return codes(self, pos, stop)
+
+    monkeypatch.setattr(bitstream.CodeParser, "codes", recorded)
+    assert np.array_equal(decoded_vectors(monkeypatch, data)[0], field)
+    assert any(start < pos < end for pos in ranges)
+
+
+def test_vector_out_of_range_before_a_bad_prefix_raises_the_vector_error():
+    # Block 0 is out of range; a later vector code has 33 zeros.
+    for bad in (2, 3, 4, 7):
+        diffs = [2 ** 31, 0, 0, 0, 0, 0, 0, 0]
+        diffs[bad] = None
+        assert_decodes_like_the_oracle(p_frame_stream(diffs, rows=2),
+                                       "frame 1: motion vector out of range")
+
+
+def test_bad_prefix_before_a_vector_out_of_range_raises_the_prefix_error():
+    # Block 1 is out of range; a code before its dy, or its dy, has 33 zeros.
+    for bad in (0, 1, 2, 3):
+        diffs = [0, 0, 0, -(2 ** 31) - 1, 0, 0, 0, 0]
+        diffs[bad] = None
+        assert_decodes_like_the_oracle(p_frame_stream(diffs, rows=2), "prefix too long")
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 7), (7, 1), (2, 2), (5, 6)])
+def test_vectors_at_the_int32_extremes_settle_within_the_bound(monkeypatch, rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    extremes = np.array([_INT32.min, _INT32.min + 1, -1, 0, 1, _INT32.max - 1, _INT32.max])
+    field = rng.choice(extremes, (rows, cols, 2))
+    data = p_frame_stream(differences(field), rows, cols)
+    assert_decodes_like_the_oracle(data)
+    passes, predictors = [], codec.median_predictors
+
+    def counted(vectors):
+        passes.append(1)
+        return predictors(vectors)
+
+    monkeypatch.setattr(codec, "median_predictors", counted)
+    assert np.array_equal(decoded_vectors(monkeypatch, data)[0], field)
+    assert 1 <= len(passes) <= codec._settle_passes(cols, rows)
 
 
 # --- header against payload ---------------------------------------------------------

@@ -571,6 +571,11 @@ def test_downsample_validates_inputs():
         downsample_flow(constant_flow(8, 8, 0, 0), 16, method="mode")
 
 
+def test_each_method_has_one_name():
+    with pytest.raises(ValueError, match="unknown method 'median'"):
+        downsample_flow(constant_flow(8, 8, 0, 0), 16, method="median")
+
+
 @pytest.mark.parametrize("size", [0, -4, 5, 32])
 @pytest.mark.parametrize("method", ["mean", "vector-median"])
 def test_downsample_rejects_block_sizes_before_estimating(monkeypatch, method, size):

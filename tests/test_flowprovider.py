@@ -167,6 +167,23 @@ def test_t2_passes_luma_pgm_of_both_frames(tmp_path):
     assert field[0, 0, 1] == (90 * W * H) % 1000
 
 
+@pytest.mark.parametrize("command, message", [
+    ("", "requires estimator_cmd"),
+    ("   ", "requires estimator_cmd"),
+    ("estimate 'cur.pgm", "No closing quotation"),
+])
+def test_t2_refuses_commands_that_cannot_run(command, message):
+    with pytest.raises(ValueError, match=message):
+        FlowProvider("T2", estimator_cmd=command)
+
+
+def test_t2_missing_executable_is_a_provider_error(tmp_path):
+    provider = FlowProvider("T2", estimator_cmd=str(tmp_path / "no-such-estimator"))
+    cur, ref = frames()
+    with pytest.raises(FlowProviderError, match="did not start"):
+        provider.get_flow("clip", 1, cur, ref)
+
+
 def test_provider_config_validation():
     with pytest.raises(ValueError):
         FlowProvider("T3")
