@@ -34,7 +34,10 @@ of codes go through numpy, with the same bits:
   code length at every bit of the gap, bridges to the first position a
   later chain reached. `CodeParser.values` then reads the values of all
   codes at once, with the same word gather. The codec parses every code of
-  a frame this way, vector differences and run-level codes alike.
+  a stream's payload this way, vector differences and run-level codes
+  alike, in ranges that run on past a frame's end: `CodeParser.rejoin`
+  reads the next frame's first codes serially until they meet that parse,
+  which goes on as the frame's.
 
 A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
 runs past the end of the data) ends the parse at its start, and
@@ -238,18 +241,21 @@ class BitReader:
 class CodeParser:
     """Finds the exp-Golomb codes of a byte string from a known code start,
     chains of codes in lockstep (`codes`, `_follow`) and serial reads
-    between them (`_walk`), and reads their values, with numpy."""
+    between them (`_walk`), and reads their values, with numpy. It keeps
+    the last parse it gave out, which `rejoin` continues."""
 
     def __init__(self, data: bytes):
         self.end = len(data) * 8
         self._data = bytes(data)
+        self._path = np.zeros(0, np.int64)  # the bounds last given out
 
     def codes(self, pos: int, stop: int) -> np.ndarray:
         """The bounds of the codes of the parse that starts at bit pos (a
         code start), up to the first code that starts at or past stop: code
         i spans bounds[i]:bounds[i + 1] (int64). The parse stops early at a
         code that `BitReader.read_ue` refuses; then bounds[-1] < stop is its
-        start, and `refuse` raises the reader's error there."""
+        start (bounds is [pos] when it is the first), and `refuse` raises
+        the reader's error there."""
         stop = min(stop, self.end + 1)  # a code at the end is always refused
         base = pos & ~31
         words = self._words(base, stop + _READ_PAST)
@@ -282,7 +288,8 @@ class CodeParser:
         if lengths.max(initial=1) > 2 * MAX_PREFIX + 1 or bounds[-1] > self.end - base:
             bad = np.flatnonzero((lengths > 2 * MAX_PREFIX + 1) | (bounds[1:] > self.end - base))
             bounds = bounds[:bad[0] + 1]
-        return bounds + base
+        self._path = bounds + base
+        return self._path
 
     def values(self, bounds: np.ndarray) -> np.ndarray:
         """uint64 values of the valid codes that span bounds[i]:bounds[i + 1]
@@ -299,6 +306,35 @@ class CodeParser:
         the code at pos, one that `codes` refused."""
         BitReader(self._data, pos).read_ue()
         raise AssertionError(f"the reader accepts the code at bit {pos}")
+
+    def rejoin(self, pos: int) -> np.ndarray | None:
+        """The bounds of the parse from bit pos (a code start) that continues
+        the last bounds given out: the code starts read serially from pos up
+        to the first of their positions, then theirs from there on, since
+        two parses that share a position agree after it. None where the
+        read reaches a code that `BitReader.read_ue` refuses, their last
+        position or `_REJOIN_BITS` bits past pos first. The code lengths
+        come from a table of the length at every bit of that window."""
+        path = self._path
+        if not len(path) or path[-1] < pos:
+            return None
+        stop = min(pos + _REJOIN_BITS, int(path[-1]) + 1)
+        base = pos & ~31
+        lengths = _lengths(self._words(base, stop), np.arange(pos - base, stop - base)).tolist()
+        marks = np.zeros(stop - pos, bool)
+        marks[path[np.searchsorted(path, pos):np.searchsorted(path, stop)] - pos] = True
+        marks = marks.tobytes()
+        read = array("q")
+        y = pos
+        while y < stop and not marks[y - pos]:
+            if lengths[y - pos] == _LONGEST:
+                return None
+            read.append(y)
+            y += lengths[y - pos]
+        if y >= stop:
+            return None
+        self._path = np.concatenate([np.array(read, np.int64), path[np.searchsorted(path, y):]])
+        return self._path
 
     def _words(self, base: int, stop: int) -> np.ndarray:
         """The 64 bits from every 32nd bit of the data, from bit base (a
@@ -400,6 +436,9 @@ _RUN_ON = 16
 _MAX_ROWS = _SEGMENT_BITS + _CHECK_ROWS + _RUN_ON + 1
 # The widest window of a serial read.
 _WALK_BITS = 1 << 14
+# The window of a rejoin: the frames of the benchmark's streams (seeds 1-3)
+# rejoin within 49 codes and 401 bits of their first code.
+_REJOIN_BITS = 1 << 10
 
 
 def _lengths(words: np.ndarray, at: np.ndarray) -> np.ndarray:

@@ -33,9 +33,10 @@ before any decision: zeros, or the provider's dense flow reduced by
 encoder: it reads the reference luma through one `ReferencePlane` per P
 frame, which interpolates all 16 quarter-pel phases once. A block's median
 predictor reads its left, top and top-right neighbours, so `_search_vectors`
-searches the whole frame under guessed predictors (the previous P frame's;
-after an intra frame, the flow field's, or zeros), then re-searches only
-the blocks whose predictor changed, until none does. No block's search
+searches the whole frame under guessed predictors (the previous P frame's,
+across an intra frame too; the flow field's on a GOP's first P frame in the
+hybrid modes; zeros before any P frame), then re-searches only the blocks
+whose predictor changed, until none does. No block's search
 reads another block of its `diamond_search` or `hex_search` call, so this
 fixed point is the raster-order field. In the hybrid modes the same calls score every block's
 flow-derived vector in their first batched step and return those costs
@@ -55,8 +56,8 @@ payload appends them after the type byte with `acc << length | bits` and
 pads with zeros to the next byte. The frame's motion and residual bit
 counts are the lengths of its packed codes.
 
-The decoder parses all of a frame's codes as one run, which `_read_levels`
-takes a range of bits at a time: the bounds of every code from
+The decoder parses the payload's codes in ranges of bits, and
+`_read_levels` takes each frame's from them: the bounds of every code from
 `bitstream.CodeParser.codes` and their values from `CodeParser.values`,
 with no Python step per code. In a P frame the first 2 * rows * cols codes
 are the vector differences d, and `_vectors` solves v = d + P(v) for the
@@ -68,14 +69,19 @@ planes follow. After any 1-bit code a level follows, and levels and runs
 alternate up to the next 1-bit code, so a code is a level where an even
 number of codes separates it from the previous 1-bit code, and a 1-bit
 level is an EOB. Without the EOBs, the codes are the blocks' (level, run)
-pairs in order, and every level is scattered into its block at once. The
-first range is a quarter longer than the codes of the frame before (the
-mean payload, for the first frame), and another follows only while EOBs
-are missing; no range is longer than `_MAX_RANGE_BITS`, so no array grows
-with the frame. A malformed frame raises the `BitstreamError` of its first
-bad code or symbol in stream order, as reading one code at a time would.
-Before any of that, a header that claims more frames or blocks than the
-payload can hold is rejected.
+pairs in order, and every level is scattered into its block at once. A
+range is `_MAX_RANGE_BITS` long, or ends with the data, so no array grows
+with the frame; the next starts where it ended, while EOBs are missing. A
+frame's last range runs on past its end, through the zero padding and the
+next type byte, and the next frame reads its first codes serially until
+they meet that parse (`CodeParser.rejoin`): from a shared position on, two
+parses agree. A frame whose read meets none within `bitstream._REJOIN_BITS`
+bits parses afresh from its first code. A parse that stops at a code the
+parser refuses raises there only if a frame needs that code. A malformed
+frame raises the `BitstreamError` of its first bad code or symbol in
+stream order, as reading one code at a time would. Before any of that, a
+header that claims more frames or blocks than the payload can hold is
+rejected.
 """
 from __future__ import annotations
 
@@ -236,7 +242,6 @@ def zigzag_order(n: int) -> tuple[int, ...]:
 
 _CHUNK_BLOCKS = 128
 _INT32 = np.iinfo(np.int32)
-_MIN_RANGE_BITS = 1 << 12
 _MAX_RANGE_BITS = 1 << 18  # the parser's arrays grow with the range
 _CHUNK_CODES = 1 << 14
 
@@ -267,7 +272,7 @@ def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
-def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]], span: int,
+def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
                  grid: tuple[int, int] | None,
                  frame: int) -> tuple[np.ndarray | None, list[np.ndarray], int]:
     """Read a frame's codes from bit p: in a P frame, whose block grid is
@@ -275,8 +280,9 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]], span
     consecutive planes of blocks, planes giving each plane's (block count,
     transform size t). Returns the (rows, cols, 2) int32 vectors (None
     without a grid), each plane's (blocks, t*t) levels in raster order and
-    the bit after the codes. span, the expected length of the codes in bits,
-    sizes the first range of bits parsed; later ranges follow while blocks
+    the bit after the codes. The codes continue the parser's last parse
+    where `CodeParser.rejoin` reads from p into it; ranges of
+    _MAX_RANGE_BITS follow, each from the last code start, while blocks
     are missing.
 
     Raises the error of the earliest malformed code, vector or pair, in
@@ -292,10 +298,14 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]], span
     motion = 0 if grid is None else 2 * grid[0] * grid[1]  # vector codes not split off yet
     vectors = None
     at = values = np.zeros(0, np.int64)  # starts and values of the codes not yet used
-    start = p
+    bounds = parser.rejoin(p)
     while True:
-        stop = p + min(max(span * 5 // 4, _MIN_RANGE_BITS), _MAX_RANGE_BITS)
-        bounds = parser.codes(p, stop)
+        if bounds is None:
+            bounds = parser.codes(p, p + _MAX_RANGE_BITS)
+            if len(bounds) == 1:  # the code at p is refused
+                if motion:  # the vectors complete before the bad code come first
+                    _vectors(values, np.append(at, p), grid, frame)
+                parser.refuse(p)
         for lo in range(0, len(bounds) - 1, _CHUNK_CODES):
             piece = bounds[lo:lo + _CHUNK_CODES + 1]
             at = np.concatenate([at, piece[:-1]])
@@ -345,13 +355,7 @@ def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]], span
                         int(at[limit]) + 1)
             cut = int(eobs[-1]) + 1 if closed else 0
             at, values = at[cut:], values[cut:]
-        if bounds[-1] < stop:
-            if motion:  # the vectors complete before the bad code come first
-                _vectors(values, np.append(at, bounds[-1]), grid, frame)
-            parser.refuse(int(bounds[-1]))
-        p = int(bounds[-1])
-        # The next range: the bits per block so far, for the blocks missing.
-        span = (p - start) * (need - done) // max(done, 1)
+        p, bounds = int(bounds[-1]), None
 
 
 def _vectors(codes: np.ndarray, bounds: np.ndarray, grid: tuple[int, int],
@@ -611,22 +615,20 @@ def encode_sequence(frames, config: CodecConfig, provider=None, sequence: str = 
     stats: list[FrameStats] = []
     recon: list[Frame] = []
     payloads: list[bytes] = []
+    predictors = np.zeros((rows, cols, 2), np.int64)  # the guess of the next search
 
     for n, cur in enumerate(frames):
         ref = None if n % config.gop_size == 0 else recon[-1]
         vectors = None
         vector_codes = (0, 0)
-        if ref is None:
-            predictors = None  # no P frame of this GOP to guess the next search from
-        else:
+        if ref is not None:
             flow_field = None
             if mode in FLOW_MODES:
                 dense = provider.get_flow(sequence, n, cur, ref)
                 flow_field = downsample_flow(dense, bs, _flow_method(mode))
             if mode in SEARCH_MODES:
-                if predictors is None:  # a GOP's first P frame
-                    predictors = (np.zeros((rows, cols, 2), np.int64) if flow_field is None
-                                  else median_predictors(flow_field.vectors))
+                if flow_field is not None and n % config.gop_size == 1:  # a GOP's first P frame
+                    predictors = median_predictors(flow_field.vectors)
                 vectors = _search_vectors(cur, ref, flow_field, config, cols, rows, predictors)
             elif flow_field is not None:
                 vectors = flow_field.vectors
@@ -704,7 +706,6 @@ def decode_sequence(data: bytes) -> list[Frame]:
              zip(((h0, w0), (h0 // 2, w0 // 2), (h0 // 2, w0 // 2)), sizes)]
     parser = CodeParser(data)
     p = HEADER_SIZE * 8
-    span = 8 * (len(data) - HEADER_SIZE) // max(info.frame_count, 1)  # residual bits expected
     frames: list[Frame] = []
     for n in range(info.frame_count):
         if p + 8 > parser.end:
@@ -715,9 +716,8 @@ def decode_sequence(data: bytes) -> list[Frame]:
         if ftype != expected:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = frames[-1] if ftype == 1 else None
-        vectors, levels, end = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids],
-                                            span, None if ref is None else (rows, cols), n)
-        span, p = end - p, end
+        vectors, levels, p = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids],
+                                          None if ref is None else (rows, cols), n)
         frames.append(Frame(*(_reconstruct_plane(pred, lv.reshape(-1, t, t), nby, nbx, q, *pred.shape)
                               for pred, lv, (nby, nbx, t) in
                               zip(_prediction(ref, vectors, bs, w0, h0), levels, grids)), n))

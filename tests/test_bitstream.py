@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -396,3 +398,32 @@ def test_parser_bridges_a_chain_met_after_one_code(monkeypatch):
     parser = CodeParser(data)
     assert parser_parse(parser, 0, parser.end + 1) == serial_parse(data, 0, parser.end + 1)
     assert any(not len(bridge) and chain >= 0 for bridge, chain, _ in walks)
+
+
+def test_rejoined_parse_is_what_the_per_code_reader_reads():
+    """A parse from bit 0 runs past every later code start. A serial read
+    from any bit rejoins it, or gives up where it reads a code the reader
+    refuses (inside the 64-zero runs between two codes of 2**32 - 1), the
+    end of the parse or the end of the window first; what it rejoins is the
+    per-code reader's parse from that bit."""
+    rng = np.random.default_rng(13)
+    values = rng.integers(0, 300, 400)
+    values[100:104] = values[250:251] = 2 ** 32 - 1
+    data = written(values.tolist(), False, 0, True)
+    parser = CodeParser(data)
+    path = parser.codes(0, parser.end + 1)
+    assert path[-1] > parser.end - 8  # the closing ue(5), then the padding, which overruns
+    on_path = set(path.tolist())
+    outcomes = Counter()
+    for pos in range(0, parser.end + 1, 5):
+        assert np.array_equal(parser.codes(0, parser.end + 1), path)
+        bounds = parser.rejoin(pos)
+        starts, error = serial_parse(data, pos, int(path[-1]))
+        if bounds is None:
+            met = [start for start in starts if start in on_path]
+            assert not met or met[0] >= pos + bitstream._REJOIN_BITS, pos
+            outcomes["refused" if error else "not rejoined"] += 1
+        else:
+            assert list(bounds) == starts and error is None, pos
+            outcomes["rejoined"] += 1
+    assert outcomes["rejoined"] > 0.9 * sum(outcomes.values()) and outcomes["refused"], outcomes

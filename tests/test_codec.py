@@ -256,8 +256,8 @@ def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
 
 def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
     # On a GOP's first P frame, the predictors of the flow field in the
-    # hybrid modes and zeros in the others; then the median predictors of
-    # the previous P frame's field.
+    # hybrid modes; otherwise the median predictors of the previous P
+    # frame's field, across an intra frame too, and zeros before any.
     searches = []
     search = codec._search_vectors
 
@@ -271,15 +271,44 @@ def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
         searches.clear()
         encode_sequence(clip, CodecConfig(mode, q=6, gop_size=3, block_size=8, search_range=8),
                         StubProvider(), "seq")
-        (g1, v1), (g2, _), (g4, v4), (g5, _) = searches  # frames 0 and 3 are intra
-        for n, guess in ((1, g1), (4, g4)):
+        (g1, v1), (g2, v2), (g4, v4), (g5, _) = searches  # frames 0 and 3 are intra
+        for n, guess, previous in ((1, g1, 0 * g1), (4, g4, median_predictors(v2))):
             flow = downsample_flow(StubProvider().get_flow("seq", n, clip[n], clip[n - 1]), 8,
                                    "mean")
-            want = median_predictors(flow.vectors) if mode in HYBRID_MODES else 0 * guess
+            want = median_predictors(flow.vectors) if mode in HYBRID_MODES else previous
             assert np.array_equal(guess, want)
         assert np.array_equal(g2, median_predictors(v1))
         assert np.array_equal(g5, median_predictors(v4))
-        assert v1.any() and g1.any() == (mode in HYBRID_MODES)
+        assert v1.any() and g1.any() == (mode in HYBRID_MODES) and g4.any()
+
+
+@pytest.mark.parametrize("mode, second", [("internal-diamond", [38, 9, 11, 6]),
+                                          ("internal-hex", [39, 33, 4, 7])])
+def test_gops_after_the_first_guess_from_the_last_p_frame(monkeypatch, mode, second):
+    """Blocks that pass 2 of the search re-searches in each P frame of two
+    GOPs: on frame 4, the first of the second GOP, about as few as on the
+    frames after a P frame, not as many as on frame 1, which guesses zeros."""
+    searched = []
+
+    def counted(search):
+        def wrapped(tiles, *args):
+            searched[-1].append(len(tiles))
+            return search(tiles, *args)
+        return wrapped
+
+    search_vectors = codec._search_vectors
+
+    def per_frame(*args):
+        searched.append([])
+        return search_vectors(*args)
+
+    monkeypatch.setattr(codec, "_search_vectors", per_frame)
+    for name in ("diamond_search", "hex_search"):
+        monkeypatch.setattr(codec, name, counted(getattr(codec, name)))
+    clip = translating_frames(64, 48, 6, dx=4, dy=2, seed=3)
+    encode_sequence(clip, CodecConfig(mode, q=6, gop_size=3, block_size=8, search_range=8))
+    assert [passes[0] for passes in searched] == [48] * 4  # frames 1, 2, 4 and 5
+    assert [passes[1] for passes in searched] == second
 
 
 def test_non_hybrid_decisions_have_no_candidates(frames):
@@ -503,20 +532,59 @@ def test_large_frames_round_trip():
         assert np.array_equal(rec.v, dec.v)
 
 
-def test_frames_of_several_parse_ranges_decode_like_the_sequential_decoder():
-    """A flat intra frame sizes the first range of the noisy frame after it
-    far too small, so the decoder grows it range by range; the noisy frame
-    after that needs several full ranges."""
+def test_frames_of_several_parse_ranges_decode_like_the_sequential_decoder(monkeypatch):
+    """A flat intra frame ends early in the first parse range, and the noisy
+    frame after it rejoins the codes parsed past that end; each noisy frame
+    needs several full ranges. The payload is parsed in consecutive ranges
+    of _MAX_RANGE_BITS, none cut short at a frame's end."""
     rng = np.random.default_rng(8)
     frames = [flat_frame(176, 144, 0, 0)] + [random_frame(176, 144, rng, n) for n in (1, 2)]
     result = encode_sequence(frames, CodecConfig("zero", q=1, block_size=8, gop_size=1))
     bits = [s.bits_residual for s in result.stats]
-    assert bits[0] < codec._MIN_RANGE_BITS and min(bits[1:]) > 2 * codec._MAX_RANGE_BITS
+    assert bits[0] < codec._MAX_RANGE_BITS and min(bits[1:]) > 2 * codec._MAX_RANGE_BITS
+    calls = parser_calls(monkeypatch)
     decoded = decode_sequence(result.bitstream)
     assert decode_outcome(lambda _: decoded, b"") == decode_outcome(decode_one_code_at_a_time,
                                                                      result.bitstream)
     for rec, dec in zip(result.recon, decoded):
         assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
+    starts = first_codes(result.bitstream)
+    ranges = [pos for kind, pos, *_ in calls if kind == "codes"]
+    assert ranges[0] == starts[0] and min(np.diff(ranges)) >= codec._MAX_RANGE_BITS
+    assert len(ranges) > sum(bits) // codec._MAX_RANGE_BITS
+    assert [(kind, pos) for kind, pos, *_ in calls if kind == "rejoin"] == [
+        ("rejoin", start) for start in starts[1:]]
+
+
+def parser_calls(monkeypatch) -> list[tuple]:
+    """Records every `CodeParser.codes` call as ("codes", pos) and every
+    `CodeParser.rejoin` as ("rejoin", pos, the codes read before it met the
+    path) or ("no rejoin", pos)."""
+    calls, codes, rejoin = [], bitstream.CodeParser.codes, bitstream.CodeParser.rejoin
+
+    def recorded_codes(self, pos, stop):
+        calls.append(("codes", pos))
+        return codes(self, pos, stop)
+
+    def recorded_rejoin(self, pos):
+        path = self._path
+        bounds = rejoin(self, pos)
+        calls.append(("no rejoin", pos) if bounds is None else
+                     ("rejoin", pos, int(np.isin(bounds, path).argmax())))
+        return bounds
+
+    monkeypatch.setattr(bitstream.CodeParser, "codes", recorded_codes)
+    monkeypatch.setattr(bitstream.CodeParser, "rejoin", recorded_rejoin)
+    return calls
+
+
+def first_codes(stream: bytes) -> list[int]:
+    """The bit of every frame's first code, after its type byte."""
+    starts, p = [], HEADER_SIZE * 8
+    for frame_bits in decode_sequential(stream)[1]:
+        starts.append(p + 8)
+        p += sum(frame_bits)
+    return starts
 
 
 def decode_outcome(decode, data: bytes):
@@ -545,12 +613,15 @@ def vector_sections(stream: bytes) -> list[tuple[int, int]]:
 def corruptions(stream: bytes, rng, count: int):
     """Seeded bit flips (mostly in the payload), truncations, appended bytes,
     zeroed byte spans (long exp-Golomb prefixes), bit flips or zeroed spans
-    in a P frame's vector codes, and a header that claims more frames: a few
-    more overrun after the last one, far more fail the payload-size check."""
+    in a P frame's vector codes, a header that claims more frames (a few
+    more overrun after the last one, far more fail the payload-size check),
+    and bit flips or zeroed spans in the first codes of a frame after the
+    first, where the codes parsed past the frame before are rejoined."""
     sections = vector_sections(stream)
+    starts = first_codes(stream)[1:]
     for k in range(count):
         data = bytearray(stream)
-        kind = k % 7
+        kind = k % 8
         if kind < 2:
             for _ in range(1 + kind * int(rng.integers(1, 4))):
                 lo = 0 if rng.random() < 0.1 else HEADER_SIZE * 8
@@ -574,10 +645,19 @@ def corruptions(stream: bytes, rng, count: int):
                 at = int(rng.integers(lo, hi)) >> 3
                 span = min(int(rng.integers(4, 7)), len(data) - at)
                 data[at:at + span] = bytes(span)
-        else:
+        elif kind == 6:
             fields = list(_HEADER.unpack_from(data))  # fields[7] is the frame count
             fields[7] += int(rng.integers(1, 5) if rng.random() < 0.5 else rng.integers(1000, 1 << 20))
             data[:HEADER_SIZE] = _HEADER.pack(*fields)
+        else:
+            start = starts[int(rng.integers(len(starts)))]
+            if rng.random() < 0.5:
+                for _ in range(int(rng.integers(1, 4))):
+                    bit = start + int(rng.integers(0, 24))
+                    data[bit >> 3] ^= 0x80 >> (bit & 7)
+            else:
+                at = start >> 3
+                data[at:at + 5] = bytes(5)  # a first code of more than 32 zeros
         yield bytes(data)
 
 
@@ -594,16 +674,19 @@ def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
                              ("hybrid-mean", 4), ("flow-mean", 8), ("internal-diamond", 16)):
         config = CodecConfig(mode, q=3, gop_size=2, block_size=block_size, search_range=4)
         stream = encode_sequence(frames, config, StubProvider(), "seq").bitstream
-        for data in corruptions(stream, rng, 98):
+        for k, data in enumerate(corruptions(stream, rng, 112)):
             outcome = decode_outcome(decode_sequence, data)
             assert outcome == decode_outcome(decode_one_code_at_a_time, data)
             if isinstance(outcome, str):
                 seen.update(kind for kind in ERROR_KINDS if kind in outcome)
+                if k % 8 == 7:
+                    seen["first codes"] += 1
             else:
                 seen["decoded"] += 1
-    # The fuzz reaches clean decodes and the errors of every layer.
+    # The fuzz reaches clean decodes and the errors of every layer, also
+    # from damaged first codes of a frame.
     assert {"decoded", "overrun", "prefix too long", "run overflows", "vector out of range",
-            "frame type", "trailing", "payload bytes"} <= seen.keys()
+            "frame type", "trailing", "payload bytes", "first codes"} <= seen.keys(), seen
 
 
 # --- hand-made streams at the limits ------------------------------------------------
@@ -786,6 +869,93 @@ def test_vectors_at_the_int32_extremes_settle_within_the_bound(monkeypatch, rows
     monkeypatch.setattr(codec, "median_predictors", counted)
     assert np.array_equal(decoded_vectors(monkeypatch, data)[0], field)
     assert 1 <= len(passes) <= codec._settle_passes(cols, rows)
+
+
+# --- frames that rejoin the codes parsed past the frame before ------------------------
+
+def test_intra_frames_rejoin_across_their_type_bytes(monkeypatch):
+    """In a stream of intra frames each frame starts with type byte 0x00
+    after the zero padding of the one before; the codes parsed past a
+    frame's end cross both, and the next frame rejoins them."""
+    clip = translating_frames(W, H, 5, dx=4, dy=2, seed=7)
+    stream = encode_sequence(clip, CodecConfig("zero", q=6, gop_size=1, block_size=8)).bitstream
+    starts = first_codes(stream)
+    assert [stream[start // 8 - 1] for start in starts] == [0] * 5
+    calls = parser_calls(monkeypatch)
+    assert_decodes_like_the_oracle(stream)
+    assert [(kind, pos) for kind, pos, *_ in calls] == (
+        [("no rejoin", starts[0]), ("codes", starts[0])] + [("rejoin", start) for start in starts[1:]])
+
+
+def two_intra_frames(first: int | None) -> bytes:
+    """Two empty 16x16 intra frames at block size 16; the first block of the
+    second holds one pair whose level is first, or whose level code is a
+    prefix of MAX_PREFIX + 1 zeros if first is None. The first frame's six
+    EOBs leave two bits of padding."""
+    writer = BitWriter()
+    writer.write_bytes(_HEADER.pack(MAGIC, 16, 16, 5, 16, 0, 1, 2, 25, 1))
+    writer.write_bits(0, 8)
+    for _ in range(6):
+        writer.write_se(0)
+    assert writer.align() == 2
+    writer.write_bits(0, 8)
+    if first is None:
+        writer.write_bits(1, MAX_PREFIX + 2)
+    else:
+        writer.write_se(first)
+    writer.write_ue(0)
+    for _ in range(6):
+        writer.write_se(0)
+    writer.align()
+    return writer.getvalue()
+
+
+def test_a_parse_refused_at_a_frame_boundary_leaves_the_next_frame_a_fresh_parse(monkeypatch):
+    """Two bits of padding, type byte 0x00 and a level code of 31 zeros: the
+    codes parsed past the first frame stop at its end, where more than 32
+    zeros lead, and the first frame needs no code there. The second frame
+    parses afresh from its first code; with one zero more, that code is
+    the error."""
+    calls = parser_calls(monkeypatch)
+    data = two_intra_frames(2 ** 31 - 1)
+    assert ue_bits(se_to_ue(2 ** 31 - 1)) == 2 * 31 + 1
+    assert_decodes_like_the_oracle(data)
+    first, second = first_codes(data)
+    assert calls == [("no rejoin", first), ("codes", first), ("no rejoin", second),
+                     ("codes", second)]
+    assert_decodes_like_the_oracle(two_intra_frames(None), f"prefix too long at bit {second + 33}")
+
+
+@pytest.mark.parametrize("diff, read", [((1, 0), 3), ((0, 1), None)])
+def test_a_parse_out_of_step_beyond_the_rejoin_window_is_not_rejoined(monkeypatch, diff, read):
+    """A black 128x128 intra frame at block size 4 ends on a byte, so the
+    codes parsed past it read type byte 0x01 and re-enter the P frame's
+    vector codes 7 bits in. Differences (0, 1) on every block code as
+    1 010 1 010 ..., whose codes start 0 and 1 bits past a multiple of 4,
+    while the carried parse steps on 3 and 2 past one: the two never meet,
+    and after _REJOIN_BITS the P frame is parsed afresh. Differences (1, 0)
+    code as 010 1 010 1 ..., which start at bit 7: the serial read meets
+    the carried parse after 3 codes."""
+    rows = cols = 32
+    data = p_frame_stream(list(diff) * rows * cols, rows, cols, 4, flat_frame(128, 128, 0))
+    assert decode_sequential(data)[1][0] == (0, 3072, 8)  # no padding
+    (start, end), = vector_sections(data)
+    assert end - start > 2 * bitstream._REJOIN_BITS
+    calls = parser_calls(monkeypatch)
+    assert_decodes_like_the_oracle(data)
+    assert calls[2:] == ([("no rejoin", start), ("codes", start)] if read is None else
+                         [("rejoin", start, read)])
+
+
+def test_a_qcif_stream_shorter_than_a_parse_range_is_parsed_in_one_call(monkeypatch):
+    clip = translating_frames(176, 144, 3, dx=4, dy=2, seed=5)
+    result = encode_sequence(clip, CodecConfig("internal-hex", q=10, block_size=16))
+    assert 8 * len(result.bitstream) < codec._MAX_RANGE_BITS
+    calls = parser_calls(monkeypatch)
+    for rec, dec in zip(result.recon, decode_sequence(result.bitstream), strict=True):
+        assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
+        assert np.array_equal(rec.v, dec.v)
+    assert [call for call in calls if call[0] == "codes"] == [("codes", (HEADER_SIZE + 1) * 8)]
 
 
 # --- header against payload ---------------------------------------------------------
