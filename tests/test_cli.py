@@ -1,10 +1,12 @@
+import csv
+import json
 import sys
 
 import numpy as np
 import pytest
 
 from flowcodec.cli import EXIT_INPUT, EXIT_OK, main
-from flowcodec.codec import _HEADER, MAGIC
+from flowcodec.codec import _HEADER, HEADER_SIZE, MAGIC, CodecConfig, encode_sequence
 from flowcodec.io import read_flo_file, read_metrics_csv, write_flo_file, write_metrics
 
 from synth import constant_flow, random_flow, translating_frames, write_y4m_file
@@ -68,8 +70,9 @@ def test_block_size_outside_luma_sizes_is_rejected(y4m, tmp_path):
 
 @pytest.fixture
 def rd_csv(tmp_path):
-    """RD sweep of two clips over four quantisers with one worker."""
-    clips = [write_y4m_file(tmp_path / f"clip{k}.y4m", translating_frames(16, 16, 2, seed=k))
+    """RD sweep of two 4-frame clips over four quantisers with one worker. A
+    mean over four frames may round differently from statistics.fmean's."""
+    clips = [write_y4m_file(tmp_path / f"clip{k}.y4m", translating_frames(16, 16, 4, seed=k))
              for k in (1, 2)]
     out, agg = tmp_path / "rd1.csv", tmp_path / "agg.csv"
     argv = ["rd-sweep", "--inputs", *clips, "--modes", "zero,internal-diamond",
@@ -97,6 +100,98 @@ def test_rd_sweep_aggregate_writes_median_rows(rd_csv):
         rates = [p["rate_bits_per_frame"] for p in per_clip
                  if (p["mode"], p["q"]) == (r["mode"], r["q"])]
         assert r["rate_bits_per_frame"] == min(rates)
+
+
+def _encode_stats(frames, mode, q):
+    """The FrameStats of an encode as the CLI runs it at --block-size 8."""
+    return encode_sequence(frames, CodecConfig(motion_mode=mode, q=q, block_size=8)).stats
+
+
+def _metrics_bytes(rows, fmt):
+    """rows (sequence, mode, q, rate, psnr) as rd-sweep writes them."""
+    if fmt == "json":
+        keys = ("sequence", "mode", "q", "rate_bits_per_frame", "psnr_db")
+        return (json.dumps([dict(zip(keys, r)) for r in rows], indent=2) + "\n").encode()
+    lines = [f"{s},{m},{q},{rate!r},{psnr!r}\n" for s, m, q, rate, psnr in rows]
+    return ("sequence,mode,q,rate_bits_per_frame,psnr_db\n" + "".join(lines)).encode()
+
+
+BDRATE_ZERO_TO_DIAMOND = [
+    "BD-Rate: -42.57%",
+    "  (test uses 42.57% fewer bits than reference at equal quality)",
+    "BD-PSNR: +9.708 dB",
+    "  (test is 9.708 dB better than reference at equal rate)",
+]
+
+
+def test_rd_outputs_are_the_mean_of_the_encodes_frame_stats(rd_csv, tmp_path, capsys):
+    """The RD outputs, byte for byte: an RD point is the mean bits_total and
+    the mean psnr_combined over all frames of one encode, and the aggregate
+    is the per-q lower median of rate and of PSNR across sequences. The
+    expected rows are rebuilt from encode_sequence, since the last bit of a
+    PSNR may differ between numpy builds; bdrate's rounded lines are pinned."""
+    argv, out, agg = rd_csv
+    modes, qs = ("internal-diamond", "zero"), (4, 8, 16, 32)
+    rows = []
+    for k in (1, 2):
+        frames = translating_frames(16, 16, 4, seed=k)
+        for mode in modes:
+            for q in qs:
+                stats = _encode_stats(frames, mode, q)
+                rows.append((f"clip{k}", mode, q, sum(s.bits_total for s in stats) / len(stats),
+                             sum(s.psnr_combined for s in stats) / len(stats)))
+    medians = [("median", mode, q, *(min(r[i] for r in rows if r[1:3] == (mode, q))
+                                     for i in (3, 4)))
+               for mode in modes for q in qs]
+    assert out.read_bytes() == _metrics_bytes(rows, "csv")
+    assert agg.read_bytes() == _metrics_bytes(medians, "csv")
+    out_json, agg_json = tmp_path / "rd.json", tmp_path / "agg.json"
+    assert main(argv + ["--out", str(out_json), "--aggregate-out", str(agg_json),
+                        "--format", "json", "--jobs", "2"]) == EXIT_OK
+    assert out_json.read_bytes() == _metrics_bytes(rows, "json")
+    assert agg_json.read_bytes() == _metrics_bytes(medians, "json")
+    capsys.readouterr()
+
+    for curves in (out, agg):
+        assert main(["bdrate", "--reference", str(curves), "--test", str(curves),
+                     "--ref-mode", "zero", "--test-mode", "internal-diamond"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == BDRATE_ZERO_TO_DIAMOND
+
+    clip, stream = tmp_path / "clip1.y4m", tmp_path / "c.fcl"
+    assert main(["encode", "--input", str(clip), "--out", str(stream), "--mode",
+                 "internal-diamond", "--q", "8", "--block-size", "8"]) == EXIT_OK
+    rate, psnr = next(r[3:] for r in rows if r[:3] == ("clip1", "internal-diamond", 8))
+    assert capsys.readouterr().out == (f"clip1: 4 frames, mode internal-diamond, q 8, "
+                                       f"{rate:.1f} bits/frame, {psnr:.2f} dB\n")
+
+
+def test_encode_stats_are_the_frame_stats_of_the_stream(tmp_path, capsys):
+    """The --stats CSV holds the encode's FrameStats; its bits_total column
+    counts every payload bit, and its mean is the summary line's bits/frame
+    and rd-sweep's rate for the same clip, mode and q."""
+    frames = translating_frames(16, 16, 3, seed=4)
+    clip = write_y4m_file(tmp_path / "clip.y4m", frames)
+    stream, stats_csv, rd = tmp_path / "c.fcl", tmp_path / "stats.csv", tmp_path / "rd.csv"
+    assert main(["encode", "--input", clip, "--out", str(stream), "--mode", "internal-hex",
+                 "--q", "8", "--block-size", "8", "--stats", str(stats_csv)]) == EXIT_OK
+    summary = capsys.readouterr().out
+    rows = list(csv.DictReader(stats_csv.read_text().splitlines()))
+    stats = _encode_stats(frames, "internal-hex", 8)
+    assert len(rows) == len(stats) == 3
+    for row, s in zip(rows, stats):
+        assert [int(row[k]) for k in ("frame", "bits_motion", "bits_residual", "bits_header",
+                                      "bits_total")] == [s.index, s.bits_motion, s.bits_residual,
+                                                         s.bits_header, s.bits_total]
+        for k in ("psnr_y", "psnr_u", "psnr_v", "psnr_combined"):
+            assert float(row[k]) == pytest.approx(getattr(s, k), abs=5e-5)
+    bits = [int(row["bits_total"]) for row in rows]
+    assert sum(bits) == 8 * (len(stream.read_bytes()) - HEADER_SIZE)
+    rate = sum(bits) / len(bits)
+    assert f", {rate:.1f} bits/frame, " in summary
+    assert main(["rd-sweep", "--inputs", clip, "--modes", "internal-hex", "--q-list", "8",
+                 "--block-size", "8", "--out", str(rd)]) == EXIT_OK
+    [point] = csv.DictReader(rd.read_text().splitlines())
+    assert float(point["rate_bits_per_frame"]) == rate
 
 
 def test_bdrate_of_curve_against_itself_is_zero(rd_csv, capsys):
