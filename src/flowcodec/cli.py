@@ -26,8 +26,8 @@ from .codec import (
 )
 from .flowadapt import METHODS, downsample_flow, expand_block_field
 from .flowprovider import PROVENANCE_MODES, FlowProvider, FlowProviderError
-from .metrics import bd_psnr, bd_rate, epe, median_aggregate
-from .model import LUMA_BLOCK_SIZES, RDPoint
+from .metrics import RDPoint, bd_psnr, bd_rate, epe, median_aggregate, rd_curves, rd_point
+from .model import LUMA_BLOCK_SIZES
 
 DEFAULT_Q_LIST = "2,5,10,15,20,25,30,35,40"
 
@@ -77,15 +77,20 @@ def _stats_csv(stats) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
-def cmd_encode(args) -> int:
-    header, frames = mio.load_y4m(args.input)
+def _encode(path, sequence: str, mode: str, q: int, args):
+    """Encode a Y4M file at its frame rate under the codec and flow-source
+    arguments: the file's header and the EncodeResult."""
+    header, frames = mio.load_y4m(path)
     if not frames:
-        raise ValueError(f"{args.input}: no frames")
+        raise ValueError(f"{path}: no frames")
+    result = encode_sequence(frames, _codec_config(mode, q, args), _make_provider(args),
+                             sequence, fps=(header.fps_num, header.fps_den))
+    return header, result
+
+
+def cmd_encode(args) -> int:
     sequence = args.sequence or Path(args.input).stem
-    provider = _make_provider(args)
-    config = _codec_config(args.mode, args.q, args)
-    result = encode_sequence(frames, config, provider, sequence,
-                             fps=(header.fps_num, header.fps_den))
+    header, result = _encode(args.input, sequence, args.mode, args.q, args)
     _atomic_write(args.out, result.bitstream)
     if args.stats:
         _atomic_write(args.stats, _stats_csv(result.stats))
@@ -93,10 +98,9 @@ def cmd_encode(args) -> int:
         recon_header = mio.SequenceHeader(header.width, header.height,
                                           header.fps_num, header.fps_den)
         _atomic_write(args.recon, mio.write_y4m(recon_header, result.recon))
-    total_bits = sum(s.bits_total for s in result.stats)
-    mean_psnr = sum(s.psnr_combined for s in result.stats) / len(result.stats)
-    print(f"{sequence}: {len(frames)} frames, mode {args.mode}, q {args.q}, "
-          f"{total_bits / len(frames):.1f} bits/frame, {mean_psnr:.2f} dB")
+    point = rd_point(sequence, args.mode, args.q, result.stats)
+    print(f"{sequence}: {len(result.stats)} frames, mode {args.mode}, q {args.q}, "
+          f"{point.rate:.1f} bits/frame, {point.psnr:.2f} dB")
     return EXIT_OK
 
 
@@ -111,18 +115,10 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _sweep_job(job) -> dict:
+def _sweep_job(job) -> RDPoint:
     path, sequence, mode, q, argd = job
-    args = argparse.Namespace(**argd)
-    header, frames = mio.load_y4m(path)
-    provider = _make_provider(args)
-    config = _codec_config(mode, q, args)
-    result = encode_sequence(frames, config, provider, sequence,
-                             fps=(header.fps_num, header.fps_den))
-    rate = sum(s.bits_total for s in result.stats) / len(result.stats)
-    psnr = sum(s.psnr_combined for s in result.stats) / len(result.stats)
-    return {"sequence": sequence, "mode": mode, "q": q,
-            "rate_bits_per_frame": rate, "psnr_db": psnr}
+    _, result = _encode(path, sequence, mode, q, argparse.Namespace(**argd))
+    return rd_point(sequence, mode, q, result.stats)
 
 
 def _distinct(values: list, what: str) -> list:
@@ -153,45 +149,31 @@ def cmd_rd_sweep(args) -> int:
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_job, jobs))
+            points = list(pool.map(_sweep_job, jobs))
     else:
-        records = [_sweep_job(job) for job in jobs]
-    records.sort(key=lambda r: (r["sequence"], r["mode"], r["q"]))
-    _atomic_write(args.out, mio.write_metrics(records, args.format))
+        points = [_sweep_job(job) for job in jobs]
+    points.sort(key=lambda p: (p.sequence, p.mode, p.q))
+    _atomic_write(args.out, mio.write_metrics(points, args.format))
 
     if args.aggregate_out:
-        agg_records = [{"sequence": "median", "mode": mode, "q": point.q,
-                        "rate_bits_per_frame": point.rate, "psnr_db": point.psnr}
-                       for mode in sorted(modes)
-                       for point in median_aggregate(
-                           _curves([r for r in records if r["mode"] == mode]))]
-        _atomic_write(args.aggregate_out, mio.write_metrics(agg_records, args.format))
-    print(f"wrote {len(records)} RD points to {args.out}")
+        medians = [median for mode in sorted(modes)
+                   for median in median_aggregate(rd_curves(p for p in points if p.mode == mode))]
+        _atomic_write(args.aggregate_out, mio.write_metrics(medians, args.format))
+    print(f"wrote {len(points)} RD points to {args.out}")
     return EXIT_OK
 
 
-def _curves(records) -> list[list[RDPoint]]:
-    """One q-sorted RD curve per sequence, in sequence-name order."""
-    by_sequence: dict[str, list[RDPoint]] = {}
-    for r in sorted(records, key=lambda r: (r["sequence"], r["q"])):
-        curve = by_sequence.setdefault(r["sequence"], [])
-        if curve and curve[-1].q == r["q"]:
-            raise ValueError(f"repeated RD record for sequence {r['sequence']!r} at q {r['q']}")
-        curve.append(RDPoint(r["q"], r["rate_bits_per_frame"], r["psnr_db"]))
-    return list(by_sequence.values())
-
-
 def _load_curve(path, mode_filter: str | None) -> list[RDPoint]:
-    records = mio.read_metrics_csv(Path(path).read_bytes())
+    """The median curve of a metrics CSV's points in one mode."""
+    points = mio.read_metrics_csv(Path(path).read_bytes())
     if mode_filter:
-        records = [r for r in records if r["mode"] == mode_filter]
-    if not records:
+        points = [p for p in points if p.mode == mode_filter]
+    if not points:
         raise ValueError(f"{path}: no matching RD records")
-    modes = sorted({r["mode"] for r in records})
+    modes = sorted({p.mode for p in points})
     if len(modes) > 1:
         raise ValueError(f"{path}: multiple modes {modes}; use --mode to pick one")
-    curves = _curves(records)
-    return median_aggregate(curves) if len(curves) > 1 else curves[0]
+    return median_aggregate(rd_curves(points))
 
 
 def cmd_bdrate(args) -> int:

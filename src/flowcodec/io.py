@@ -1,5 +1,6 @@
 """Bit-exact readers and writers: Y4M video, Middlebury .flo flow fields,
-binary PGM, and the metrics CSV/JSON emitted by the CLI."""
+binary PGM, and the metrics CSV/JSON emitted by the CLI, whose rows are
+RD points (`metrics.RDPoint`)."""
 from __future__ import annotations
 
 import csv
@@ -8,10 +9,11 @@ import logging
 import struct
 from dataclasses import dataclass
 from io import BytesIO, StringIO
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .metrics import RDPoint
 from .model import FlowField, Frame
 
 log = logging.getLogger(__name__)
@@ -233,12 +235,12 @@ def read_pgm(data: bytes) -> np.ndarray:
     return np.frombuffer(data, np.uint8, count=w * h, offset=pos).reshape(h, w)
 
 
-def write_metrics(records: Sequence[Mapping], fmt: str = "csv") -> bytes:
-    """Serialize sweep records with the fixed schema
+def write_metrics(points: Sequence[RDPoint], fmt: str = "csv") -> bytes:
+    """Serialize RD points with the fixed schema
 
     sequence,mode,q,rate_bits_per_frame,psnr_db
     """
-    rows = [{k: rec[k] for k in METRICS_FIELDS} for rec in records]
+    rows = [dict(zip(METRICS_FIELDS, (p.sequence, p.mode, p.q, p.rate, p.psnr))) for p in points]
     if fmt == "csv":
         buf = StringIO()
         writer = csv.DictWriter(buf, fieldnames=METRICS_FIELDS, lineterminator="\n")
@@ -250,8 +252,8 @@ def write_metrics(records: Sequence[Mapping], fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown metrics format {fmt!r}, expected 'csv' or 'json'")
 
 
-def read_metrics_csv(source: bytes | str) -> list[dict]:
-    """Parse a metrics CSV back into typed records. Raises ValueError on a
+def read_metrics_csv(source: bytes | str) -> list[RDPoint]:
+    """Parse a metrics CSV back into RD points. Raises ValueError on a
     missing column, or naming the line of a row with the wrong number of
     fields or a value that does not parse."""
     text = source.decode("ascii") if isinstance(source, (bytes, bytearray)) else source
@@ -259,7 +261,7 @@ def read_metrics_csv(source: bytes | str) -> list[dict]:
     missing = [name for name in METRICS_FIELDS if name not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"metrics CSV is missing column(s) {', '.join(missing)}")
-    records = []
+    points = []
     for row in reader:
         # A short row fills the missing fields with None; a long one keeps
         # the extra fields under the key None.
@@ -267,15 +269,8 @@ def read_metrics_csv(source: bytes | str) -> list[dict]:
             raise ValueError(f"metrics CSV line {reader.line_num}: expected "
                              f"{len(reader.fieldnames)} fields")
         try:
-            records.append(
-                {
-                    "sequence": row["sequence"],
-                    "mode": row["mode"],
-                    "q": int(row["q"]),
-                    "rate_bits_per_frame": float(row["rate_bits_per_frame"]),
-                    "psnr_db": float(row["psnr_db"]),
-                }
-            )
+            points.append(RDPoint(row["sequence"], row["mode"], int(row["q"]),
+                                  float(row["rate_bits_per_frame"]), float(row["psnr_db"])))
         except ValueError as exc:
             raise ValueError(f"metrics CSV line {reader.line_num}: {exc}") from None
-    return records
+    return points

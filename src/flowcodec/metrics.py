@@ -1,10 +1,14 @@
-"""Quality and comparison metrics: PSNR, flow end-point error, RD-curve
-aggregation, and the Bjontegaard rate/PSNR deltas."""
+"""Quality and comparison metrics: PSNR, flow end-point error, RD points and
+curves, and the Bjontegaard rate/PSNR deltas. An RD point is one encode of a
+sequence in one motion mode at one q, over all frames: the mean `bits_total`
+and the mean `psnr_combined` of its frame stats, as `rd-sweep` writes it."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Frame, RDCurve, RDPoint
+from .model import Frame
 
 PSNR_CAP = 99.0
 _PEAK_SQ = 255.0 * 255.0
@@ -55,15 +59,47 @@ def epe(f1: np.ndarray, f2: np.ndarray) -> float:
     return float(np.mean(np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)))
 
 
+@dataclass(frozen=True)
+class RDPoint:
+    """One operating point of a rate-distortion curve."""
+
+    sequence: str
+    mode: str
+    q: int
+    rate: float  # mean bits per frame
+    psnr: float  # mean combined PSNR, dB
+
+
+def rd_point(sequence: str, mode: str, q: int, stats) -> RDPoint:
+    """The RD point of an encode from its per-frame stats (codec.FrameStats)."""
+    return RDPoint(sequence, mode, q, sum(s.bits_total for s in stats) / len(stats),
+                   sum(s.psnr_combined for s in stats) / len(stats))
+
+
+def rd_curves(points) -> list[list[RDPoint]]:
+    """One q-sorted RD curve per sequence, in sequence-name order."""
+    by_sequence: dict[str, list[RDPoint]] = {}
+    for p in sorted(points, key=lambda p: (p.sequence, p.q)):
+        curve = by_sequence.setdefault(p.sequence, [])
+        if curve and curve[-1].q == p.q:
+            raise ValueError(f"repeated RD record for sequence {p.sequence!r} at q {p.q}")
+        curve.append(p)
+    return list(by_sequence.values())
+
+
 def _lower_median(values) -> float:
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
 
 
-def median_aggregate(curves: "list[RDCurve]") -> RDCurve:
-    """Per-q median of rate and PSNR across sequences (lower median on even counts)."""
+def median_aggregate(curves: list[list[RDPoint]]) -> list[RDPoint]:
+    """Per-q median of rate and PSNR across the curves of one mode (lower
+    median on even counts), as points of the sequence "median"."""
     if not curves:
         raise ValueError("no curves to aggregate")
+    modes = sorted({p.mode for curve in curves for p in curve})
+    if len(modes) > 1:
+        raise ValueError(f"curves of several modes {modes} do not aggregate")
     grid = sorted(p.q for p in curves[0])
     by_q = []
     for curve in curves:
@@ -73,17 +109,11 @@ def median_aggregate(curves: "list[RDCurve]") -> RDCurve:
         if sorted(qs) != grid:
             raise ValueError(f"curve q grid {sorted(qs)} does not match {grid}")
         by_q.append(qs)
-    return [
-        RDPoint(
-            q,
-            _lower_median(c[q].rate for c in by_q),
-            _lower_median(c[q].psnr for c in by_q),
-        )
-        for q in grid
-    ]
+    return [RDPoint("median", by_q[0][q].mode, q, _lower_median(c[q].rate for c in by_q),
+                    _lower_median(c[q].psnr for c in by_q)) for q in grid]
 
 
-def _validate_curve(curve: RDCurve, abscissa: str) -> tuple[np.ndarray, np.ndarray]:
+def _validate_curve(curve: list[RDPoint], abscissa: str) -> tuple[np.ndarray, np.ndarray]:
     """The PSNRs and log10 rates of a curve whose fit runs over abscissa
     ("PSNR" or "rate"). A repeated abscissa value makes the cubic fit rank
     deficient (two points at PSNR_CAP, say), so it raises ValueError."""
@@ -91,8 +121,8 @@ def _validate_curve(curve: RDCurve, abscissa: str) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"BD metrics need >= 4 points, got {len(curve)}")
     rates = np.array([p.rate for p in curve], np.float64)
     psnrs = np.array([p.psnr for p in curve], np.float64)
-    if not np.all(rates > 0.0):
-        raise ValueError("rates must be strictly positive")
+    if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        raise ValueError("rates must be finite and strictly positive")
     if not np.all(np.isfinite(psnrs)):
         raise ValueError("PSNR values must be finite")
     x = psnrs if abscissa == "PSNR" else rates
@@ -117,7 +147,7 @@ def _poly_mean_diff(x_ref, y_ref, x_test, y_test) -> float:
     return float((area_test - area_ref) / (hi - lo))
 
 
-def bd_rate(reference: RDCurve, test: RDCurve) -> float:
+def bd_rate(reference: list[RDPoint], test: list[RDPoint]) -> float:
     """Average rate difference of test vs reference at equal quality, percent.
 
     Fits log10(rate) as a cubic in PSNR for both curves and integrates the
@@ -130,7 +160,7 @@ def bd_rate(reference: RDCurve, test: RDCurve) -> float:
     return (10.0 ** avg_diff - 1.0) * 100.0
 
 
-def bd_psnr(reference: RDCurve, test: RDCurve) -> float:
+def bd_psnr(reference: list[RDPoint], test: list[RDPoint]) -> float:
     """Average PSNR difference (dB) of test vs reference at equal rate."""
     ref_psnr, ref_lograte = _validate_curve(reference, "rate")
     test_psnr, test_lograte = _validate_curve(test, "rate")

@@ -115,19 +115,6 @@ def block_grid(width: int, height: int, block_size: int) -> tuple[int, int]:
     return -(-width // block_size), -(-height // block_size)
 
 
-@dataclass(frozen=True)
-class RDPoint:
-    """One operating point of a rate-distortion curve."""
-
-    q: int
-    rate: float  # mean bits per frame
-    psnr: float  # dB
-
-
-#: A rate-distortion curve: RDPoints sorted by quantiser ascending.
-RDCurve: TypeAlias = "list[RDPoint]"
-
-
 def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVector) -> np.ndarray:
     """Motion-compensated block of a reference plane, rounded to integers.
 

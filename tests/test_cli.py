@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,16 +91,14 @@ def test_rd_sweep_is_independent_of_worker_count(rd_csv, tmp_path):
 
 def test_rd_sweep_aggregate_writes_median_rows(rd_csv):
     _, out, agg = rd_csv
-    rows = read_metrics_csv(agg.read_bytes())
-    assert len(rows) == 8
-    assert {r["sequence"] for r in rows} == {"median"}
-    assert [(r["mode"], r["q"]) for r in rows] == [
-        (m, q) for m in ("internal-diamond", "zero") for q in (4, 8, 16, 32)]
+    medians = read_metrics_csv(agg.read_bytes())
+    assert len(medians) == 8
+    assert {m.sequence for m in medians} == {"median"}
+    assert [(m.mode, m.q) for m in medians] == [
+        (mode, q) for mode in ("internal-diamond", "zero") for q in (4, 8, 16, 32)]
     per_clip = read_metrics_csv(out.read_bytes())
-    for r in rows:  # lower median of two values is the smaller one
-        rates = [p["rate_bits_per_frame"] for p in per_clip
-                 if (p["mode"], p["q"]) == (r["mode"], r["q"])]
-        assert r["rate_bits_per_frame"] == min(rates)
+    for m in medians:  # lower median of two values is the smaller one
+        assert m.rate == min(p.rate for p in per_clip if (p.mode, p.q) == (m.mode, m.q))
 
 
 def _encode_stats(frames, mode, q):
@@ -238,12 +237,25 @@ def test_rd_sweep_rejects_sweeps_without_distinct_rd_rows(y4m, tmp_path, capsys,
 
 def test_bdrate_rejects_repeated_rd_records(rd_csv, tmp_path, capsys):
     _, out, _ = rd_csv
-    records = read_metrics_csv(out.read_bytes())
+    points = read_metrics_csv(out.read_bytes())
     doubled = tmp_path / "doubled.csv"
-    doubled.write_bytes(write_metrics(records + [records[-1]]))
+    doubled.write_bytes(write_metrics(points + [points[-1]]))
     assert main(["bdrate", "--reference", str(out), "--test", str(doubled),
-                 "--mode", records[-1]["mode"]]) == EXIT_INPUT
+                 "--mode", points[-1].mode]) == EXIT_INPUT
     assert "repeated RD record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["--reference", "--test"])
+def test_bdrate_of_an_infinite_rate_is_input_error(rd_csv, tmp_path, capsys, which):
+    _, out, _ = rd_csv
+    points = [p for p in read_metrics_csv(out.read_bytes()) if p.sequence == "clip1"]
+    bad = tmp_path / "inf.csv"
+    bad.write_bytes(write_metrics(points[:-1] + [replace(points[-1], rate=float("inf"))]))
+    files = {"--reference": str(out), "--test": str(out), which: str(bad)}
+    assert main(["bdrate", *(a for kv in files.items() for a in kv),
+                 "--mode", points[-1].mode]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: rates must be finite and strictly positive\n"
 
 
 @pytest.mark.parametrize("text, message", [

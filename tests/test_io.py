@@ -19,6 +19,7 @@ from flowcodec.io import (
     write_pgm,
     write_y4m,
 )
+from flowcodec.metrics import RDPoint
 from flowcodec.model import Frame
 
 from synth import random_frame
@@ -208,10 +209,8 @@ def test_read_pgm_takes_a_zero_padded_maxval():
 
 # --- metrics records ----------------------------------------------------------
 
-RECORDS = [
-    {"sequence": "alley", "mode": "zero", "q": 5, "rate_bits_per_frame": 1234.5, "psnr_db": 38.25},
-    {"sequence": "alley", "mode": "internal-hex", "q": 10, "rate_bits_per_frame": 432.0, "psnr_db": 35.5},
-]
+POINTS = [RDPoint("alley", "zero", 5, 1234.5, 38.25),
+          RDPoint("alley", "internal-hex", 10, 432.0, 35.5)]
 
 
 def test_metrics_csv_header_only_when_empty():
@@ -219,13 +218,20 @@ def test_metrics_csv_header_only_when_empty():
 
 
 def test_metrics_json_roundtrip():
-    data = write_metrics(RECORDS, "json")
-    assert json.loads(data) == RECORDS
+    data = write_metrics(POINTS, "json")
+    assert json.loads(data) == [
+        {"sequence": "alley", "mode": "zero", "q": 5, "rate_bits_per_frame": 1234.5,
+         "psnr_db": 38.25},
+        {"sequence": "alley", "mode": "internal-hex", "q": 10, "rate_bits_per_frame": 432.0,
+         "psnr_db": 35.5},
+    ]
 
 
 def test_metrics_csv_roundtrip():
-    data = write_metrics(RECORDS, "csv")
-    assert read_metrics_csv(data) == RECORDS
+    data = write_metrics(POINTS, "csv")
+    assert data == (b"sequence,mode,q,rate_bits_per_frame,psnr_db\n"
+                    b"alley,zero,5,1234.5,38.25\nalley,internal-hex,10,432.0,35.5\n")
+    assert read_metrics_csv(data) == POINTS
 
 
 @pytest.mark.parametrize("text, message", [

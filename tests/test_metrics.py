@@ -1,17 +1,35 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowcodec.metrics import PSNR_CAP, bd_psnr, bd_rate, epe, frame_psnr, median_aggregate, psnr
-from flowcodec.model import RDPoint
+from flowcodec.codec import FrameStats
+from flowcodec.metrics import (
+    PSNR_CAP,
+    RDPoint,
+    bd_psnr,
+    bd_rate,
+    epe,
+    frame_psnr,
+    median_aggregate,
+    psnr,
+    rd_curves,
+    rd_point,
+)
 
 from synth import random_frame
 
-CURVE = [RDPoint(40, 1200.0, 31.0), RDPoint(30, 2100.0, 33.5),
-         RDPoint(20, 4000.0, 36.2), RDPoint(10, 9000.0, 40.1)]
+
+def _point(q, rate, psnr, sequence="clip", mode="zero"):
+    return RDPoint(sequence, mode, q, rate, psnr)
+
+
+CURVE = [_point(40, 1200.0, 31.0), _point(30, 2100.0, 33.5),
+         _point(20, 4000.0, 36.2), _point(10, 9000.0, 40.1)]
 
 
 def _scaled(curve, k):
-    return [RDPoint(p.q, p.rate * k, p.psnr) for p in curve]
+    return [replace(p, rate=p.rate * k) for p in curve]
 
 
 def test_bd_rate_of_curve_against_itself_is_zero():
@@ -28,8 +46,8 @@ def test_bd_rate_of_scaled_rates_is_k_minus_one(k):
 def test_bd_rate_rejects_a_repeated_psnr(which):
     # PSNRs 40, 40, 36, 34 (two points at PSNR_CAP in a real sweep, say):
     # the cubic fit of rate over PSNR is rank deficient.
-    repeated = [RDPoint(40, 1100.0, 34.0), RDPoint(30, 2000.0, 36.0),
-                RDPoint(20, 4200.0, 40.0), RDPoint(10, 9500.0, 40.0)]
+    repeated = [_point(40, 1100.0, 34.0), _point(30, 2000.0, 36.0),
+                _point(20, 4200.0, 40.0), _point(10, 9500.0, 40.0)]
     curves = [CURVE, CURVE]
     curves[which] = repeated
     with pytest.raises(ValueError, match="repeats a PSNR value"):
@@ -39,8 +57,8 @@ def test_bd_rate_rejects_a_repeated_psnr(which):
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_bd_psnr_rejects_a_repeated_rate(which):
-    repeated = [RDPoint(40, 1200.0, 31.0), RDPoint(30, 2100.0, 33.5),
-                RDPoint(20, 2100.0, 36.2), RDPoint(10, 9000.0, 40.1)]
+    repeated = [_point(40, 1200.0, 31.0), _point(30, 2100.0, 33.5),
+                _point(20, 2100.0, 36.2), _point(10, 9000.0, 40.1)]
     curves = [CURVE, CURVE]
     curves[which] = repeated
     with pytest.raises(ValueError, match="repeats a rate value"):
@@ -48,18 +66,58 @@ def test_bd_psnr_rejects_a_repeated_rate(which):
     assert np.isfinite(bd_rate(*curves))  # the PSNRs differ
 
 
+@pytest.mark.parametrize("bd", [bd_rate, bd_psnr])
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -1.0])
+def test_bd_metrics_reject_a_rate_that_is_not_finite_and_positive(bd, which, rate):
+    curves = [CURVE, CURVE]
+    curves[which] = CURVE[:3] + [replace(CURVE[3], rate=rate)]
+    with pytest.raises(ValueError, match="rates must be finite and strictly positive"):
+        bd(*curves)
+
+
+def _stats(bits_total, psnr_combined):
+    return FrameStats(0, 0, 0, 0, bits_total, 0.0, 0.0, 0.0, psnr_combined)
+
+
+def test_rd_point_is_the_mean_over_all_frames():
+    stats = [_stats(1000, 40.1), _stats(333, 35.3), _stats(334, 36.7)]
+    assert rd_point("clip", "zero", 8, stats) == RDPoint(
+        "clip", "zero", 8, (1000 + 333 + 334) / 3, (40.1 + 35.3 + 36.7) / 3)
+
+
+def test_rd_curves_sort_by_sequence_then_q():
+    a = [_point(q, 100.0 * q, 30.0, "a") for q in (8, 4, 16)]
+    b = [_point(q, 90.0 * q, 31.0, "b") for q in (4, 16, 8)]
+    curves = rd_curves(b + a)
+    assert curves == [sorted(a, key=lambda p: p.q), sorted(b, key=lambda p: p.q)]
+    with pytest.raises(ValueError, match="repeated RD record for sequence 'b' at q 8"):
+        rd_curves(a + b + [_point(8, 1.0, 1.0, "b")])
+
+
 def test_median_aggregate_takes_lower_median_per_q():
     curves = [_scaled(CURVE, k) for k in (1.0, 3.0, 2.0, 4.0)]
-    curves[1] = [RDPoint(p.q, p.rate, p.psnr + 1.0) for p in reversed(curves[1])]
+    curves[1] = [replace(p, psnr=p.psnr + 1.0) for p in reversed(curves[1])]
     assert median_aggregate(curves) == [
-        RDPoint(p.q, p.rate * 2.0, p.psnr) for p in sorted(CURVE, key=lambda p: p.q)]
+        RDPoint("median", "zero", p.q, p.rate * 2.0, p.psnr)
+        for p in sorted(CURVE, key=lambda p: p.q)]
+
+
+def test_median_of_one_curve_is_that_curve_as_the_median_sequence():
+    assert median_aggregate([CURVE]) == [
+        replace(p, sequence="median") for p in sorted(CURVE, key=lambda p: p.q)]
+
+
+def test_median_aggregate_rejects_curves_of_several_modes():
+    with pytest.raises(ValueError, match=r"several modes \['internal-hex', 'zero'\]"):
+        median_aggregate([CURVE, [replace(p, mode="internal-hex") for p in CURVE]])
 
 
 def test_median_aggregate_rejects_mismatched_grids():
     with pytest.raises(ValueError, match="does not match"):
         median_aggregate([CURVE, CURVE[:3]])
     with pytest.raises(ValueError, match="does not match"):
-        median_aggregate([CURVE, [RDPoint(45, 1.0, 1.0)] + CURVE[1:]])
+        median_aggregate([CURVE, [_point(45, 1.0, 1.0)] + CURVE[1:]])
     with pytest.raises(ValueError, match="no curves"):
         median_aggregate([])
 
@@ -67,7 +125,7 @@ def test_median_aggregate_rejects_mismatched_grids():
 @pytest.mark.parametrize("which", [0, 1])
 def test_median_aggregate_rejects_repeated_q(which):
     curves = [CURVE, CURVE]
-    curves[which] = CURVE + [RDPoint(30, 2200.0, 33.6)]
+    curves[which] = CURVE + [_point(30, 2200.0, 33.6)]
     with pytest.raises(ValueError, match="repeats a q"):
         median_aggregate(curves)
 
