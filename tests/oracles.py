@@ -17,10 +17,15 @@ blocks before it, as the stream format defines it. `wavefronts` orders a
 grid's blocks in anti-diagonal waves whose median predictors read only
 earlier waves: the order in which the tests search waves, and the bound on
 the encoder's search passes and the decoder's prediction passes.
+`quantize`, `reconstruct_plane` and `encode_plane` code and rebuild one
+plane by the formulas: levels sign(c) * floor(|c| / q + 1/2), pixels
+clip(floor(pred + res + 1/2), 0, 255), and each chunk of blocks' run-level
+codes written one at a time.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
 from flowcodec import blockmatch
 from flowcodec.bitstream import BitReader, BitstreamError, BitWriter
@@ -36,6 +41,7 @@ from flowcodec.blockmatch import (
 )
 from flowcodec.codec import (
     HEADER_SIZE,
+    _CHUNK_BLOCKS,
     _INT32,
     _check_payload_size,
     _prediction,
@@ -246,6 +252,54 @@ def write_block_levels(writer: BitWriter, scanned: np.ndarray) -> None:
         writer.write_ue(int(pos) - prev - 1)
         prev = int(pos)
     writer.write_se(0)
+
+
+def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """Uniform mid-tread levels sign(c) * floor(|c| / q + 1/2) as int32."""
+    coeffs = np.asarray(coeffs, np.float64)
+    return (np.sign(coeffs) * np.floor(np.abs(coeffs) / q + 0.5)).astype(np.int32)
+
+
+def reconstruct(pred: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Prediction plus residual, rounded half up and clipped to uint8."""
+    return np.clip(np.floor(pred + res + 0.5), 0, 255).astype(np.uint8)
+
+
+def _tiles(plane: np.ndarray, t: int) -> np.ndarray:
+    """The (blocks, t, t) tiles of a plane in raster order, zero padded."""
+    h, w = plane.shape
+    nby, nbx = -(-h // t), -(-w // t)
+    padded = np.zeros((nby * t, nbx * t), plane.dtype)
+    padded[:h, :w] = plane
+    return padded.reshape(nby, t, nbx, t).swapaxes(1, 2).reshape(nby * nbx, t, t)
+
+
+def reconstruct_plane(pred: np.ndarray, levels: np.ndarray, t: int, q: int) -> np.ndarray:
+    """A plane rebuilt from its prediction and the (blocks, t, t) levels of
+    its raster-order transform blocks."""
+    h, w = pred.shape
+    nby, nbx = -(-h // t), -(-w // t)
+    res = idctn(np.asarray(levels, np.float64) * float(q), axes=(1, 2), norm="ortho")
+    res = res.reshape(nby, nbx, t, t).swapaxes(1, 2).reshape(nby * t, nbx * t)
+    return reconstruct(pred, res[:h, :w])
+
+
+def encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
+                 q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One plane's reconstruction and its run-level codes, as (bits,
+    length) per _CHUNK_BLOCKS blocks, each block written one code at a time."""
+    residual = _tiles(cur.astype(np.float64) - pred, t)
+    levels = quantize(dctn(residual, axes=(1, 2), norm="ortho"), q)
+    scanned = levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))]
+    chunks = []
+    for first in range(0, len(scanned), _CHUNK_BLOCKS):
+        writer = BitWriter()
+        for block in scanned[first:first + _CHUNK_BLOCKS]:
+            write_block_levels(writer, block)
+        length = writer.bit_length
+        pad = writer.align()
+        chunks.append((int.from_bytes(writer.getvalue(), "big") >> pad, length))
+    return reconstruct_plane(pred, levels, t, q), chunks
 
 
 def read_block_levels(reader: BitReader, count: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from flowcodec.model import (
     predict_block,
 )
 
+import oracles
 from oracles import decode_sequential, flow_cost, hex_search, median_predictor, write_block_levels
 from test_bitstream import joined
 from synth import flat_frame, random_frame, translating_frames
@@ -395,6 +396,96 @@ def test_motion_compensate_is_predict_block_of_every_block(bs, w, h, vectors):
                 want = predict_block(plane, x0, y0, size, MotionVector(dx, dy))
                 assert np.array_equal(got[y0:y0 + size, x0:x0 + size],
                                       want[:ph - y0, :pw - x0]), (size, c, r, dx, dy)
+
+
+# --- quantiser and reconstruction against their formulas ------------------------
+
+QUANTISERS = (1, 2, 3, 10, 31)
+
+
+@pytest.mark.parametrize("q", QUANTISERS)
+def test_quantize_rounds_ties_away_from_zero(q):
+    k = np.arange(300)
+    ties = (k + 0.5) * q
+    assert np.array_equal(codec.quantize(ties, q), k + 1)
+    assert np.array_equal(codec.quantize(-ties, q), -(k + 1))
+
+
+@pytest.mark.parametrize("q", QUANTISERS)
+def test_quantize_maps_signed_zeros_to_zero(q):
+    levels = codec.quantize(np.array([0.0, -0.0, 0.49 * q, -0.49 * q]), q)
+    assert levels.dtype == np.int32 and np.array_equal(levels, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("q", QUANTISERS)
+def test_quantize_is_the_formula_and_keeps_its_input(q):
+    rng = np.random.default_rng(q)
+    for coeffs in (rng.normal(0, 40 * q, (64, 8, 8)),
+                   rng.integers(-500, 500, (64, 8, 8)) + 0.5,
+                   rng.integers(-500, 500, (64, 8, 8)) * (q / 2)):
+        kept = coeffs.copy()
+        levels = codec.quantize(coeffs, q)
+        assert levels.dtype == np.int32
+        assert np.array_equal(levels, oracles.quantize(kept, q))
+        assert np.array_equal(coeffs, kept)
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_quantize_rejects_a_quantiser_below_one(q):
+    with pytest.raises(ValueError):
+        codec.quantize(np.zeros(4), q)
+
+
+def _reconstructs_like_the_formula(pred, levels, t, q):
+    h, w = pred.shape
+    got = codec._reconstruct_plane(pred, levels.copy(), -(-h // t), -(-w // t), q, h, w)
+    assert got.dtype == np.uint8 and got.shape == pred.shape
+    assert np.array_equal(got, oracles.reconstruct_plane(pred, levels, t, q))
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 12, 20])
+def test_reconstruction_rounds_dc_residual_halves_like_the_formula(q):
+    """DC-only 8x8 blocks whose residual is k + 1/2, level * q = 4 (mod 8):
+    exactly on some blocks, an ulp off it after the inverse DCT on others."""
+    rng = np.random.default_rng(q)
+    dc = [level for level in range(-300, 301) if level * q % 8 == 4]
+    pred = rng.integers(0, 256, (24, 40)).astype(np.uint8)
+    levels = np.zeros((3 * 5, 8, 8), np.int32)
+    levels[:, 0, 0] = rng.choice(dc, len(levels))
+    _reconstructs_like_the_formula(pred, levels, 8, q)
+
+
+@pytest.mark.parametrize("fill", [0, 255])
+@pytest.mark.parametrize("q", [1, 10, 31])
+def test_reconstruction_clips_like_the_formula(fill, q):
+    rng = np.random.default_rng(q + fill)
+    pred = np.full((24, 40), fill, np.uint8)
+    levels = rng.integers(-2000, 2001, (3 * 5, 8, 8)).astype(np.int32)
+    _reconstructs_like_the_formula(pred, levels, 8, q)
+
+
+@pytest.mark.parametrize("h, w", [(13, 22), (30, 46)])
+@pytest.mark.parametrize("t", [2, 4, 8])
+def test_partial_edge_blocks_reconstruct_like_the_formula(t, h, w):
+    rng = np.random.default_rng(t * 100 + h)
+    pred = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    levels = rng.integers(-60, 61, (-(-h // t) * -(-w // t), t, t)).astype(np.int32)
+    levels[rng.random(levels.shape) < 0.7] = 0
+    _reconstructs_like_the_formula(pred, levels, t, 3)
+
+
+@pytest.mark.parametrize("q", [1, 6, 31])
+@pytest.mark.parametrize("h, w", [(13, 22), (30, 46), (32, 48)])
+@pytest.mark.parametrize("t", [2, 4, 8])
+def test_encode_plane_is_the_formula_and_the_sequential_writer(t, h, w, q):
+    rng = np.random.default_rng(t * 1000 + h * 10 + q)
+    cur = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    # a compensated plane is a view into the padded tiles
+    pred = rng.integers(0, 256, (h + 5, w + 3)).astype(np.uint8)[:h, :w]
+    recon, chunks = codec._encode_plane(cur, pred, t, q)
+    want_recon, want_chunks = oracles.encode_plane(cur, pred, t, q)
+    assert recon.dtype == np.uint8 and np.array_equal(recon, want_recon)
+    assert chunks == want_chunks
 
 
 def test_motion_compensate_rejects_a_grid_that_does_not_cover_the_frame():
