@@ -22,10 +22,15 @@ is, MSB first:
 
 Encoder and decoder both build every frame's prediction with `_prediction`
 (zero planes for intra frames, `motion_compensate` of the previous decoded
-frame otherwise) and add the dequantised residual to it the same way.
-`motion_compensate` is `predict_block` over whole planes of the reference
-`Frame`: it broadcasts each block's vector over its pixels and gathers the
-four bilinear taps of every pixel at once.
+frame otherwise) and add the dequantised residual to it the same way, with
+`_reconstruct_plane`. `motion_compensate` is `predict_block` over whole
+planes of the reference `Frame`: one `take` per plane gathers every
+block's (size + 1)-square window of border-clamped samples, U and V through
+the same indices, and the window's shifted views are its four bilinear
+taps, weighted across and then down in uint16. `_encode_plane` forms the
+residual once from the zero-padded blocks of both planes, `dctn` and `idctn`
+may overwrite their input, `quantize` rounds in one float64 array, and
+`_reconstruct_plane` adds the prediction, rounds and clips in another.
 
 The `zero`, `flow-mean` and `flow-median` modes know the whole vector field
 before any decision: zeros, or the provider's dense flow reduced by
@@ -212,11 +217,16 @@ def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
     if q < 1:
         raise ValueError("quantiser must be >= 1")
     coeffs = np.asarray(coeffs, np.float64)
-    return (np.sign(coeffs) * np.floor(np.abs(coeffs) / q + 0.5)).astype(np.int32)
+    levels = np.abs(coeffs)
+    levels /= q
+    levels += 0.5
+    np.floor(levels, out=levels)
+    np.copysign(levels, coeffs, out=levels)  # -0.0 still casts to 0
+    return levels.astype(np.int32)
 
 
 def dequantize(levels: np.ndarray, q: int) -> np.ndarray:
-    return np.asarray(levels, np.float64) * float(q)
+    return np.multiply(levels, float(q), dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -410,17 +420,26 @@ def _from_blocks(blocks: np.ndarray, nby: int, nbx: int, h: int, w: int) -> np.n
 
 def _reconstruct_plane(pred: np.ndarray, levels: np.ndarray, nby: int, nbx: int,
                        q: int, h: int, w: int) -> np.ndarray:
-    res = idctn(dequantize(levels, q), axes=(1, 2), norm="ortho")
-    res_full = _from_blocks(res, nby, nbx, h, w)
-    return np.clip(np.floor(pred + res_full + 0.5), 0, 255).astype(np.uint8)
+    """The uint8 h x w plane clip(floor(pred + res + 1/2), 0, 255), res being
+    the inverse transform of the (nby * nbx, t, t) dequantised levels of its
+    raster-order blocks. The prediction is added, rounded and clipped in
+    place, in res's float64 plane."""
+    res = idctn(dequantize(levels, q), axes=(1, 2), norm="ortho", overwrite_x=True)
+    plane = _from_blocks(res, nby, nbx, h, w)
+    plane += pred
+    plane += 0.5
+    np.floor(plane, out=plane)
+    np.clip(plane, 0, 255, out=plane)
+    return plane.astype(np.uint8)
 
 
 def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
                   q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Code one plane's residual; returns its reconstruction and its codes."""
-    residual = cur.astype(np.float64) - pred
-    blocks, nby, nbx = _to_blocks(residual, t)
-    levels = quantize(dctn(blocks, axes=(1, 2), norm="ortho"), q)
+    """Code one plane's residual; returns its reconstruction and its codes.
+    Both planes are zero padded to whole blocks, so the residual is too."""
+    blocks, nby, nbx = _to_blocks(cur, t)
+    residual = np.subtract(blocks, _to_blocks(pred, t)[0], dtype=np.float64)
+    levels = quantize(dctn(residual, axes=(1, 2), norm="ortho", overwrite_x=True), q)
     bits = _write_levels(levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
     h, w = cur.shape
     return _reconstruct_plane(pred, levels, nby, nbx, q, h, w), bits
@@ -436,38 +455,59 @@ def _transform_sizes(block_size: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Motion compensation and vector selection
 
+# `_compensate_plane` sums a sample's four weighted taps, plus the rounding
+# 8, in uint16.
+assert QPEL * QPEL * 255 + 8 < 2 ** 16
+
 
 def motion_compensate(ref: Frame, motion: BlockMotionField) -> tuple[np.ndarray, ...]:
     """Predict a frame's Y, U and V planes (uint8) from the reference frame:
     `predict_block` of every block under its vector, at once. Chroma uses the
-    halved vectors on the half-resolution grid. Raises ValueError when the
-    motion grid does not cover the frame."""
+    halved vectors on the half-resolution grid, through the same windows in
+    both planes. Raises ValueError when the motion grid does not cover the
+    frame."""
     motion.check_covers(ref.width, ref.height)
     bs = motion.block_size
-    chroma = chroma_vectors(motion.vectors)
-    return (_compensate_plane(ref.y, np.asarray(motion.vectors, np.int64), bs),
-            _compensate_plane(ref.u, chroma, bs // 2),
-            _compensate_plane(ref.v, chroma, bs // 2))
+    y = _compensate_plane(ref.y, _tap_windows(np.asarray(motion.vectors, np.int64), bs,
+                                              *ref.y.shape))
+    chroma = _tap_windows(chroma_vectors(motion.vectors), bs // 2, *ref.u.shape)
+    return y, _compensate_plane(ref.u, chroma), _compensate_plane(ref.v, chroma)
 
 
-def _compensate_plane(plane: np.ndarray, vectors: np.ndarray, size: int) -> np.ndarray:
-    """`predict_block` of every size x size block of plane under its int64
-    vector, as (rows, size, cols, size) tiles: pixel (a, b) of block (r, c)
-    reads its taps at x = c*size + b + ix and y = r*size + a + iy, clamped."""
-    h, w = plane.shape
+def _tap_windows(vectors: np.ndarray, size: int, h: int,
+                 w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bilinear taps of every size x size block of an h x w plane under
+    its int64 vector, for `_compensate_plane`: the flat indices of each
+    block's (size + 1) x (size + 1) window of border-clamped samples, as
+    (size + 1, size + 1, rows, cols), and the vectors' fractions fx and fy
+    as (rows, cols) uint16. Window sample (a, b) of block (r, c) is the
+    plane's at y = r*size + iy + a, x = c*size + ix + b, clamped."""
     rows, cols = vectors.shape[:2]
-    i, f = np.divmod(vectors[:, None, :, None], QPEL)
-    x = i[..., 0] + np.arange(cols * size).reshape(cols, size)
-    y = i[..., 1] + np.arange(rows * size).reshape(rows, size, 1, 1)
-    x0, x1 = np.clip(x, 0, w - 1), np.clip(x + 1, 0, w - 1)
-    y0, y1 = np.clip(y, 0, h - 1) * w, np.clip(y + 1, 0, h - 1) * w
-    # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
-    fx, fy = f[..., 0].astype(np.uint16), f[..., 1].astype(np.uint16)
-    gx, gy = QPEL - fx, QPEL - fy
-    flat = plane.ravel()
-    acc = (gy * (gx * flat.take(y0 + x0) + fx * flat.take(y0 + x1))
-           + fy * (gx * flat.take(y1 + x0) + fx * flat.take(y1 + x1)))
-    return ((acc + 8) >> 4).astype(np.uint8).reshape(rows * size, cols * size)[:h, :w]
+    i, f = np.divmod(vectors, QPEL)
+    taps = np.arange(size + 1)[:, None, None]
+    x = np.clip(i[..., 0] + np.arange(cols) * size + taps, 0, w - 1)
+    y = np.clip(i[..., 1] + np.arange(rows)[:, None] * size + taps, 0, h - 1)
+    return y[:, None] * w + x, f[..., 0].astype(np.uint16), f[..., 1].astype(np.uint16)
+
+
+def _compensate_plane(plane: np.ndarray,
+                      windows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """`predict_block` of every block of plane from its `_tap_windows`: one
+    gather of the windows, whose shifted views are the four taps, then a
+    pass across the window rows and one down them, in uint16. That is
+    gy*(gx*a + fx*b) + fy*(gx*c + fx*d), `predict_block`'s integer sum."""
+    index, fx, fy = windows
+    size, rows, cols = index.shape[0] - 1, *fx.shape
+    window = plane.ravel().take(index)
+    across = (QPEL - fx) * window[:, :-1]
+    across += fx * window[:, 1:]
+    acc = (QPEL - fy) * across[:-1]
+    acc += fy * across[1:]
+    acc += 8
+    acc >>= 4
+    tiles = acc.astype(np.uint8).transpose(2, 0, 3, 1)  # (rows, size, cols, size)
+    h, w = plane.shape
+    return tiles.reshape(rows * size, cols * size)[:h, :w]
 
 
 def select_block_vector(mode: str, searched: tuple[MotionVector, float] | None,
