@@ -260,11 +260,6 @@ def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
     return (np.sign(coeffs) * np.floor(np.abs(coeffs) / q + 0.5)).astype(np.int32)
 
 
-def reconstruct(pred: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Prediction plus residual, rounded half up and clipped to uint8."""
-    return np.clip(np.floor(pred + res + 0.5), 0, 255).astype(np.uint8)
-
-
 def _tiles(plane: np.ndarray, t: int) -> np.ndarray:
     """The (blocks, t, t) tiles of a plane in raster order, zero padded."""
     h, w = plane.shape
@@ -276,12 +271,13 @@ def _tiles(plane: np.ndarray, t: int) -> np.ndarray:
 
 def reconstruct_plane(pred: np.ndarray, levels: np.ndarray, t: int, q: int) -> np.ndarray:
     """A plane rebuilt from its prediction and the (blocks, t, t) levels of
-    its raster-order transform blocks."""
+    its raster-order transform blocks: prediction plus residual, rounded
+    half up and clipped."""
     h, w = pred.shape
     nby, nbx = -(-h // t), -(-w // t)
     res = idctn(np.asarray(levels, np.float64) * float(q), axes=(1, 2), norm="ortho")
-    res = res.reshape(nby, nbx, t, t).swapaxes(1, 2).reshape(nby * t, nbx * t)
-    return reconstruct(pred, res[:h, :w])
+    res = res.reshape(nby, nbx, t, t).swapaxes(1, 2).reshape(nby * t, nbx * t)[:h, :w]
+    return np.clip(np.floor(pred + res + 0.5), 0, 255).astype(np.uint8)
 
 
 def encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
