@@ -780,6 +780,21 @@ def test_corrupted_streams_decode_or_fail_like_the_sequential_decoder():
             "frame type", "trailing", "payload bytes", "first codes"} <= seen.keys(), seen
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_pieces_of_a_few_codes_decode_like_the_sequential_decoder(monkeypatch, chunk):
+    """Pieces of 1, 2, 3 and 7 codes: their edges fall on EOBs, inside open
+    blocks, between a P frame's vector codes and its residual, and next to
+    the codes whose errors the corrupted streams raise."""
+    frames = translating_frames(24, 16, 4, dx=2, dy=2, seed=3)
+    config = CodecConfig("internal-hex", q=8, gop_size=2, block_size=4, search_range=4)
+    stream = encode_sequence(frames, config).bitstream
+    monkeypatch.setattr(codec, "_CHUNK_CODES", chunk)
+    assert_decodes_like_the_oracle(stream)
+    for data in corruptions(stream, np.random.default_rng(chunk), 16):
+        assert decode_outcome(decode_sequence, data) == decode_outcome(
+            decode_one_code_at_a_time, data)
+
+
 # --- hand-made streams at the limits ------------------------------------------------
 
 def intra_stream(pairs, closing: int = 6) -> bytes:
