@@ -92,9 +92,15 @@ def se_to_ue_array(values) -> np.ndarray:
 
 
 def ue_to_se_array(codes: np.ndarray) -> np.ndarray:
-    """`ue_to_se` of a uint64 array (each value at most 2**33 - 2), as int64."""
-    half = (codes >> 1).astype(np.int64)
-    return np.where(codes & 1, half + 1, -half)
+    """`ue_to_se` of a uint64 or int64 array (each value at most 2**33 - 2),
+    as int64, with no branch. An odd v maps to (v >> 1) + 1 and an even v
+    to -(v >> 1), which is ~(v >> 1) + 1; (v & 1) - 1 is 0 for odd v and
+    all ones for even v, so the value is (v >> 1 ^ (v & 1) - 1) + 1."""
+    codes = codes.view(np.int64)
+    values = codes >> 1
+    values ^= (codes & 1) - 1
+    values += 1
+    return values
 
 
 def ue_pack(values) -> tuple[int, int]:

@@ -64,19 +64,21 @@ counts are the lengths of its packed codes.
 The decoder parses the payload's codes in ranges of bits, and
 `_read_levels` takes each frame's from them: the bounds of every code from
 `bitstream.CodeParser.codes` and their values from `CodeParser.values`,
-with no Python step per code. In a P frame the first 2 * rows * cols codes
-are the vector differences d, and `_vectors` solves v = d + P(v) for the
-field v, P being `median_predictors`, by iterating it over the whole grid
-until nothing changes. A block's predictor reads only earlier blocks, so
-row 0 is exact after the first pass, block (r, c) below it after pass
-c + 2r, and the fixed point is the raster-order field. The three residual
-planes follow. After any 1-bit code a level follows, and levels and runs
-alternate up to the next 1-bit code, so a code is a level where an even
-number of codes separates it from the previous 1-bit code, and a 1-bit
-level is an EOB. Without the EOBs, the codes are the blocks' (level, run)
-pairs in order, and every level is scattered into its block at once. A
-range is `_MAX_RANGE_BITS` long, or ends with the data, so no array grows
-with the frame; the next starts where it ended, while EOBs are missing. A
+with no Python step per code, `_CHUNK_CODES` new codes at a time, so that
+no per-code array grows with the frame. Where each level goes depends only
+on the header, so `decode_sequence` takes the stream's `_Layout` once: each
+block's offset and size in a frame's levels and one zig-zag to raster table
+of all of them. In a P frame the first 2 * rows * cols codes are the vector
+differences, and `_vectors` adds each block's to its median predictor in
+one raster-order pass over Python ints, as each piece brings them: a
+block's predictor reads only blocks before it. The three residual planes
+follow. After any 1-bit code a level follows, and levels and runs
+alternate up to the next 1-bit code, so a 1-bit code is an EOB where an odd
+number of codes separates it from the 1-bit code before it. Pair k of a
+piece's block b starts at code 2k + b; one cumulative sum of (run + 1)
+over the piece's pairs gives each level's scan position, and the layout's
+table its raster index. A range is `_MAX_RANGE_BITS` long, or ends with
+the data; the next starts where it ended, while EOBs are missing. A
 frame's last range runs on past its end, through the zero padding and the
 next type byte, and the next frame reads its first codes serially until
 they meet that parse (`CodeParser.rejoin`): from a shared position on, two
@@ -94,6 +96,7 @@ import struct
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -282,117 +285,195 @@ def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
 
 
-def _read_levels(parser: CodeParser, p: int, planes: list[tuple[int, int]],
-                 grid: tuple[int, int] | None,
+class _Layout(NamedTuple):
+    """Where the run-level codes of a stream's frames put their levels,
+    which depends only on its header."""
+
+    first: np.ndarray  # each block's first level in a frame's levels, then their count
+    size: np.ndarray  # each block's level count, then 0
+    place: np.ndarray  # each level's raster index in levels, by scan index
+    cuts: list[int]  # the planes' ends in levels, but the last
+    shapes: list[tuple[int, int]]  # each plane's (blocks, t * t)
+
+
+@lru_cache(maxsize=8)
+def _layout(planes: tuple[tuple[int, int], ...]) -> _Layout:
+    """The read-only `_Layout` of frames of consecutive planes of blocks,
+    planes giving each plane's (block count, transform size t)."""
+    shapes = [(n, t * t) for n, t in planes]
+    size = np.repeat([a for _, a in shapes] + [0], [n for n, _ in shapes] + [1])
+    first = np.zeros(len(size), np.int64)
+    np.cumsum(size[:-1], out=first[1:])
+    cuts = np.cumsum([n * a for n, a in shapes]).tolist()
+    place = np.empty(cuts[-1], np.int64)
+    for lo, hi, (n, a), (_, t) in zip([0] + cuts, cuts, shapes, planes):
+        np.add(np.arange(lo, hi, a)[:, None], zigzag_order(t), out=place[lo:hi].reshape(n, a))
+    for table in (first, size, place):
+        table.setflags(write=False)
+    return _Layout(first, size, place, cuts[:-1], shapes)
+
+
+def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, int] | None,
                  frame: int) -> tuple[np.ndarray | None, list[np.ndarray], int]:
     """Read a frame's codes from bit p: in a P frame, whose block grid is
-    (rows, cols), the vector differences, then the run-level codes of
-    consecutive planes of blocks, planes giving each plane's (block count,
-    transform size t). Returns the (rows, cols, 2) int32 vectors (None
-    without a grid), each plane's (blocks, t*t) levels in raster order and
-    the bit after the codes. The codes continue the parser's last parse
-    where `CodeParser.rejoin` reads from p into it; ranges of
-    _MAX_RANGE_BITS follow, each from the last code start, while blocks
-    are missing.
+    (rows, cols), the vector differences, then the run-level codes of the
+    blocks of the layout's planes. Returns the (rows, cols, 2) int32 vectors
+    (None without a grid), each plane's (blocks, t*t) int32 levels in raster
+    order and the bit after the codes.
+
+    The codes continue the parser's last parse where `CodeParser.rejoin`
+    reads from p into it; ranges of _MAX_RANGE_BITS follow, each from the
+    last code start, while blocks are missing. A piece is the codes of the
+    last one not used yet (an odd vector code, or an open block) and
+    _CHUNK_CODES new ones. `_vectors` decodes its complete blocks of vector
+    differences. Of its residual codes, a 1-bit code is an EOB where an
+    odd number of codes separates it from the 1-bit code before it (from
+    code -1), and the k-th EOB ends pair (eob_k - k) / 2: the codes but the
+    EOBs are the blocks' (level, run) pairs, and pair k of the piece's
+    block b starts at code 2k + b. A level's scan position in its block is
+    the sum of (run + 1) over the block's pairs up to it, less one: one
+    cumulative sum over the piece, less its value at the block's first
+    pair. Its block's first level in levels plus that position indexes
+    `_Layout.place`, which gives the raster index. The levels of the open
+    block are placed too, and again with the next piece.
 
     Raises the error of the earliest malformed code, vector or pair, in
     stream order, as reading them one by one would."""
-    counts = [n for n, _ in planes]
-    areas = [t * t for _, t in planes]
-    size = np.repeat(areas, counts)  # coefficients per block
-    first = np.cumsum(size) - size  # of the block's coefficients in levels
-    scan = np.concatenate([zigzag_order(t) for _, t in planes])
-    scan_of = np.repeat(np.cumsum(areas) - areas, counts)  # the block's scan in scan
-    levels = np.zeros(int(size.sum()), np.int32)
-    need, done = len(size), 0
-    motion = 0 if grid is None else 2 * grid[0] * grid[1]  # vector codes not split off yet
-    vectors = None
-    at = values = np.zeros(0, np.int64)  # starts and values of the codes not yet used
+    first, size, place = layout.first, layout.size, layout.place
+    levels = np.zeros(int(first[-1]), np.int32)
+    # A piece holds at most _CHUNK_CODES codes after those of an open block:
+    # at most t * t pairs, whose next would overflow it, and one level.
+    room = _CHUNK_CODES + 2 * max(a for _, a in layout.shapes) + 1
+    ends = np.empty(room // 2 + 1, np.int64)  # of (run + 1) over a piece's pairs before each
+    need, done = len(size) - 1, 0
+    rows, cols = grid or (0, 0)
+    field: list[int] = []  # the vectors so far, dx and dy of each block in raster order
+    motion = 2 * rows * cols  # vector codes not read yet
     bounds = parser.rejoin(p)
+    if bounds is None:
+        bounds = np.array([p], np.int64)
+    head = bounds[:0]  # the starts of the codes of earlier ranges not used yet
+    lo = seen = 0  # the first code not used yet and the first not read, in head then bounds
     while True:
-        if bounds is None:
-            bounds = parser.codes(p, p + _MAX_RANGE_BITS)
-            if len(bounds) == 1:  # the code at p is refused
-                if motion:  # the vectors complete before the bad code come first
-                    _vectors(values, np.append(at, p), grid, frame)
+        h = len(head)
+        if seen == h + len(bounds) - 1:
+            p = int(bounds[-1])
+            more = parser.codes(p, p + _MAX_RANGE_BITS)
+            if len(more) == 1:  # the code at p is refused
                 parser.refuse(p)
-        for lo in range(0, len(bounds) - 1, _CHUNK_CODES):
-            piece = bounds[lo:lo + _CHUNK_CODES + 1]
-            at = np.concatenate([at, piece[:-1]])
-            values = np.concatenate([values, parser.values(piece).view(np.int64)])
+            head = np.concatenate([head[lo:], bounds[max(lo - h, 0):-1]])
+            bounds, lo, seen, h = more, 0, len(head), len(head)
+        seen = min(seen + _CHUNK_CODES, h + len(bounds) - 1)
+        piece = (bounds[lo - h:seen - h + 1] if lo >= h else
+                 np.concatenate([head[lo:], bounds[:seen - h + 1]]))
+        values = parser.values(piece).view(np.int64)
+        if motion:
+            pairs = min(motion, len(values)) // 2
+            _vectors(field, ue_to_se_array(values[:2 * pairs]).tolist(), cols, piece, frame)
+            motion -= 2 * pairs
             if motion:
-                if len(values) < motion:
-                    continue
-                vectors = _vectors(values[:motion], np.append(at, piece[-1])[:motion + 1], grid, frame)
-                at, values, motion = at[motion:], values[motion:], 0
-            # After a 1-bit code a level follows, and levels and runs
-            # alternate up to the next 1-bit code; a 1-bit level is an EOB.
-            ones = np.flatnonzero(values == 0)
-            eobs = ones[np.diff(ones, prepend=-1) & 1 == 1]
-            finished = len(eobs) >= need - done
-            if finished:
-                eobs = eobs[:need - done]
-            closed = len(eobs)
-            limit = int(eobs[-1]) if finished else len(values)
-            paired = np.ones(limit, bool)
-            paired[eobs[eobs < limit]] = False
-            codes = values[:limit][paired]  # level, run, level, run, ...
-            pairs = len(codes) // 2
-            per_block = np.diff(eobs, prepend=-1) - 1 >> 1
-            per_block = np.append(per_block, pairs - per_block.sum())  # and the open block
-            block = np.repeat(np.arange(done, done + closed + 1), per_block)
-            level = ue_to_se_array(codes[:2 * pairs:2].view(np.uint64))
-            step = codes[1:2 * pairs:2] + 1  # run + 1, below 2**33
-            # A level sits at the sum of (run + 1) over its block's pairs so
-            # far, minus one.
-            end = np.cumsum(step)
-            pos = end - 1 - np.repeat(np.append(0, end)[np.cumsum(per_block) - per_block], per_block)
-            overflow = pos >= size[block]
-            bad = np.flatnonzero(overflow | (level < _INT32.min) | (level > _INT32.max))
-            if bad.size:
-                k = bad[0]
-                run = np.flatnonzero(paired)[2 * k + 1]
-                after = at[run + 1] if run + 1 < len(at) else piece[-1]
-                what = "run overflows block" if overflow[k] else "level out of range"
-                raise BitstreamError(f"coefficient {what} at bit {after}")
-            kept = pairs - per_block[-1]  # the pairs of closed blocks
-            levels[first[block[:kept]] + scan[scan_of[block[:kept]] + pos[:kept]]] = level[:kept]
-            done += closed
-            if finished:
-                cuts = np.cumsum([n * a for n, a in zip(counts, areas)])[:-1]
-                return (vectors,
-                        [part.reshape(n, a) for part, n, a in zip(np.split(levels, cuts), counts, areas)],
-                        int(at[limit]) + 1)
-            cut = int(eobs[-1]) + 1 if closed else 0
-            at, values = at[cut:], values[cut:]
-        p, bounds = int(bounds[-1]), None
+                lo += 2 * pairs
+                continue
+            values, piece = values[2 * pairs:], piece[2 * pairs:]
+            lo += 2 * pairs
+        ones = (values == 0).nonzero()[0]
+        odd = ones & 1
+        eob = np.empty(len(ones), bool)
+        eob[:1] = odd[:1] == 0
+        np.not_equal(odd[1:], odd[:-1], out=eob[1:])
+        eobs = ones[eob][:need - done]
+        closed = len(eobs)
+        finished = closed == need - done
+        limit = int(eobs[-1]) if finished else len(values)
+        pairs = (limit - closed + finished) // 2  # the codes before limit but EOBs, paired
+        # The pair index of each block's first pair, its open block's too,
+        # and then the end.
+        edges = np.empty(closed + 2 - finished, np.int64)
+        edges[0] = 0
+        np.subtract(eobs, np.arange(closed), out=edges[1:closed + 1])
+        edges[1:closed + 1] >>= 1
+        edges[closed + 1:] = pairs
+        blocks = slice(done, done + len(edges) - 1)
+        counts = np.diff(edges)
+        # Pair k of the piece's block b starts at code 2k + b.
+        at = np.arange(0, 2 * pairs, 2)
+        at += np.repeat(np.arange(len(counts)), counts)
+        level = values.take(at)
+        at += 1
+        run = values.take(at)
+        ends[0] = 0
+        np.add(run, 1, out=ends[1:pairs + 1])
+        np.cumsum(ends[1:pairs + 1], out=ends[1:pairs + 1])
+        steps = ends.take(edges)
+        # A block overflows where its pairs' (run + 1) add up past its size; a
+        # ue value up to 2**32 - 2 is an int32 level.
+        if (steps[1:] - steps[:-1] > size[blocks]).any() or level.max(initial=0) > 2 ** 32 - 2:
+            _check_pairs(level, ends[:pairs + 1], edges, size[blocks], piece)
+        scan = ends[1:pairs + 1]
+        scan += np.repeat(first[blocks] - 1 - steps[:-1], counts)
+        levels[place.take(scan)] = ue_to_se_array(level)
+        done += closed
+        if finished:
+            return (None if grid is None else np.array(field, np.int32).reshape(rows, cols, 2),
+                    [part.reshape(shape) for part, shape in
+                     zip(np.split(levels, layout.cuts), layout.shapes)],
+                    int(piece[limit]) + 1)
+        lo += int(eobs[-1]) + 1 if closed else 0
 
 
-def _vectors(codes: np.ndarray, bounds: np.ndarray, grid: tuple[int, int],
-             frame: int) -> np.ndarray:
-    """The (rows, cols, 2) int32 vectors v = d + `median_predictors`(v), d
-    being the se values of codes (ue, int64; dx then dy of each block in
-    raster order, zero past them), code i spanning bounds[i]:bounds[i + 1].
-    Values stay below passes * 2**32 in size. Raises, as reading the codes
-    one by one would, at the end of the first complete block outside int32."""
-    rows, cols = grid
-    diffs = np.zeros(2 * rows * cols, np.int64)
-    diffs[:len(codes)] = ue_to_se_array(codes.view(np.uint64))
-    diffs = diffs.reshape(rows, cols, 2)
-    used = np.zeros_like(diffs)  # the predictors of the last pass
-    for _ in range(_settle_passes(cols, rows)):
-        field = diffs + used
-        predictors = median_predictors(field)
-        if np.array_equal(predictors, used):
-            break
-        used = predictors
-    else:
-        raise AssertionError(f"vectors of a {cols}x{rows} grid did not settle")
-    out = ((field < _INT32.min) | (field > _INT32.max)).any(2).ravel()[:len(codes) // 2]
-    if out.any():
-        raise BitstreamError(f"frame {frame}: motion vector out of range at "
-                             f"bit {bounds[2 * out.argmax() + 2]}")
-    return field.astype(np.int32)
+def _check_pairs(level: np.ndarray, ends: np.ndarray, edges: np.ndarray, size: np.ndarray,
+                 piece: np.ndarray) -> None:
+    """Raise the error of a piece's first pair whose run overflows its block
+    or whose level is outside int32, if any, at the end of its run code:
+    level holds the pairs' ue level values, ends the sum of (run + 1) over
+    the pairs before each, edges each block's first pair, size each
+    block's level count, and piece the bounds of the piece's codes from
+    the first level."""
+    block = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    pos = ends[1:] - 1 - ends.take(edges)[block]
+    overflow = pos >= size[block]
+    value = ue_to_se_array(level)
+    bad = np.flatnonzero(overflow | (value < _INT32.min) | (value > _INT32.max))
+    if not bad.size:
+        return
+    k = bad[0]
+    what = "run overflows block" if overflow[k] else "level out of range"
+    raise BitstreamError(f"coefficient {what} at bit {piece[2 * k + int(block[k]) + 2]}")
+
+
+def _vectors(field: list[int], diffs: list[int], cols: int, bounds: np.ndarray,
+             frame: int) -> None:
+    """Extend field, the vectors of a grid cols wide so far, dx and dy of
+    each block in raster order, by those of the blocks whose differences
+    diffs holds, dx - pdx then dy - pdy of each: (pdx, pdy) is the median
+    of the block's left, top and top-right vectors, zero outside the grid,
+    as `tests/oracles.median_predictor` takes it. The median of three is
+    the left one clamped between the other two. Raises, as reading the
+    codes one by one would, at the end of the first block outside int32;
+    diffs[i]'s code ends at bounds[i + 1]."""
+    low, high = int(_INT32.min), int(_INT32.max)
+    k = len(field) // 2
+    c = k % cols
+    for i in range(0, len(diffs), 2):
+        if k < cols:  # no neighbours above, so a predictor of zero
+            x, y = diffs[i], diffs[i + 1]
+        else:
+            t = 2 * (k - cols)
+            ax, ay = field[t], field[t + 1]
+            bx, by = (field[t + 2], field[t + 3]) if c + 1 < cols else (0, 0)
+            lx, ly = (field[-2], field[-1]) if c else (0, 0)
+            if ax > bx:
+                ax, bx = bx, ax
+            if ay > by:
+                ay, by = by, ay
+            x = diffs[i] + (ax if lx < ax else bx if lx > bx else lx)
+            y = diffs[i + 1] + (ay if ly < ay else by if ly > by else ly)
+        if not (low <= x <= high and low <= y <= high):
+            raise BitstreamError(f"frame {frame}: motion vector out of range at "
+                                 f"bit {bounds[i + 2]}")
+        field += x, y
+        k += 1
+        c = 0 if c + 1 == cols else c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +825,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
     sizes = _transform_sizes(bs)
     grids = [(-(-ph // t), -(-pw // t), t) for (ph, pw), t in
              zip(((h0, w0), (h0 // 2, w0 // 2), (h0 // 2, w0 // 2)), sizes)]
+    layout = _layout(tuple((nby * nbx, t) for nby, nbx, t in grids))
     parser = CodeParser(data)
     p = HEADER_SIZE * 8
     frames: list[Frame] = []
@@ -756,7 +838,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
         if ftype != expected:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = frames[-1] if ftype == 1 else None
-        vectors, levels, p = _read_levels(parser, p, [(nby * nbx, t) for nby, nbx, t in grids],
+        vectors, levels, p = _read_levels(parser, p, layout,
                                           None if ref is None else (rows, cols), n)
         frames.append(Frame(*(_reconstruct_plane(pred, lv.reshape(-1, t, t), nby, nbx, q, *pred.shape)
                               for pred, lv, (nby, nbx, t) in

@@ -71,7 +71,10 @@ class RDPoint:
 
 
 def rd_point(sequence: str, mode: str, q: int, stats) -> RDPoint:
-    """The RD point of an encode from its per-frame stats (codec.FrameStats)."""
+    """The RD point of an encode from its per-frame stats (codec.FrameStats).
+    Raises ValueError when there are none."""
+    if not stats:
+        raise ValueError(f"no frame stats for sequence {sequence!r}, mode {mode}, q {q}")
     return RDPoint(sequence, mode, q, sum(s.bits_total for s in stats) / len(stats),
                    sum(s.psnr_combined for s in stats) / len(stats))
 

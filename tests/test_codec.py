@@ -966,15 +966,35 @@ def test_vectors_at_the_int32_extremes_settle_within_the_bound(monkeypatch, rows
     field = rng.choice(extremes, (rows, cols, 2))
     data = p_frame_stream(differences(field), rows, cols)
     assert_decodes_like_the_oracle(data)
-    passes, predictors = [], codec.median_predictors
-
-    def counted(vectors):
-        passes.append(1)
-        return predictors(vectors)
-
-    monkeypatch.setattr(codec, "median_predictors", counted)
     assert np.array_equal(decoded_vectors(monkeypatch, data)[0], field)
-    assert 1 <= len(passes) <= codec._settle_passes(cols, rows)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (5, 6), (9, 11)])
+def test_vector_fields_decode_like_the_sequential_decoder(monkeypatch, rows, cols):
+    """Seeded fields of int32 extremes and random int32 vectors, whose
+    differences reach 2**32 - 1 in size; in half of them one difference in
+    mid-grid leads its vector just outside int32, which raises at the end
+    of its block, before any later block is read."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    extremes = np.array([_INT32.min, _INT32.min + 1, -1, 0, 1, _INT32.max - 1, _INT32.max])
+    for k in range(6):
+        field = rng.choice(extremes, (rows, cols, 2))
+        field[rng.random((rows, cols, 2)) < 0.3] = rng.integers(_INT32.min, _INT32.max,
+                                                                 endpoint=True)
+        diffs = differences(field)
+        assert max(map(abs, diffs)) < 2 ** 32
+        if k % 2 == 0:
+            assert_decodes_like_the_oracle(p_frame_stream(diffs, rows, cols))
+            assert np.array_equal(decoded_vectors(monkeypatch, p_frame_stream(diffs, rows, cols))[0],
+                                  field)
+            continue
+        block = int(rng.integers(rows * cols // 2, rows * cols))
+        component = int(rng.integers(2))
+        predictor = median_predictors(field).reshape(-1, 2)[block, component]
+        outside = _INT32.max + 1 if predictor >= 0 else _INT32.min - 1
+        diffs[2 * block + component] = int(outside - predictor)
+        assert_decodes_like_the_oracle(p_frame_stream(diffs, rows, cols),
+                                       "frame 1: motion vector out of range")
 
 
 # --- frames that rejoin the codes parsed past the frame before ------------------------

@@ -86,6 +86,11 @@ def test_rd_point_is_the_mean_over_all_frames():
         "clip", "zero", 8, (1000 + 333 + 334) / 3, (40.1 + 35.3 + 36.7) / 3)
 
 
+def test_rd_point_of_no_frames_raises_naming_the_encode():
+    with pytest.raises(ValueError, match="sequence 'clip', mode zero, q 8"):
+        rd_point("clip", "zero", 8, [])
+
+
 def test_rd_curves_sort_by_sequence_then_q():
     a = [_point(q, 100.0 * q, 30.0, "a") for q in (8, 4, 16)]
     b = [_point(q, 90.0 * q, 31.0, "b") for q in (4, 16, 8)]
