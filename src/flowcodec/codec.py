@@ -67,18 +67,19 @@ The decoder parses the payload's codes in ranges of bits, and
 with no Python step per code, `_CHUNK_CODES` new codes at a time, so that
 no per-code array grows with the frame. Where each level goes depends only
 on the header, so `decode_sequence` takes the stream's `_Layout` once: each
-block's offset and size in a frame's levels and one zig-zag to raster table
-of all of them. In a P frame the first 2 * rows * cols codes are the vector
-differences, and `_vectors` adds each block's to its median predictor in
-one raster-order pass over Python ints, as each piece brings them: a
-block's predictor reads only blocks before it. The three residual planes
-follow. After any 1-bit code a level follows, and levels and runs
-alternate up to the next 1-bit code, so a 1-bit code is an EOB where an odd
-number of codes separates it from the 1-bit code before it. Pair k of a
-piece's block b starts at code 2k + b; one cumulative sum of (run + 1)
-over the piece's pairs gives each level's scan position, and the layout's
-table its raster index. A range is `_MAX_RANGE_BITS` long, or ends with
-the data; the next starts where it ended, while EOBs are missing. A
+block's offset and size in a frame's levels, and the int8 shift of every
+level from its zig-zag scan index to its raster index. In a P frame the
+first 2 * rows * cols codes are the vector differences, and `_vectors`
+adds each block's to its median predictor in one raster-order pass over
+Python ints, as each piece brings them: a block's predictor reads only
+blocks before it. The three residual planes follow. After any 1-bit code
+a level follows, and levels and runs alternate up to the next 1-bit code,
+so a 1-bit code is an EOB where an odd number of codes separates it from
+the 1-bit code before it. Pair k of a piece's block b starts at code
+2k + b; one cumulative sum of (run + 1) over the piece's pairs gives each
+level's scan position, and the layout's shift its raster index. A range
+is `_MAX_RANGE_BITS` long, or ends with the data; the next starts where it
+ended, while EOBs are missing. A
 frame's last range runs on past its end, through the zero padding and the
 next type byte, and the next frame reads its first codes serially until
 they meet that parse (`CodeParser.rejoin`): from a shared position on, two
@@ -291,26 +292,26 @@ class _Layout(NamedTuple):
 
     first: np.ndarray  # each block's first level in a frame's levels, then their count
     size: np.ndarray  # each block's level count, then 0
-    place: np.ndarray  # each level's raster index in levels, by scan index
-    cuts: list[int]  # the planes' ends in levels, but the last
-    shapes: list[tuple[int, int]]  # each plane's (blocks, t * t)
+    shift: np.ndarray  # int8, each level's raster index less its scan index in levels
+    cuts: tuple[int, ...]  # the planes' ends in levels, but the last
+    shapes: tuple[tuple[int, int], ...]  # each plane's (blocks, t * t)
 
 
 @lru_cache(maxsize=8)
 def _layout(planes: tuple[tuple[int, int], ...]) -> _Layout:
     """The read-only `_Layout` of frames of consecutive planes of blocks,
     planes giving each plane's (block count, transform size t)."""
-    shapes = [(n, t * t) for n, t in planes]
+    shapes = tuple((n, t * t) for n, t in planes)
     size = np.repeat([a for _, a in shapes] + [0], [n for n, _ in shapes] + [1])
     first = np.zeros(len(size), np.int64)
     np.cumsum(size[:-1], out=first[1:])
     cuts = np.cumsum([n * a for n, a in shapes]).tolist()
-    place = np.empty(cuts[-1], np.int64)
+    shift = np.empty(cuts[-1], np.int8)
     for lo, hi, (n, a), (_, t) in zip([0] + cuts, cuts, shapes, planes):
-        np.add(np.arange(lo, hi, a)[:, None], zigzag_order(t), out=place[lo:hi].reshape(n, a))
-    for table in (first, size, place):
+        shift[lo:hi].reshape(n, a)[:] = np.subtract(zigzag_order(t), np.arange(a))
+    for table in (first, size, shift):
         table.setflags(write=False)
-    return _Layout(first, size, place, cuts[:-1], shapes)
+    return _Layout(first, size, shift, tuple(cuts[:-1]), shapes)
 
 
 def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, int] | None,
@@ -333,13 +334,13 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
     block b starts at code 2k + b. A level's scan position in its block is
     the sum of (run + 1) over the block's pairs up to it, less one: one
     cumulative sum over the piece, less its value at the block's first
-    pair. Its block's first level in levels plus that position indexes
-    `_Layout.place`, which gives the raster index. The levels of the open
-    block are placed too, and again with the next piece.
+    pair. Its block's first level in levels plus that position is its
+    scan index, and `_Layout.shift` moves it to its raster index. The
+    levels of the open block are placed too, and again with the next piece.
 
     Raises the error of the earliest malformed code, vector or pair, in
     stream order, as reading them one by one would."""
-    first, size, place = layout.first, layout.size, layout.place
+    first, size, shift = layout.first, layout.size, layout.shift
     levels = np.zeros(int(first[-1]), np.int32)
     # A piece holds at most _CHUNK_CODES codes after those of an open block:
     # at most t * t pairs, whose next would overflow it, and one level.
@@ -411,7 +412,8 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
             _check_pairs(level, ends[:pairs + 1], edges, size[blocks], piece)
         scan = ends[1:pairs + 1]
         scan += np.repeat(first[blocks] - 1 - steps[:-1], counts)
-        levels[place.take(scan)] = ue_to_se_array(level)
+        scan += shift.take(scan)
+        levels[scan] = ue_to_se_array(level)
         done += closed
         if finished:
             return (None if grid is None else np.array(field, np.int32).reshape(rows, cols, 2),
