@@ -972,21 +972,21 @@ def test_vectors_at_the_int32_extremes_settle_within_the_bound(monkeypatch, rows
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (5, 6), (9, 11)])
 def test_vector_fields_decode_like_the_sequential_decoder(monkeypatch, rows, cols):
     """Seeded fields of int32 extremes and random int32 vectors, whose
-    differences reach 2**32 - 1 in size; in half of them one difference in
-    mid-grid leads its vector just outside int32, which raises at the end
-    of its block, before any later block is read."""
+    differences go up to 2**32 - 1 in size; in half of them one difference
+    in mid-grid leads its vector just outside int32, which raises at the
+    end of its block, before any later block is read."""
     rng = np.random.default_rng(rows * 100 + cols)
     extremes = np.array([_INT32.min, _INT32.min + 1, -1, 0, 1, _INT32.max - 1, _INT32.max])
     for k in range(6):
-        field = rng.choice(extremes, (rows, cols, 2))
-        field[rng.random((rows, cols, 2)) < 0.3] = rng.integers(_INT32.min, _INT32.max,
-                                                                 endpoint=True)
+        field = np.where(rng.random((rows, cols, 2)) < 0.3,
+                         rng.integers(_INT32.min, _INT32.max, (rows, cols, 2), endpoint=True),
+                         rng.choice(extremes, (rows, cols, 2)))
         diffs = differences(field)
         assert max(map(abs, diffs)) < 2 ** 32
         if k % 2 == 0:
-            assert_decodes_like_the_oracle(p_frame_stream(diffs, rows, cols))
-            assert np.array_equal(decoded_vectors(monkeypatch, p_frame_stream(diffs, rows, cols))[0],
-                                  field)
+            data = p_frame_stream(diffs, rows, cols)
+            assert_decodes_like_the_oracle(data)
+            assert np.array_equal(decoded_vectors(monkeypatch, data)[0], field)
             continue
         block = int(rng.integers(rows * cols // 2, rows * cols))
         component = int(rng.integers(2))
