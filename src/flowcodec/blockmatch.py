@@ -25,26 +25,38 @@ The searches run a batch of blocks in lockstep:
   turns out different (`codec._search_vectors`).
 - **One batched step.** Each step of the start pair, of the large-ring
   descent and of the small ring scores every still-moving block of the batch
-  at once: one fancy index of the reference phases (`ReferencePlane.blocks`),
-  one SAD over the (blocks, candidates) array, one vectorised exp-Golomb
-  rate (`se_bits_array`) and one `np.lexsort` on the key's fields. A
-  block leaves the descent when its ring keeps its centre. The hybrid
-  modes' flow-derived vectors are extra columns of the start pair's step:
-  scored there, never searched from, and their costs returned beside the
-  searched ones, so the caller decides each block without scoring again.
+  at once: one fancy index of the reference, one SAD over the (blocks,
+  candidates) array, one vectorised exp-Golomb rate (`se_bits_array`) and
+  one pick by the key (`_pick`: an argmin, and a `np.lexsort` on the key's
+  fields only when some block's least cost ties). The SAD is
+  max(pred, cur) - min(pred, cur) of the uint8 blocks, summed in uint32.
+  The start pair reads `ReferencePlane.blocks`. The rings compute their
+  candidates in whole pels, clamped to the window, and read phase 0 at the
+  displaced corners (`ReferencePlane.pel_blocks`). A ring's centre is its
+  pattern's first point, and its cost is the one the step before picked,
+  so only the other points are scored. A block leaves the descent when its
+  ring keeps its centre. The hybrid modes' flow-derived vectors are extra
+  columns of the start pair's step: scored there, never searched from, and
+  their costs returned beside the searched ones, so the caller decides
+  each block without scoring again.
 - **Quarter-pel steps, replayed.** A step of the quarter-pel descent
   re-centres on every win, so its later candidates depend on its earlier
-  ones. Each step scores the 3x3 neighbourhood of every moving block at
-  once, then replays the step block by block over plain (dx, dy) ints and
-  a dict of the block's cached costs. A candidate outside the 3x3 is scored
-  alone with `sad`. A block whose centre alone has the least cost of its
-  3x3 cannot move, and stops without a replay. `tests/oracles.py` holds the
-  one-block step that the replay must match.
+  ones. Each step scores the 8 neighbours of every moving block's vector at
+  once, the centre's cost carried. A block with no neighbour at or below
+  its centre's cost cannot move, and stops; numpy finds the others, and
+  only they replay the step block by block, over plain (dx, dy) ints and a
+  dict of the block's cached costs. A candidate outside the 3x3 is scored
+  alone with `sad`. `tests/oracles.py` holds the one-block step that the
+  replay must match.
+- **Array results.** A search returns each block's vector as an (n, 2)
+  int64 array, its cost as (n,) float64, and the flow vectors' costs as
+  (n,) float64 or None, which the caller assigns as they are.
 - **Same costs.** A batched cost is lambda_y * bits + sad in float64, from
   exact integer bits and SAD: the same two IEEE operations on the same
-  values as `rd_cost`'s Python floats. So the batched and the one-block
-  searches compare the same keys and pick the same vector and cost, which
-  the tests check against the one-block searches in `tests/oracles.py`.
+  values as `rd_cost`'s Python floats. So a carried cost is the one a
+  re-score would give, and the batched and the one-block searches compare
+  the same keys and pick the same vector and cost, which the tests check
+  against the one-block searches in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -54,6 +66,7 @@ import numpy as np
 
 from .bitstream import se_bits, se_bits_array
 from .model import (
+    LUMA_BLOCK_SIZES,
     QPEL,
     MotionVector,
     ReferencePlane,
@@ -61,17 +74,22 @@ from .model import (
     predict_block,  # noqa: F401  (kept as a name bench/tracer.py wraps)
 )
 
+# The batched SAD sums a block's uint8 differences in uint32.
+assert 255 * max(LUMA_BLOCK_SIZES) ** 2 < 2 ** 32
+
 # Large/small patterns for the two descent searches, in integer pixels; each
-# ring scores its centre first.
+# ring's first point is its centre, whose cost the step before carries.
 _DIAMOND_LARGE = np.array(((0, 0), (0, 2), (0, -2), (2, 0), (-2, 0),
                            (1, 1), (1, -1), (-1, 1), (-1, -1)))
 _DIAMOND_SMALL = np.array(((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)))
 _HEX_LARGE = np.array(((0, 0), (2, 0), (-2, 0), (1, 2), (1, -2), (-1, 2), (-1, -2)))
 _HEX_SMALL = _DIAMOND_SMALL
 # The quarter-pel descent: at most _QPEL_STEPS steps over the 3x3
-# neighbourhood of the best vector, in this order.
+# neighbourhood of the best vector, in this order; _QPEL_RING is the 3x3
+# without its centre, the points a batched step scores.
 _QPEL_STEPS = 3
 _QPEL_OFFSETS = tuple((ox, oy) for oy in (-1, 0, 1) for ox in (-1, 0, 1))
+_QPEL_RING = np.array([o for o in _QPEL_OFFSETS if o != (0, 0)])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,31 +135,49 @@ def rd_cost(distortion: int, mv: MotionVector, predictor: MotionVector,
     return lambda_y * mv_rate_bits(mv, predictor) + distortion
 
 
+def _pick(cand: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index of least (cost, |dx| + |dy|, dy, dx) among the
+    (rows, k, 2) candidates cand of (rows, k) costs, and that cost. A row
+    with one least cost needs no other field of the key."""
+    at, low = cost.argmin(1), cost.min(1)
+    if np.count_nonzero(cost == low[:, None]) > len(cost):
+        dx, dy = cand[..., 0], cand[..., 1]
+        at = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), cost), axis=-1)[:, 0]
+    return at, low
+
+
 def _batch_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                   config: SearchConfig, predictors: np.ndarray,
                   large_pattern: np.ndarray, small_pattern: np.ndarray,
                   flow: np.ndarray | None,
-                  ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     n, size = len(cur), config.block_size
     r, lambda_y = config.search_range, config.lambda_y
-    cur16 = cur.astype(np.int16)
 
-    def score(idx: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        # RD costs of the (blocks, candidates, 2) vectors cand of blocks idx.
-        pred = ref.blocks(origins[idx, None], size, cand)
-        distortion = np.abs(pred - cur16[idx, None]).reshape(*cand.shape[:2], -1).sum(-1)
+    def costs(idx: np.ndarray, cand: np.ndarray, pred: np.ndarray) -> np.ndarray:
+        # RD costs of the (blocks, candidates, 2) quarter-pel vectors cand of
+        # blocks idx, from their uint8 predictions pred, which it overwrites.
+        blocks = cur[idx, None]
+        diff = np.maximum(pred, blocks)
+        diff -= np.minimum(pred, blocks, out=pred)
+        distortion = diff.reshape(*cand.shape[:2], -1).sum(-1, dtype=np.uint32)
         return lambda_y * se_bits_array(cand - predictors[idx, None]).sum(-1) + distortion
 
-    def pick(cand: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Each block's candidate of least (cost, |dx| + |dy|, dy, dx), and its cost.
-        dx, dy = cand[..., 0], cand[..., 1]
-        at = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), cost), axis=-1)[:, 0]
-        rows = np.arange(len(cand))
-        return cand[rows, at], cost[rows, at]
+    def score(idx: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        return costs(idx, cand, ref.blocks(origins[idx, None], size, cand))
 
-    def ring(idx: np.ndarray, center: np.ndarray, pattern: np.ndarray):
-        cand = np.minimum(np.maximum(center[:, None] // QPEL + pattern, -r), r) * QPEL
-        return pick(cand, score(idx, cand))
+    def ring(idx: np.ndarray, center: np.ndarray, center_cost: np.ndarray,
+             pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The pick of each block's whole-pel ring about center, in pels, and
+        # its index in the pattern. pattern[0] is the centre, whose cost the
+        # step before gave; only the other points are scored.
+        cand = np.minimum(np.maximum(center[:, None] + pattern, -r), r)
+        others = cand[:, 1:]
+        cost = np.empty(cand.shape[:2])
+        cost[:, 0] = center_cost
+        cost[:, 1:] = costs(idx, others * QPEL, ref.pel_blocks(origins[idx, None] + others, size))
+        at, low = _pick(cand, cost)
+        return cand[np.arange(len(cand)), at], low, at
 
     every = np.arange(n)
     pel = np.minimum(np.maximum(np.rint(predictors / QPEL), -r), r).astype(np.int64)
@@ -150,39 +186,41 @@ def _batch_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
         # Scored beside the start pair, never searched from.
         start = np.concatenate([start, np.asarray(flow, np.int64)[:, None]], 1)
     cost = score(every, start)
-    flow_costs = None if flow is None else cost[:, 2].tolist()
-    center = pick(start[:, :2], cost[:, :2])[0]
+    flow_costs = None if flow is None else cost[:, 2]
+    at, cost = _pick(start[:, :2], cost[:, :2])
+    center = np.where(at[:, None] == 1, pel, 0)
     # Large-pattern descent: recentre while a ring beats its centre.
     active = every
     while active.size:
-        moved, _ = ring(active, center[active], large_pattern)
-        still = (moved != center[active]).any(axis=1)
-        center[active] = moved
-        active = active[still]
-    center, cost = ring(every, center, small_pattern)
-    vectors, costs = center.tolist(), cost.tolist()
+        moved, moved_cost, at = ring(active, center[active], cost[active], large_pattern)
+        center[active], cost[active] = moved, moved_cost
+        active = active[at > 0]
+    center, cost = ring(every, center, cost, small_pattern)[:2]
+    vectors = center * QPEL
     if not config.refine_subpel:
-        return [(MotionVector(dx, dy), c) for (dx, dy), c in zip(vectors, costs)], flow_costs
+        return vectors, cost, flow_costs
 
     # Quarter-pel descent in lockstep: each step scores the 3x3 neighbourhood
-    # of every moving block at once, then replays the step block by block
-    # over those costs. A win re-centres the rest of its step, so one step
-    # can move a vector up to 3 quarter-pels per axis; a candidate that
-    # leaves the 3x3 is scored alone. The (cached) centre never beats itself.
+    # of every moving block at once, the centre's cost carried, and replays
+    # the step block by block over those costs only where a neighbour costs
+    # no more than the centre: elsewhere nothing in the 3x3 wins. A win
+    # re-centres the rest of its step, so one step can move a vector up to 3
+    # quarter-pels per axis; a candidate that leaves the 3x3 is scored alone.
     bound = r * QPEL
-    cached: list[dict[tuple[int, int], float]] = [{} for _ in range(n)]
-    corners, preds = origins.tolist(), predictors.tolist()
+    cached: dict[int, dict[tuple[int, int], float]] = {}
     active = every
     for _ in range(_QPEL_STEPS):
-        cand = np.minimum(np.maximum(center[:, None] + _QPEL_OFFSETS, -bound), bound)
+        cand = np.minimum(np.maximum(vectors[active, None] + _QPEL_RING, -bound), bound)
+        step = score(active, cand)
+        replay = np.flatnonzero((step <= cost[active, None]).any(axis=1))
+        blocks = active[replay]
         moving = []
-        for i, scored, step_costs in zip(active.tolist(), cand.tolist(),
-                                         score(active, cand).tolist()):
-            (sx, sy), bc = vectors[i], costs[i]
-            if min(step_costs) == bc and step_costs.count(bc) == 1:
-                continue  # the centre alone is this cheap: nothing in the 3x3 wins
-            cache = cached[i]
+        for i, (sx, sy), bc, scored, step_costs in zip(
+                blocks.tolist(), vectors[blocks].tolist(), cost[blocks].tolist(),
+                cand[replay].tolist(), step[replay].tolist()):
+            cache = cached.setdefault(i, {})
             cache.update(zip(map(tuple, scored), step_costs))
+            cache[sx, sy] = bc
             bx, by, bl = sx, sy, abs(sx) + abs(sy)
             for ox, oy in _QPEL_OFFSETS:
                 dx, dy = bx + ox, by + oy
@@ -191,32 +229,33 @@ def _batch_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                 c = cache.get((dx, dy))
                 if c is None:
                     mv = MotionVector(dx, dy)
-                    c = cache[dx, dy] = rd_cost(sad(cur16[i], ref, corners[i], mv), mv,
-                                                MotionVector(*preds[i]), lambda_y)
+                    c = cache[dx, dy] = rd_cost(sad(cur[i], ref, origins[i].tolist(), mv), mv,
+                                                MotionVector(*predictors[i].tolist()), lambda_y)
                 if c < bc or c == bc and (abs(dx) + abs(dy), dy, dx) < (bl, by, bx):
                     bx, by, bc, bl = dx, dy, c, abs(dx) + abs(dy)
             if bx != sx or by != sy:
-                vectors[i], costs[i] = [bx, by], bc
+                vectors[i], cost[i] = (bx, by), bc
                 moving.append(i)
         if not moving:
             break
         active = np.array(moving)
-        center = np.array([vectors[i] for i in moving])
-    return [(MotionVector(dx, dy), c) for (dx, dy), c in zip(vectors, costs)], flow_costs
+    return vectors, cost, flow_costs
 
 
 def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                    config: SearchConfig, predictors: np.ndarray,
                    flow: np.ndarray | None = None,
-                   ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Large/small diamond descent of a batch of blocks, each seeded at (0,0)
-    and at its predictor. cur holds the blocks' (n, size, size) pixels,
-    origins their (n, 2) top-left corners and predictors their (n, 2) median
-    predictors, as int64; returns each block's searched vector and RD cost.
+    and at its predictor. cur holds the blocks' (n, size, size) uint8
+    pixels, origins their (n, 2) top-left corners and predictors their
+    (n, 2) median predictors, as int64. Returns each block's searched vector
+    as an (n, 2) int64 array, its RD cost as (n,) float64, and the flow
+    vectors' RD costs.
 
     flow, the blocks' (n, 2) flow-derived vectors when given, is scored in
     the start pair's step and never searched from; its RD costs come back
-    beside the searched pairs (None without flow)."""
+    as (n,) float64 (None without flow)."""
     return _batch_search(cur, ref, origins, config, predictors, _DIAMOND_LARGE, _DIAMOND_SMALL,
                          flow)
 
@@ -224,7 +263,7 @@ def diamond_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
 def hex_search(cur: np.ndarray, ref: ReferencePlane, origins: np.ndarray,
                config: SearchConfig, predictors: np.ndarray,
                flow: np.ndarray | None = None,
-               ) -> tuple[list[tuple[MotionVector, float]], list[float] | None]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Large hexagon then small cross descent of a batch of blocks, each
     seeded at (0,0) and at its predictor; arguments and result as
     `diamond_search`."""

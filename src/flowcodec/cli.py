@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 import traceback
+from dataclasses import fields
 from io import StringIO
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from . import io as mio
 from .codec import (
     MOTION_MODES,
     CodecConfig,
+    FrameStats,
     decode_sequence,
     encode_sequence,
     read_bitstream_info,
@@ -33,6 +35,9 @@ DEFAULT_Q_LIST = "2,5,10,15,20,25,30,35,40"
 
 STATS_FIELDS = ("frame", "bits_motion", "bits_residual", "bits_header", "bits_total",
                 "psnr_y", "psnr_u", "psnr_v", "psnr_combined")
+# The stats CSV's columns are FrameStats' fields in order, index as frame.
+assert STATS_FIELDS == tuple("frame" if f.name == "index" else f.name
+                             for f in fields(FrameStats))
 
 EXIT_OK = 0
 EXIT_INPUT = 1

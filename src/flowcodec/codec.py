@@ -43,11 +43,14 @@ across an intra frame too; the flow field's on a GOP's first P frame in the
 hybrid modes; zeros before any P frame), then re-searches only the blocks
 whose predictor changed, until none does. No block's search
 reads another block of its `diamond_search` or `hex_search` call, so this
-fixed point is the raster-order field. In the hybrid modes the same calls score every block's
-flow-derived vector in their first batched step and return those costs
-beside the searched ones. The passes decide from them in numpy; after the
-last one, `select_block_vector` decides each block once from its final
-(vector, cost) pairs, and scores nothing itself.
+fixed point is the raster-order field. The searches return arrays of
+vectors and costs, which the passes assign as they are. In the hybrid
+modes the same calls score every block's flow-derived vector in their
+first batched step and return those costs beside the searched ones. The
+passes decide from them in numpy; after the last one, `select_block_vector`
+decides each hybrid block once from its final (vector, cost) pairs, and
+scores nothing itself. The internal modes decide nothing: their field is
+the searched one.
 
 Every mode codes its vector differences once the field is known, against
 the median predictors of the whole grid at once (`median_predictors`). This
@@ -96,7 +99,6 @@ from __future__ import annotations
 import struct
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -182,8 +184,7 @@ class FrameStats:
     psnr_combined: float
 
 
-@dataclass(frozen=True)
-class BlockDecision:
+class BlockDecision(NamedTuple):
     """The chosen vector; hybrid modes also keep both candidates' RD costs."""
 
     mv: MotionVector
@@ -645,9 +646,10 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     for the first pass.
 
     Every pass decides the hybrid blocks with `select_block_vector`'s strict
-    `<`. After pass p >= 2 every wave c + 2r below p is final, so the
-    passes end within `_settle_passes`. A search call takes at most
-    _SEARCH_BLOCKS blocks.
+    `<`, and `select_block_vector` decides each of them once after the last
+    pass; an internal mode returns its searched vectors. After pass p >= 2
+    every wave c + 2r below p is final, so the passes end within
+    `_settle_passes`. A search call takes at most _SEARCH_BLOCKS blocks.
     """
     mode, bs, n = config.motion_mode, config.block_size, rows * cols
     luma = ReferencePlane(ref.y)
@@ -662,10 +664,9 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     for _ in range(passes):
         for lo in range(0, len(todo), _SEARCH_BLOCKS):
             batch = todo[lo:lo + _SEARCH_BLOCKS]
-            found, scored = search(tiles[batch], luma, origins[batch], config, used[batch],
-                                   None if flow is None else flow[batch])
-            vectors[batch] = [mv for mv, _ in found]
-            costs[batch] = [cost for _, cost in found]
+            vectors[batch], costs[batch], scored = search(
+                tiles[batch], luma, origins[batch], config, used[batch],
+                None if flow is None else flow[batch])
             if scored is not None:
                 flow_costs[batch] = scored
         field = vectors if flow is None else np.where((flow_costs < costs)[:, None], flow, vectors)
@@ -677,9 +678,10 @@ def _search_vectors(cur: Frame, ref: Frame, flow_field: BlockMotionField | None,
     else:
         raise AssertionError(f"block search of a {cols}x{rows} grid did not settle "
                              f"in {passes} passes")
+    if flow is None:
+        return vectors.astype(np.int32).reshape(rows, cols, 2)
     searched = zip(map(MotionVector._make, vectors.tolist()), costs.tolist())
-    flows = (repeat(None) if flow is None else
-             zip(map(MotionVector._make, flow.tolist()), flow_costs.tolist()))
+    flows = zip(map(MotionVector._make, flow.tolist()), flow_costs.tolist())
     return np.array([select_block_vector(mode, pair, flow_pair).mv
                      for pair, flow_pair in zip(searched, flows)], np.int32).reshape(rows, cols, 2)
 

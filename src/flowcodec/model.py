@@ -123,10 +123,10 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
     integer and (acc + 8) >> 4 rounds half up without any float arithmetic.
     Out-of-plane reads replicate the border.
 
-    The searches read blocks through `ReferencePlane.blocks` and
-    `ReferencePlane.block`, and `codec.motion_compensate` computes every
-    block of a frame at once; all give this gather's values, and the tests
-    hold them to it.
+    The searches read blocks through `ReferencePlane.blocks`,
+    `ReferencePlane.pel_blocks` and `ReferencePlane.block`, and
+    `codec.motion_compensate` computes every block of a frame at once; all
+    give this gather's values, and the tests hold them to it.
     """
     h, w = plane.shape
     ix, fx = divmod(int(mv.dx), QPEL)
@@ -157,6 +157,10 @@ def predict_block(plane: np.ndarray, x0: int, y0: int, size: int, mv: MotionVect
 #: block that leaves it lies wholly beyond the plane's border.
 REF_MARGIN = max(LUMA_BLOCK_SIZES)
 
+# `ReferencePlane` interpolates in uint16: a weighted sum of four samples
+# plus the rounding term.
+assert QPEL * QPEL * 255 + 8 < 2 ** 16
+
 
 class ReferencePlane:
     """A uint8 reference plane, interpolated once for all the blocks read
@@ -166,14 +170,14 @@ class ReferencePlane:
     are interpolated over the whole padded plane at once, with
     `predict_block`'s formula, into one (16, rows, cols) array indexed by
     fy * QPEL + fx. A compensated block is then a slice of one phase, and a
-    batch of blocks is one fancy index of that array (`blocks`). Phases are
-    uint8: the rounded samples are exactly 0..255.
+    batch of blocks is one fancy index of that array (`blocks`), or of phase
+    0 alone at whole-pel vectors (`pel_blocks`). Phases are uint8: the
+    rounded samples are exactly 0..255.
     """
 
     def __init__(self, plane: np.ndarray):
         if not isinstance(plane, np.ndarray) or plane.ndim != 2 or plane.dtype != np.uint8:
             raise ValueError("reference plane must be a 2D uint8 array")
-        # The weighted sum is at most 16 * 255 + 8, so uint16 holds it.
         p = np.pad(plane, REF_MARGIN, mode="edge").astype(np.uint16)
         fx = np.arange(QPEL, dtype=np.uint16)[:, None, None]
         rows = (QPEL - fx) * p[:, :-1] + fx * p[:, 1:]  # [fx, y, x]
@@ -206,14 +210,30 @@ class ReferencePlane:
         """`block` of every broadcast pair of int64 (x0, y0) origins and
         (dx, dy) vectors, as one uint8 array of shape (..., size, size): one
         fancy index of the phases, clamped as `block` clamps."""
+        i, f = np.divmod(vectors, QPEL)
+        at = self._corners(origins + i, size)
+        return self._view(size)[f[..., 1] * QPEL + f[..., 0], at[..., 1], at[..., 0]]
+
+    def pel_blocks(self, corners: np.ndarray, size: int) -> np.ndarray:
+        """`block` under whole-pel vectors, given the int64 (x, y) top-left
+        corners x0 + dx / QPEL, y0 + dy / QPEL of the displaced blocks, as one
+        uint8 array of shape (..., size, size): one fancy index of phase 0,
+        clamped as `block` clamps."""
+        at = self._corners(corners, size)
+        return self._view(size)[0][at[..., 1], at[..., 0]]
+
+    def _view(self, size: int) -> np.ndarray:
+        # Every (size, size) window of every phase, indexed [phase, y, x].
         windows = self._windows.get(size)
         if windows is None:
             windows = self._windows[size] = sliding_window_view(
                 self._phases, (size, size), axis=(1, 2))
-        i, f = np.divmod(vectors, QPEL)
-        at = np.minimum(np.maximum(origins + i + REF_MARGIN, 0),
-                        (self._cols - size, self._rows - size))
-        return windows[f[..., 1] * QPEL + f[..., 0], at[..., 1], at[..., 0]]
+        return windows
+
+    def _corners(self, corners: np.ndarray, size: int) -> np.ndarray:
+        # Top-left (x, y) corners in the padded plane, clamped into it.
+        return np.minimum(np.maximum(corners + REF_MARGIN, 0),
+                          (self._cols - size, self._rows - size))
 
 
 def quantize_to_quarter_pel(u: float, v: float) -> MotionVector:

@@ -148,7 +148,8 @@ def _translated_pair(shift, size=48, seed=4):
 def search_one(search, cur_plane, ref, origin, config, predictor=ZERO_MV):
     """One block searched as a wave of its own."""
     block = clip_block(cur_plane, *origin, config.block_size)[None]
-    return search(block, ref, np.array([origin]), config, np.array([predictor]))[0][0]
+    vectors, costs, _ = search(block, ref, np.array([origin]), config, np.array([predictor]))
+    return MotionVector(*vectors[0].tolist()), costs[0].item()
 
 
 def test_full_search_identical_returns_zero():
@@ -277,6 +278,45 @@ def test_pattern_search_scores_the_same_candidates(monkeypatch, search, refine):
     assert calls == PATTERN_SEARCH_SADS[search.__name__, refine]
 
 
+# Blocks the batched searches read through `ReferencePlane` (`blocks`,
+# `pel_blocks` and `block`) over the grid above, every block in one call,
+# beside the totals of the searches that scored every ring's centre again.
+BATCH_SEARCH_READS = {  # (reads, reads when each ring scored its centre)
+    ("diamond_search", False): (1088, 1233),
+    ("diamond_search", True): (1605, 1806),
+    ("hex_search", False): (774, 903),
+    ("hex_search", True): (1345, 1535),
+}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("name", ["diamond_search", "hex_search"])
+def test_batched_searches_read_fewer_blocks(monkeypatch, name, refine):
+    reads = 0
+
+    def counted(read):
+        def wrapped(*args):
+            nonlocal reads
+            got = read(*args)
+            reads += math.prod(got.shape[:-2])
+            return got
+        return wrapped
+
+    for read in ("block", "blocks", "pel_blocks"):
+        monkeypatch.setattr(ReferencePlane, read, counted(getattr(ReferencePlane, read)))
+    rng = np.random.default_rng(11)
+    tex = smooth_texture(64, 64, rng)
+    ref = ReferencePlane(tex[8:56, 8:56])
+    cur = tex[6:54, 11:59]  # moved 3 px left and 2 px down
+    cfg = SearchConfig(search_range=5, block_size=8, refine_subpel=refine, q=10)
+    origins = [(x0, y0) for y0 in range(0, 48, 8) for x0 in range(0, 48, 8)]
+    predictors = [rng.integers(-40, 41, 2) for _ in origins]  # the draws of the test above
+    getattr(blockmatch, name)(np.array([clip_block(cur, x0, y0, 8) for x0, y0 in origins]),
+                              ref, np.array(origins), cfg, np.array(predictors))
+    now, centres_rescored = BATCH_SEARCH_READS[name, refine]
+    assert reads == now < centres_rescored
+
+
 # --- wave searches against the one-block oracle ------------------------------
 
 def _search_frame(search, cur, ref, config, predictor=None):
@@ -291,12 +331,14 @@ def _search_frame(search, cur, ref, config, predictor=None):
         predictors = [median_predictor(vectors, c, r) if predictor is None else predictor
                       for r, c in wave]
         at = np.array(wave)
-        got, flow_costs = search(tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, config,
-                                 np.array(predictors, np.int64))
+        got, costs, flow_costs = search(tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs,
+                                        config, np.array(predictors, np.int64))
         assert flow_costs is None
-        for (r, c), (mv, cost) in zip(wave, got):
+        assert got.dtype == np.int64 and got.shape == (len(wave), 2)
+        assert costs.dtype == np.float64 and costs.shape == (len(wave),)
+        for (r, c), mv, cost in zip(wave, got.tolist(), costs.tolist(), strict=True):
             vectors[r, c] = mv
-            found[r, c] = (mv, cost)
+            found[r, c] = (MotionVector(*mv), cost)
     return found
 
 
@@ -426,11 +468,14 @@ def test_wave_flow_costs_match_the_oracle(name, block_size, refine):
     tiles = _block_tiles(cur, bs, cols, rows)
     for wave in wavefronts(cols, rows):
         at = np.array(wave)
-        found, flow_costs = getattr(blockmatch, name)(
+        found, costs, flow_costs = getattr(blockmatch, name)(
             tiles[at[:, 0], at[:, 1]], ref, at[:, ::-1] * bs, cfg,
             predictors[at[:, 0], at[:, 1]], flow[at[:, 0], at[:, 1]])
-        for (r, c), searched, cost in zip(wave, found, flow_costs, strict=True):
-            assert searched == want[r, c]  # the flow vector is never searched from
+        assert flow_costs.dtype == np.float64 and flow_costs.shape == (len(wave),)
+        for (r, c), mv, searched_cost, cost in zip(wave, found.tolist(), costs.tolist(),
+                                                   flow_costs.tolist(), strict=True):
+            # The flow vector is never searched from.
+            assert (MotionVector(*mv), searched_cost) == want[r, c]
             assert cost == oracles.flow_cost(cur, ref, (c * bs, r * bs), cfg,
                                              MotionVector(*predictors[r, c].tolist()),
                                              MotionVector(*flow[r, c].tolist()))

@@ -229,9 +229,10 @@ def test_hybrid_picks_flow_exactly_when_cheaper(frames, noise):
 @pytest.mark.parametrize("mode", ["internal-diamond", "hybrid-mean"])
 def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
     # The passes decide hybrid blocks in numpy; `select_block_vector`, whose
-    # decisions the benchmark's tracer counts, sees each block of a P frame
-    # once, after the last pass, and its decisions are the field returned.
-    # (tests/test_blockmatch.py checks that this is the passes' field.)
+    # decisions the benchmark's tracer counts, sees each block of a hybrid P
+    # frame once, after the last pass, and its decisions are the field
+    # returned. The internal modes return their searched field and decide
+    # nothing. (tests/test_blockmatch.py checks that this is the passes' field.)
     decisions, per_frame = [], []
     select, search = codec.select_block_vector, codec._search_vectors
 
@@ -243,7 +244,8 @@ def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
         decisions.clear()
         field = search(*args)
         per_frame.append(len(decisions))
-        assert [d.mv for d in decisions] == [tuple(v) for v in field.reshape(-1, 2).tolist()]
+        if decisions:
+            assert [d.mv for d in decisions] == [tuple(v) for v in field.reshape(-1, 2).tolist()]
         return field
 
     monkeypatch.setattr(codec, "select_block_vector", recorded_select)
@@ -252,7 +254,8 @@ def test_each_block_is_decided_once_from_its_final_pairs(monkeypatch, mode):
     encode_sequence(clip, CodecConfig(mode, q=6, gop_size=3, block_size=8, search_range=8),
                     StubProvider(), "seq")
     cols, rows = block_grid(W, H, 8)
-    assert per_frame == [rows * cols] * 3  # frames 1, 2 and 4 are P frames
+    decided = rows * cols if mode in HYBRID_MODES else 0
+    assert per_frame == [decided] * 3  # frames 1, 2 and 4 are P frames
 
 
 def test_search_guess_is_the_previous_p_frames_predictors(monkeypatch):
@@ -352,10 +355,12 @@ def test_hybrid_tie_keeps_the_searched_vector(search):
     cols, rows = block_grid(W, H, 8)
     origins = np.array([(c * 8, r * 8) for r in range(rows) for c in range(cols)])
     n = len(origins)
-    found, flow_costs = search(codec._block_tiles(plane, 8, cols, rows).reshape(n, 8, 8),
-                               ReferencePlane(plane), origins, config,
-                               np.tile([13, -7], (n, 1)), np.tile([14, -6], (n, 1)))
-    for searched, cost in zip(found, flow_costs, strict=True):
+    found, costs, flow_costs = search(codec._block_tiles(plane, 8, cols, rows).reshape(n, 8, 8),
+                                      ReferencePlane(plane), origins, config,
+                                      np.tile([13, -7], (n, 1)), np.tile([14, -6], (n, 1)))
+    for mv, searched_cost, cost in zip(found.tolist(), costs.tolist(), flow_costs.tolist(),
+                                       strict=True):
+        searched = (MotionVector(*mv), searched_cost)
         assert searched == (MotionVector(12, -8), 6 * config.lambda_y) and cost == searched[1]
         decision = select_block_vector("hybrid-mean", searched, (MotionVector(14, -6), cost))
         assert decision.mv == searched[0]

@@ -110,12 +110,13 @@ def test_predict_subpel_matches_bilinear_rounding():
 
 # --- ReferencePlane (padded, pre-interpolated predict_block) ----------------
 
-@pytest.mark.parametrize("w, h", [(40, 24), (20, 12), (36, 20), (18, 10)])
+@pytest.mark.parametrize("w, h", [(40, 24), (20, 12), (36, 20), (18, 10), (37, 23), (19, 11)])
 @pytest.mark.parametrize("size", [2, 4, 8, 16])
 def test_reference_plane_blocks_match_predict_block(w, h, size):
     """Every block of the grid slices to predict_block's values, at vectors
     out to DEFAULT_MV_BOUND plus the padding plus 3 px, where the slice is
-    clamped, and at the int32 extremes the decoder accepts."""
+    clamped, and at the int32 extremes the decoder accepts. `pel_blocks`
+    reads the same blocks at whole-pel vectors, in one batch."""
     rng = np.random.default_rng(100 * w + size)
     plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
     ref = ReferencePlane(plane)
@@ -142,6 +143,27 @@ def test_reference_plane_blocks_match_predict_block(w, h, size):
                         ref_bilinear(plane, x0 + i + mv.dx / 4, y0 + j + mv.dy / 4) + 0.5)
                     assert got[j, i] == want, (x0, y0, mv, i, j)
     assert checked
+    # Whole-pel vectors past the padding, and at the int32 extremes in
+    # quarter-pels, read through the displaced corners.
+    pel_reach = reach // QPEL
+    pel_extremes = [-2**31 // QPEL, -2**31 // QPEL + 1, -1, 0, 1, (2**31 - 1) // QPEL]
+    corners, want = [], []
+    for trial in range(200):
+        x0 = size * int(rng.integers(0, cols))
+        y0 = size * int(rng.integers(0, rows))
+        if trial < 30:
+            dx, dy = (int(v) for v in rng.choice(pel_extremes, 2))
+        else:
+            dx, dy = (int(v) for v in rng.integers(-pel_reach, pel_reach + 1, 2))
+        mv = MotionVector(QPEL * dx, QPEL * dy)
+        block = ref.block(x0, y0, size, mv)
+        assert np.array_equal(block, predict_block(plane, x0, y0, size, mv)), (x0, y0, mv)
+        corners.append((x0 + dx, y0 + dy))
+        want.append(block)
+    got = ref.pel_blocks(np.array(corners, np.int64), size)
+    assert got.dtype == np.uint8 and got.shape == (200, size, size)
+    for k, block in enumerate(want):
+        assert np.array_equal(got[k], block), corners[k]
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
