@@ -12,11 +12,13 @@ size at most 2**32 - 1, whose se value 2**33 - 2 takes exactly 32 zeros.
 `BitWriter` and `BitReader` write and read one field at a time. Whole arrays
 of codes go through numpy, with the same bits:
 
-- Pack: `ue_pack` computes every code length from the values and adds the
-  value bits of all codes straight into big-endian uint64 words, with no
-  array of one entry per bit. It returns them as one Python int and its bit
-  length, which the caller appends with `acc << length | bits`. It refuses
-  a value whose code is longer than a reader takes.
+- Pack: `pack_fields` adds fields of at most 64 value bits, each ending at
+  a given bit, straight into big-endian uint64 words, with no array of one
+  entry per bit, and returns the words as one Python int. A field may hold
+  several codes. `ue_pack` packs one code per field: it computes every code
+  length from the values, refuses a value whose code is longer than a
+  reader takes, and returns the int and its bit length, which the caller
+  appends with `acc << length | bits`.
 - Parse: `CodeParser.codes` finds where the codes of a bit range start,
   with no Python step per code. A code's length comes from a word gather:
   the 64 bits from its first bit, of which the top 53 convert exactly to
@@ -107,13 +109,8 @@ def ue_pack(values) -> tuple[int, int]:
     """The exp-Golomb codes of an array of unsigned values, concatenated MSB
     first: (bits, length), with bits an int of at most length bits. Raises
     ValueError on a value above 2**33 - 2, whose code a reader refuses.
-
-    Every code's value bits go straight into big-endian uint64 words. A code
-    ends at bit e and its value v + 1 (at most 33 bits) lands in word e // 64
-    shifted left by 63 - e % 64, and what that shift drops lands in the word
-    before. Codes never overlap, so a word is the wrapping sum of the parts
-    that land in it: a difference of the running sum at the last code that
-    ends in each word, plus one OR for the code that crosses its end."""
+    Each code is one `pack_fields` field: its value v + 1, of at most 33
+    bits, ending at the code's last bit."""
     values = np.asarray(values, np.uint64)
     if (values > (1 << (MAX_PREFIX + 1)) - 2).any():
         raise ValueError(f"exp-Golomb code longer than {MAX_PREFIX} zeros: {values.max()}")
@@ -124,17 +121,34 @@ def ue_pack(values) -> tuple[int, int]:
     last = np.cumsum(2 * widths - 1)  # each code's end
     last -= 1  # and its last bit
     length = int(last[-1]) + 1
-    word, bit = last >> 6, last & 63
-    running = np.cumsum(coded << (63 - bit).view(np.uint64))  # wraps: dropped bits go below
-    ends = np.append(np.flatnonzero(word[:-1] != word[1:]), len(word) - 1)  # each word's last
-    at, sums = word[ends], running[ends]
+    return pack_fields(length, (coded, widths, last)), length
+
+
+def pack_fields(length: int, *groups: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+    """The length-bit int, MSB first, that is zero but for the fields of the
+    groups. A group is (fields, widths, last): uint64 fields of widths[i]
+    value bits (int64, at most 64), the i-th ending at bit last[i] (int64,
+    ascending). No two fields of any groups overlap.
+
+    A group's fields go straight into big-endian uint64 words. A field that
+    ends at bit e lands in word e // 64 shifted left by 63 - e % 64, and what
+    that shift drops lands in the word before. Fields never overlap, so a
+    word is the wrapping sum of the parts that land in it: a difference of
+    the running sum at the last field of the group that ends in each word,
+    plus one OR for the field that crosses its end."""
     words = np.zeros(-(-length // 64), np.uint64)
-    words[at] = sums
-    words[at[1:]] -= sums[:-1]
-    cross = np.flatnonzero(widths > bit + 1)
-    words[word[cross] - 1] |= coded[cross] >> (bit[cross] + 1).view(np.uint64)
-    packed = int.from_bytes(words.astype(">u8").tobytes(), "big")
-    return packed >> (64 * len(words) - length), length
+    for fields, widths, last in groups:
+        if not len(fields):
+            continue
+        word, bit = last >> 6, last & 63
+        running = np.cumsum(fields << (63 - bit).view(np.uint64))  # wraps: dropped bits go below
+        ends = np.append(np.flatnonzero(word[:-1] != word[1:]), len(word) - 1)  # each word's last
+        at, sums = word[ends], running[ends]
+        words[at] += sums
+        words[at[1:]] -= sums[:-1]
+        cross = np.flatnonzero(widths > bit + 1)
+        words[word[cross] - 1] |= fields[cross] >> (bit[cross] + 1).view(np.uint64)
+    return int.from_bytes(words.astype(">u8").tobytes(), "big") >> (64 * len(words) - length)
 
 
 class BitWriter:

@@ -121,7 +121,8 @@ def sad(cur_block: np.ndarray, ref: ReferencePlane, origin: tuple[int, int],
     x0, y0 = origin
     size = cur_block.shape[0]
     pred = ref.block(x0, y0, size, mv)
-    return int(np.abs(cur_block.astype(np.int32, copy=False) - pred).sum())
+    diff = np.subtract(cur_block, pred, dtype=np.int16)  # uint8 differences fit
+    return int(np.abs(diff, out=diff).sum())
 
 
 def mv_rate_bits(mv: MotionVector, predictor: MotionVector) -> int:

@@ -55,14 +55,16 @@ the searched one.
 Every mode codes its vector differences once the field is known, against
 the median predictors of the whole grid at once (`median_predictors`). This
 is the same stream as coding block by block, because a block's predictor
-reads only vectors that come before it in raster order. Each plane's
-run-level codes come from `np.flatnonzero` over its zig-zagged levels
-(`_level_codes`), `_CHUNK_BLOCKS` blocks at a time, so that no per-code
-array grows with the frame. `bitstream.ue_pack` packs the vector codes and
-each chunk's run-level codes into a Python int and its bit length; the
-payload appends them after the type byte with `acc << length | bits` and
-pads with zeros to the next byte. The frame's motion and residual bit
-counts are the lengths of its packed codes.
+reads only vectors that come before it in raster order. `bitstream.ue_pack`
+packs the vector codes into a Python int and its bit length. Each plane's
+run-level codes come from `np.flatnonzero` over its zig-zagged levels,
+`_CHUNK_BLOCKS` blocks at a time, so that no per-code array grows with the
+frame: `_pack_levels` packs a chunk as one field per (level, run) pair,
+both codes in one uint64, and one per EOB, with `bitstream.pack_fields`,
+the packer under `ue_pack` too. The payload appends every packed int
+after the type byte with `acc << length | bits` and pads with zeros to
+the next byte. The frame's motion and residual bit counts are the lengths
+of its packed codes.
 
 The decoder parses the payload's codes in ranges of bits, and
 `_read_levels` takes each frame's from them: the bounds of every code from
@@ -106,8 +108,10 @@ from scipy.fft import dctn, idctn
 
 from . import metrics
 from .bitstream import (
+    MAX_PREFIX,
     BitstreamError,
     CodeParser,
+    pack_fields,
     se_to_ue_array,
     ue_pack,
     ue_to_se_array,
@@ -246,45 +250,89 @@ def zigzag_order(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _transform_sizes(block_size: int) -> tuple[int, int, int]:
+    """Y, U and V transform sizes. Luma tiles at min(8, block) so a 16 px
+    block carries four 8x8 transforms; chroma halves with the plane."""
+    chroma = max(2, block_size // 2)
+    return min(8, block_size), chroma, chroma
+
+
 # ---------------------------------------------------------------------------
 # Run-level residual code
 #
 # Per block, each nonzero coefficient in scan order is coded as
 # (signed exp-Golomb level, unsigned exp-Golomb zero run); the level is
 # written first so the 1-bit zero level can double as the end-of-block
-# symbol. Blocks are coded _CHUNK_BLOCKS at a time and parsed by ranges of
-# bits, _CHUNK_CODES codes at a time, which bounds every per-code array.
+# symbol. Blocks are written _CHUNK_BLOCKS at a time, one packed field per
+# (level, run) pair and one per EOB, and parsed by ranges of bits,
+# _CHUNK_CODES codes at a time, which bounds every per-code array.
 
 _CHUNK_BLOCKS = 128
 _INT32 = np.iinfo(np.int32)
 _MAX_RANGE_BITS = 1 << 18  # the parser's arrays grow with the range
 _CHUNK_CODES = 1 << 14
-
-
-def _level_codes(scanned: np.ndarray) -> np.ndarray:
-    """ue values of the run-level codes of blocks of scanned levels, in
-    stream order. The k-th nonzero level, in block b, has its level code at
-    2k + b and its run code at 2k + b + 1; the zeros left are the EOBs."""
-    nz = np.flatnonzero(scanned)
-    block = nz // scanned.shape[1]  # np.divmod is several times slower
-    pos = nz - block * scanned.shape[1]
-    prev = np.empty_like(pos)  # position of the previous nonzero level in the block
-    prev[1:] = pos[:-1]
-    first = np.ones(len(nz), bool)
-    first[1:] = block[1:] != block[:-1]
-    prev[first] = -1
-    codes = np.zeros(2 * len(nz) + len(scanned), np.uint64)
-    at = 2 * np.arange(len(nz)) + block
-    codes[at] = se_to_ue_array(scanned.ravel()[nz])
-    codes[at + 1] = pos - prev - 1
-    return codes
+_MAX_LEVELS = max(_transform_sizes(max(LUMA_BLOCK_SIZES))) ** 2  # the most levels of a block
+assert MAX_PREFIX + 1 + 2 * _MAX_LEVELS.bit_length() - 1 <= 64
+# Transform sizes are powers of two, so a level's block and position in it
+# are bit fields of its index in the chunk.
+assert all(t & (t - 1) == 0 for size in LUMA_BLOCK_SIZES for t in _transform_sizes(size))
+# A run's code length, by run + 1.
+_RUN_BITS = np.array([0] + [2 * v.bit_length() - 1 for v in range(1, _MAX_LEVELS + 1)], np.uint64)
 
 
 def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
-    """The run-level codes of blocks of scanned levels, as one `ue_pack`
-    (bits, length) per chunk."""
-    return [ue_pack(_level_codes(scanned[first:first + _CHUNK_BLOCKS]))
+    """The run-level codes of blocks of scanned levels, as one
+    `_pack_levels` (bits, length) per chunk of _CHUNK_BLOCKS blocks."""
+    return [_pack_levels(scanned[first:first + _CHUNK_BLOCKS])
             for first in range(0, len(scanned), _CHUNK_BLOCKS)]
+
+
+def _pack_levels(chunk: np.ndarray) -> tuple[int, int]:
+    """The run-level codes of a chunk of blocks of scanned int32 levels, one
+    row of t * t per block, as (bits, length), from one
+    `bitstream.pack_fields` field per (level, run) pair and one per EOB.
+
+    A pair's field is the level's ue value + 1, 2|s| + (s < 0), shifted
+    left over the run's code, with run + 1 below it. The level's value has
+    at most MAX_PREFIX + 1 = 33 bits, and the run's code 2 * bitlength(run
+    + 1) - 1 <= 13 bits, since run + 1 <= t * t <= 64. So a field holds at
+    most 46 value bits and touches at most two words; its length is the sum
+    of the two code lengths. The level at index nz of the chunk has run
+    min(nz - nz' - 1, nz mod t * t), nz' being the index of the chunk's
+    nonzero level before it, in its block or an earlier one (-1 for the
+    first). One EOB precedes a pair for each block before its block b, so
+    the pair's last bit is the sum of the lengths of the pairs up to it,
+    plus b, less one; block b's 1-bit EOB is bit (the lengths of the pairs
+    through block b) + b."""
+    blocks, size = chunk.shape
+    nz = np.flatnonzero(chunk != 0)  # faster than over the int32 levels
+    values = chunk.ravel().take(nz)
+    level = np.abs(values, dtype=np.int64)
+    level <<= 1
+    level += values < 0
+    level_width = level.astype(np.float64).view(np.int64)  # bit lengths, exact
+    level_width >>= 52
+    level_width -= 1022
+    run = np.empty_like(nz)  # run + 1
+    run[:1] = nz[:1] + 1
+    np.subtract(nz[1:], nz[:-1], out=run[1:])
+    np.minimum(run, (nz & (size - 1)) + 1, out=run)
+    run_bits = _RUN_BITS.take(run)
+    fields = level.view(np.uint64) << run_bits
+    fields |= run.view(np.uint64)
+    widths = level_width + run_bits.view(np.int64)
+    lengths = widths + level_width
+    lengths -= 1
+    ends = np.zeros(len(nz) + 1, np.int64)  # the pairs' bits before each pair, then all
+    np.cumsum(lengths, out=ends[1:])
+    last = nz >> (size.bit_length() - 1)  # the block
+    last += ends[1:]
+    last -= 1
+    eob = ends.take(np.searchsorted(nz, np.arange(size, size * (blocks + 1), size)))
+    eob += np.arange(blocks)
+    length = int(ends[-1]) + blocks
+    return pack_fields(length, (fields, widths, last),
+                       (np.ones(blocks, np.uint64), np.ones(blocks, np.int64), eob)), length
 
 
 class _Layout(NamedTuple):
@@ -527,13 +575,6 @@ def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
     bits = _write_levels(levels.reshape(len(levels), t * t)[:, list(zigzag_order(t))])
     h, w = cur.shape
     return _reconstruct_plane(pred, levels, nby, nbx, q, h, w), bits
-
-
-def _transform_sizes(block_size: int) -> tuple[int, int, int]:
-    """Y, U and V transform sizes. Luma tiles at min(8, block) so a 16 px
-    block carries four 8x8 transforms; chroma halves with the plane."""
-    chroma = max(2, block_size // 2)
-    return min(8, block_size), chroma, chroma
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcodec import bitstream, blockmatch, codec
 from flowcodec.bitstream import (
@@ -595,6 +596,20 @@ def test_frame_bit_counts_equal_the_sequential_reading(frames, mode, block_size,
         assert np.array_equal(rec.v, dec.v)
 
 
+def assert_writes_like_the_sequential_writer(scanned: np.ndarray) -> None:
+    """`codec._write_levels` of blocks of scanned int32 levels gives one
+    (bits, length) per chunk, whose bits are those of the blocks' codes
+    written one at a time by `write_block_levels`."""
+    chunks = codec._write_levels(scanned)
+    assert len(chunks) == -(-len(scanned) // codec._CHUNK_BLOCKS)
+    slow = BitWriter()
+    for block in scanned:
+        write_block_levels(slow, block)
+    assert sum(count for _, count in chunks) == slow.bit_length
+    slow.align()
+    assert joined(0, *chunks) == slow.getvalue()
+
+
 def test_run_level_writer_matches_the_sequential_writer():
     rng = np.random.default_rng(3)
     extremes = np.array([2 ** 31 - 1, -(2 ** 31), 1, -1], np.int32)
@@ -605,14 +620,75 @@ def test_run_level_writer_matches_the_sequential_writer():
             scanned[rng.random((nblocks, size)) >= density] = 0
             scanned[::5] = 0  # empty blocks
             scanned[1::7, -1] = rng.choice(extremes, len(scanned[1::7]))
-            chunks = codec._write_levels(scanned)
-            assert len(chunks) == 2
-            slow = BitWriter()
-            for block in scanned:
-                write_block_levels(slow, block)
-            assert sum(count for _, count in chunks) == slow.bit_length
-            slow.align()
-            assert joined(0, *chunks) == slow.getvalue()
+            assert_writes_like_the_sequential_writer(scanned)
+
+
+WRITER_SIZES = [t * t for t in sorted({t for bs in LUMA_BLOCK_SIZES
+                                       for t in codec._transform_sizes(bs)})]
+
+
+@pytest.mark.parametrize("size", WRITER_SIZES)
+def test_run_level_fields_end_at_every_bit_of_a_word(size):
+    """lead empty blocks, whose EOBs shift every bit after them, then a
+    block of the widest pair (an int32 level after size - 1 zeros), then a
+    block of a 4-bit pair (level 1 after no zeros) and an int32 level. As
+    lead runs over 0-63, each pair's field ends at every bit offset of a
+    word, and the 46 value bits of the widest one cross a word's end from
+    45 of those offsets."""
+    for lead in range(64):
+        scanned = np.zeros((lead + 2, size), np.int32)
+        scanned[lead, -1] = -(2 ** 31)
+        scanned[lead + 1, [0, size // 2]] = 1, 2 ** 31 - 1
+        assert_writes_like_the_sequential_writer(scanned)
+
+
+@pytest.mark.parametrize("size", WRITER_SIZES)
+def test_run_level_writer_codes_the_widest_pairs(size):
+    """An int32-extreme level after a run of t * t - 1 zeros, in blocks
+    after an empty one, after a block whose last level is nonzero (a run
+    of t * t - 1 either way) and after a block whose nonzero level is its
+    first."""
+    scanned = np.zeros((8, size), np.int32)
+    scanned[1, -1] = -(2 ** 31)
+    scanned[2, -1] = 2 ** 31 - 1
+    scanned[3, 0] = -(2 ** 31)
+    scanned[4, -1] = -(2 ** 31)
+    scanned[6:, -1] = 2 ** 31 - 1, -(2 ** 31)
+    assert_writes_like_the_sequential_writer(scanned)
+
+
+@pytest.mark.parametrize("size", WRITER_SIZES)
+def test_run_level_writer_codes_a_chunk_of_empty_blocks(size):
+    scanned = np.zeros((codec._CHUNK_BLOCKS, size), np.int32)
+    assert codec._write_levels(scanned) == [((1 << codec._CHUNK_BLOCKS) - 1,
+                                             codec._CHUNK_BLOCKS)]
+    assert_writes_like_the_sequential_writer(scanned)
+
+
+@pytest.mark.parametrize("size", WRITER_SIZES)
+def test_run_level_writer_codes_a_single_block_chunk(size):
+    for levels in ([], [0], [size - 1], [0, size - 1], range(size)):
+        scanned = np.zeros((1, size), np.int32)
+        scanned[0, list(levels)] = np.arange(-len(levels), 0) * 1000003
+        assert_writes_like_the_sequential_writer(scanned)
+    # A single block after a whole chunk.
+    scanned = np.zeros((codec._CHUNK_BLOCKS + 1, size), np.int32)
+    scanned[-1, -1] = 5
+    assert_writes_like_the_sequential_writer(scanned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WRITER_SIZES), st.integers(1, codec._CHUNK_BLOCKS + 20),
+       st.floats(0, 1), st.integers(1, 32), st.integers(0, 2 ** 32 - 1))
+def test_run_level_writer_matches_the_sequential_writer_on_random_levels(size, blocks, density,
+                                                                          magnitude, seed):
+    """Random scanned blocks of int32 levels of up to magnitude bits, any
+    density, in one chunk or two."""
+    rng = np.random.default_rng(seed)
+    scanned = rng.integers(-(2 ** (magnitude - 1)), 2 ** (magnitude - 1), (blocks, size),
+                           dtype=np.int64, endpoint=True).clip(_INT32.min, _INT32.max)
+    scanned[rng.random((blocks, size)) >= density] = 0
+    assert_writes_like_the_sequential_writer(scanned.astype(np.int32))
 
 
 def test_large_frames_round_trip():
