@@ -370,8 +370,6 @@ class CodeParser:
         them, in order, up to one at or past stop."""
         depth, count = grid.shape
         last = grid[-1]
-        if count == 1 and last[0] >= stop:  # the one chain is the parse
-            return grid[:, 0]
         # The row where each chain's last position would sit in the next one.
         into = (grid[:, 1:] < last[:-1]).sum(0)
         joins = np.zeros(count, bool)

@@ -83,8 +83,8 @@ so a 1-bit code is an EOB where an odd number of codes separates it from
 the 1-bit code before it. Pair k of a piece's block b starts at code
 2k + b; one cumulative sum of (run + 1) over the piece's pairs gives each
 level's scan position, and the layout's shift its raster index. A range
-is `_MAX_RANGE_BITS` long, or ends with the data; the next starts where it
-ended, while EOBs are missing. A
+is `_MAX_RANGE_BITS` long, or ends with the data; while EOBs are missing,
+the next starts at the first code not used yet, so no codes carry over. A
 frame's last range runs on past its end, through the zero padding and the
 next type byte, and the next frame reads its first codes serially until
 they meet that parse (`CodeParser.rejoin`): from a shared position on, two
@@ -278,6 +278,9 @@ assert MAX_PREFIX + 1 + 2 * _MAX_LEVELS.bit_length() - 1 <= 64
 assert all(t & (t - 1) == 0 for size in LUMA_BLOCK_SIZES for t in _transform_sizes(size))
 # A run's code length, by run + 1.
 _RUN_BITS = np.array([0] + [2 * v.bit_length() - 1 for v in range(1, _MAX_LEVELS + 1)], np.uint64)
+# A parse range restarts at the first code not used yet, so it must be longer
+# than the largest block's codes (_MAX_LEVELS widest pairs, the EOB) and one code.
+assert _MAX_RANGE_BITS > _MAX_LEVELS * (2 * MAX_PREFIX + 1 + int(_RUN_BITS[-1])) + 1 + 2 * MAX_PREFIX + 1
 
 
 def _write_levels(scanned: np.ndarray) -> list[tuple[int, int]]:
@@ -372,10 +375,12 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
     order and the bit after the codes.
 
     The codes continue the parser's last parse where `CodeParser.rejoin`
-    reads from p into it; ranges of _MAX_RANGE_BITS follow, each from the
-    last code start, while blocks are missing. A piece is the codes of the
-    last one not used yet (an odd vector code, or an open block) and
-    _CHUNK_CODES new ones. `_vectors` decodes its complete blocks of vector
+    reads from p into it. While blocks are missing, ranges of
+    _MAX_RANGE_BITS follow, each from the first code not used yet (an odd
+    vector code, or an open block's first); a piece is the codes not used
+    yet and _CHUNK_CODES new ones. By the contract under `_RUN_BITS` a range
+    uses a new code, so one that ends where the last one did has stopped at
+    a code the parser refuses. `_vectors` decodes its complete blocks of vector
     differences. Of its residual codes, a 1-bit code is an EOB where an
     odd number of codes separates it from the 1-bit code before it (from
     code -1), and the k-th EOB ends pair (eob_k - k) / 2: the codes but the
@@ -391,10 +396,6 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
     stream order, as reading them one by one would."""
     first, size, shift = layout.first, layout.size, layout.shift
     levels = np.zeros(int(first[-1]), np.int32)
-    # A piece holds at most _CHUNK_CODES codes after those of an open block:
-    # at most t * t pairs, whose next would overflow it, and one level.
-    room = _CHUNK_CODES + 2 * max(a for _, a in layout.shapes) + 1
-    ends = np.empty(room // 2 + 1, np.int64)  # of (run + 1) over a piece's pairs before each
     need, done = len(size) - 1, 0
     rows, cols = grid or (0, 0)
     field: list[int] = []  # the vectors so far, dx and dy of each block in raster order
@@ -402,30 +403,25 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
     bounds = parser.rejoin(p)
     if bounds is None:
         bounds = np.array([p], np.int64)
-    head = bounds[:0]  # the starts of the codes of earlier ranges not used yet
-    lo = seen = 0  # the first code not used yet and the first not read, in head then bounds
+    lo = seen = 0  # the first code not used yet and the first not read
     while True:
-        h = len(head)
-        if seen == h + len(bounds) - 1:
-            p = int(bounds[-1])
-            more = parser.codes(p, p + _MAX_RANGE_BITS)
-            if len(more) == 1:  # the code at p is refused
-                parser.refuse(p)
-            head = np.concatenate([head[lo:], bounds[max(lo - h, 0):-1]])
-            bounds, lo, seen, h = more, 0, len(head), len(head)
-        seen = min(seen + _CHUNK_CODES, h + len(bounds) - 1)
-        piece = (bounds[lo - h:seen - h + 1] if lo >= h else
-                 np.concatenate([head[lo:], bounds[:seen - h + 1]]))
+        if seen == len(bounds) - 1:
+            end, p = int(bounds[-1]), int(bounds[lo])
+            bounds = parser.codes(p, p + _MAX_RANGE_BITS)
+            if bounds[-1] <= end:  # no progress: the code at end is refused
+                parser.refuse(end)
+            lo, seen = 0, seen - lo
+        seen = min(seen + _CHUNK_CODES, len(bounds) - 1)
+        piece = bounds[lo:seen + 1]
         values = parser.values(piece).view(np.int64)
         if motion:
             pairs = min(motion, len(values)) // 2
             _vectors(field, ue_to_se_array(values[:2 * pairs]).tolist(), cols, piece, frame)
             motion -= 2 * pairs
+            lo += 2 * pairs
             if motion:
-                lo += 2 * pairs
                 continue
             values, piece = values[2 * pairs:], piece[2 * pairs:]
-            lo += 2 * pairs
         ones = (values == 0).nonzero()[0]
         odd = ones & 1
         eob = np.empty(len(ones), bool)
@@ -451,15 +447,15 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
         level = values.take(at)
         at += 1
         run = values.take(at)
-        ends[0] = 0
-        np.add(run, 1, out=ends[1:pairs + 1])
-        np.cumsum(ends[1:pairs + 1], out=ends[1:pairs + 1])
+        run += 1
+        ends = np.zeros(pairs + 1, np.int64)  # of (run + 1) over the piece's pairs before each
+        np.cumsum(run, out=ends[1:])
         steps = ends.take(edges)
         # A block overflows where its pairs' (run + 1) add up past its size; a
         # ue value up to 2**32 - 2 is an int32 level.
         if (steps[1:] - steps[:-1] > size[blocks]).any() or level.max(initial=0) > 2 ** 32 - 2:
-            _check_pairs(level, ends[:pairs + 1], edges, size[blocks], piece)
-        scan = ends[1:pairs + 1]
+            _check_pairs(level, ends, edges, size[blocks], piece)
+        scan = ends[1:]
         scan += np.repeat(first[blocks] - 1 - steps[:-1], counts)
         scan += shift.take(scan)
         levels[scan] = ue_to_se_array(level)

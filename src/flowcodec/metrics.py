@@ -19,12 +19,13 @@ def _sse(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _psnr_from_sse(sse: int, count: int) -> float:
-    return PSNR_CAP if sse == 0 else float(10.0 * np.log10(_PEAK_SQ / (sse / count)))
+    return PSNR_CAP if sse == 0 else min(PSNR_CAP, float(10.0 * np.log10(_PEAK_SQ / (sse / count))))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """PSNR in dB between two same-shaped, non-empty sample arrays; 99.0 when
-    identical."""
+    """PSNR in dB between two same-shaped, non-empty sample arrays: PSNR_CAP
+    when identical, and never more, so that no pair of different arrays reads
+    closer than identical ones, however many samples they hold."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -35,14 +36,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frame_psnr(a: Frame, b: Frame) -> tuple[float, float, float, float]:
-    """Per-plane PSNR plus the combined value over all samples pooled."""
+    """Per-plane PSNR plus the combined value over all samples pooled, each
+    capped at PSNR_CAP as `psnr` is."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError("frame dimensions differ")
     planes = ((a.y, b.y), (a.u, b.u), (a.v, b.v))
     sses = [_sse(pa, pb) for pa, pb in planes]
     counts = [pa.size for pa, _ in planes]
     sse, count = sum(sses), sum(counts)
-    combined = PSNR_CAP if sse == 0 else float(10.0 * np.log10(_PEAK_SQ * count / sse))
+    combined = PSNR_CAP if sse == 0 else min(PSNR_CAP, float(10.0 * np.log10(_PEAK_SQ * count / sse)))
     return (*(_psnr_from_sse(s, n) for s, n in zip(sses, counts)), combined)
 
 

@@ -707,25 +707,83 @@ def test_large_frames_round_trip():
 def test_frames_of_several_parse_ranges_decode_like_the_sequential_decoder(monkeypatch):
     """A flat intra frame ends early in the first parse range, and the noisy
     frame after it rejoins the codes parsed past that end; each noisy frame
-    needs several full ranges. The payload is parsed in consecutive ranges
-    of _MAX_RANGE_BITS, none cut short at a frame's end."""
+    needs several full ranges. The payload is parsed in ranges of
+    _MAX_RANGE_BITS, none cut short at a frame's end: each later range
+    starts at a code start that the range before it returned, past that
+    range's first half."""
     rng = np.random.default_rng(8)
     frames = [flat_frame(176, 144, 0, 0)] + [random_frame(176, 144, rng, n) for n in (1, 2)]
     result = encode_sequence(frames, CodecConfig("zero", q=1, block_size=8, gop_size=1))
     bits = [s.bits_residual for s in result.stats]
     assert bits[0] < codec._MAX_RANGE_BITS and min(bits[1:]) > 2 * codec._MAX_RANGE_BITS
     calls = parser_calls(monkeypatch)
+    returned = range_bounds(monkeypatch)
     decoded = decode_sequence(result.bitstream)
     assert decode_outcome(lambda _: decoded, b"") == decode_outcome(decode_one_code_at_a_time,
                                                                      result.bitstream)
     for rec, dec in zip(result.recon, decoded):
         assert np.array_equal(rec.y, dec.y) and np.array_equal(rec.u, dec.u)
     starts = first_codes(result.bitstream)
-    ranges = [pos for kind, pos, *_ in calls if kind == "codes"]
-    assert ranges[0] == starts[0] and min(np.diff(ranges)) >= codec._MAX_RANGE_BITS
+    ranges = [pos for pos, _ in returned]
+    assert ranges[0] == starts[0]
+    for (pos, bounds), after in zip(returned, ranges[1:]):
+        assert after in bounds and after > pos + codec._MAX_RANGE_BITS // 2
     assert len(ranges) > sum(bits) // codec._MAX_RANGE_BITS
     assert [(kind, pos) for kind, pos, *_ in calls if kind == "rejoin"] == [
         ("rejoin", start) for start in starts[1:]]
+
+
+# The bound that the contract under codec._RUN_BITS sets _MAX_RANGE_BITS
+# above: the largest block's codes and one code.
+RESTART_BITS = (codec._MAX_LEVELS * (2 * MAX_PREFIX + 1 + int(codec._RUN_BITS[-1])) + 1
+                + 2 * MAX_PREFIX + 1)
+
+
+@pytest.fixture(scope="module")
+def short_range_clips() -> list[bytes]:
+    """Streams of several RESTART_BITS per frame: q 1 noise at 4, 8 and 16
+    px blocks, whose dense blocks straddle range ends, and an internal-hex
+    clip, whose P frames' vector codes do too."""
+    rng = np.random.default_rng(12)
+    noise = [random_frame(48, 32, rng, n) for n in range(3)]
+    clips = [encode_sequence(noise, CodecConfig("zero", q=1, block_size=bs)).bitstream
+             for bs in (4, 8, 16)]
+    clip = translating_frames(48, 32, 3, dx=4, dy=-2, seed=9)
+    config = CodecConfig("internal-hex", q=1, block_size=4, search_range=8)
+    return clips + [encode_sequence(clip, config).bitstream]
+
+
+@pytest.mark.parametrize("range_bits", [RESTART_BITS, RESTART_BITS + 1, 3 * RESTART_BITS])
+def test_short_parse_ranges_decode_like_the_sequential_decoder(monkeypatch, short_range_clips,
+                                                               range_bits):
+    """Ranges down to the contract's bound restart many times a frame, at the
+    open block or odd vector code where the range before ran out; the clips
+    and corruptions of them decode, or fail with the same error at the same
+    bit, as reading one code at a time."""
+    monkeypatch.setattr(codec, "_MAX_RANGE_BITS", range_bits)
+    returned = range_bounds(monkeypatch)
+    rng = np.random.default_rng(range_bits)
+    for stream in short_range_clips:
+        before = len(returned)
+        assert_decodes_like_the_oracle(stream)
+        assert len(returned) - before > 8 * len(stream) // range_bits
+        for data in corruptions(stream, rng, 8):
+            assert decode_outcome(decode_sequence, data) == decode_outcome(
+                decode_one_code_at_a_time, data)
+
+
+def range_bounds(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Records the pos and the returned bounds of every `CodeParser.codes`
+    call."""
+    returned, codes = [], bitstream.CodeParser.codes
+
+    def recorded_codes(self, pos, stop):
+        bounds = codes(self, pos, stop)
+        returned.append((pos, bounds))
+        return bounds
+
+    monkeypatch.setattr(bitstream.CodeParser, "codes", recorded_codes)
+    return returned
 
 
 def parser_calls(monkeypatch) -> list[tuple]:

@@ -153,6 +153,24 @@ def test_frame_psnr_matches_psnr_per_plane():
         assert combined == (PSNR_CAP if sse == 0 else 10.0 * np.log10(255.0 ** 2 * count / sse))
 
 
+def test_psnr_of_near_identical_samples_never_exceeds_that_of_identical_ones():
+    """One luma sample off by one in a CIF frame: the combined value pools
+    152064 samples, 99.95 dB uncapped, and a 1024x1024 plane reads 108.2 dB
+    uncapped. Both read PSNR_CAP, as identical samples do, so a near-lossless
+    RD point never ranks above a lossless one."""
+    a = random_frame(352, 288, np.random.default_rng(4))
+    y = a.y.copy()
+    y[0, 0] ^= 1
+    b = replace(a, y=y)
+    assert frame_psnr(a, a) == (PSNR_CAP,) * 4
+    y_db, u_db, v_db, combined = frame_psnr(a, b)
+    assert y_db < PSNR_CAP and u_db == v_db == combined == PSNR_CAP
+    plane = np.zeros((1024, 1024), np.uint8)
+    off = plane.copy()
+    off[0, 0] = 1
+    assert psnr(plane, plane) == psnr(plane, off) == PSNR_CAP
+
+
 def test_epe_of_known_fields():
     a = np.zeros((2, 3, 2))
     b = a.copy()
