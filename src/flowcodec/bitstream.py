@@ -20,14 +20,17 @@ of codes go through numpy, with the same bits:
   reader takes, and returns the int and its bit length, which the caller
   appends with `acc << length | bits`.
 - Parse: `CodeParser.codes` finds where the codes of a bit range start,
-  with no Python step per code. A code's length comes from a word gather:
-  the 64 bits from its first bit, of which the top 53 convert exactly to
-  float64, whose exponent counts the leading zeros. The range is cut into
-  segments of `_SEGMENT_BITS` bits and a chain of codes starts at the
-  first bit of each; all chains step together, one code per numpy row, and
-  each runs `_RUN_ON` codes past its segment, except in a segment more
-  than twice as dense in codes as half of them, which is left short. Only
-  the first chain is known to start on a code, but exp-Golomb is a prefix
+  with no Python step per code. It first sets the length of the code at
+  every bit of the range, once: by a byte table (`_BYTE_LENGTHS`) indexed
+  by the 12 bits from each byte's first, and where the bits in view hold
+  no one bit, by a word gather: the 64 bits from the code's first bit, of
+  which the top 53 convert exactly to float64, whose exponent counts the
+  leading zeros. The range is cut into segments of `_SEGMENT_BITS` bits
+  and a chain of codes starts at the first bit of each; all chains step
+  together, one code per numpy row (one lookup and one add), and each
+  runs `_RUN_ON` codes past its segment, except in a segment more than
+  twice as dense in codes as half of them, which is left short. Only the
+  first chain is known to start on a code, but exp-Golomb is a prefix
   code: a parse begun at a wrong bit falls into step with the true one
   within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
   parses that share one position agree from there on. Where a chain's last
@@ -275,14 +278,26 @@ class CodeParser:
         i spans bounds[i]:bounds[i + 1] (int64). The parse stops early at a
         code that `BitReader.read_ue` refuses; then bounds[-1] < stop is its
         start (bounds is [pos] when it is the first), and `refuse` raises
-        the reader's error there."""
+        the reader's error there.
+
+        The length of the code at every bit the range's words cover is set
+        once (`_fill_lengths`), in the tail of the one buffer that holds
+        the grid of chain positions (int64, from the base), so each chain
+        step is one `take` from it and one add."""
         stop = min(stop, self.end + 1)  # a code at the end is always refused
         base = pos & ~31
-        words = self._words(base, stop + _READ_PAST)
+        raw = self._padded(base, stop + _READ_PAST)
+        words = _words_of(raw)
         rel = stop - base
         firsts = np.arange(pos - base, rel, _SEGMENT_BITS)
         ends = np.append(firsts[1:], rel)
-        grid = np.empty((_MAX_ROWS, len(firsts)), np.int64)
+        # One allocation per range holds the grid's rows, then the uint8
+        # length of the code at every bit the words cover.
+        count = 32 * len(words)
+        buffer = np.empty((_MAX_ROWS + -(-count // (8 * len(firsts))), len(firsts)), np.int64)
+        grid = buffer[:_MAX_ROWS]
+        bit_lengths = buffer[_MAX_ROWS:].view(np.uint8).reshape(-1)[:count]
+        _fill_lengths(raw, words, bit_lengths, self.end - base)
         grid[0] = at = firsts
         row, half = 0, _MAX_ROWS
         while row < 2 * half:
@@ -294,13 +309,13 @@ class CodeParser:
                 if 2 * crossed >= len(at):
                     half = min(half, row)
             row += 1
-            np.add(at, _lengths(words, at), out=grid[row])
+            np.add(at, bit_lengths.take(at), out=grid[row])
             at = grid[row]
         # Every chain has crossed its end, or all but those of segments
         # twice as dense as half of them, which a serial read bridges: run
         # on, to meet the next chain.
         for row in range(row + 1, row + 1 + (_RUN_ON if len(firsts) > 1 else 0)):
-            np.add(at, _lengths(words, at), out=grid[row])
+            np.add(at, bit_lengths.take(at), out=grid[row])
             at = grid[row]
         path = self._follow(grid[:row + 1], words, rel)
         bounds = path[:np.searchsorted(path, rel) + 1]
@@ -356,13 +371,17 @@ class CodeParser:
         self._path = np.concatenate([np.array(read, np.int64), path[np.searchsorted(path, y):]])
         return self._path
 
+    def _padded(self, base: int, stop: int) -> bytes:
+        """The data from bit base (a multiple of 32) until 64 bits past bit
+        stop, in whole 32-bit halves; zero past the end."""
+        size = 4 * ((stop - base >> 5) + 3)
+        chunk = self._data[base >> 3:(base >> 3) + size]
+        return chunk + bytes(size - len(chunk))
+
     def _words(self, base: int, stop: int) -> np.ndarray:
         """The 64 bits from every 32nd bit of the data, from bit base (a
         multiple of 32) until past bit stop, as uint64; zero past the end."""
-        size = 4 * ((stop - base >> 5) + 3)
-        chunk = self._data[base >> 3:(base >> 3) + size]
-        halves = np.frombuffer(chunk + bytes(size - len(chunk)), ">u4").astype(np.uint64)
-        return halves[:-1] << np.uint64(32) | halves[1:]
+        return _words_of(self._padded(base, stop))
 
     def _follow(self, grid: np.ndarray, words: np.ndarray, stop: int) -> np.ndarray:
         """The positions of the true parse through the chains of grid
@@ -471,8 +490,38 @@ def _lengths(words: np.ndarray, at: np.ndarray) -> np.ndarray:
     return _CODE_LENGTHS.take(top.astype(np.float64).view(np.int64) >> 52)
 
 
+def _words_of(raw: bytes) -> np.ndarray:
+    """The 64 bits from every 32nd bit of raw (whole 32-bit halves), as
+    uint64, but for the last 32."""
+    halves = np.frombuffer(raw, ">u4").astype(np.uint64)
+    return halves[:-1] << np.uint64(32) | halves[1:]
+
+
+def _fill_lengths(raw: bytes, words: np.ndarray, out: np.ndarray, end: int) -> None:
+    """Set out (uint8) to `_lengths` at each of its bits, from bit 0 of raw,
+    whose words are words, and whose data ends at bit end: `_BYTE_LENGTHS`
+    of each byte's window, then `_lengths` at the bits of the data whose
+    window holds no one bit, and `_LONGEST` from end on, where only zeros
+    follow."""
+    # Byte k's window, b[k] << 4 | b[k + 1] >> 4, from big-endian pairs at
+    # every byte.
+    windows = np.ndarray(len(out) // 8, ">u2", raw, strides=(1,)) >> 4
+    _BYTE_LENGTHS.take(windows, axis=0, out=out.reshape(-1, 8), mode="clip")
+    # Where b[k] is even and b[k + 1] >> 4 is 0, the last tz(b[k]) bits of
+    # byte k see no one bit; nowhere else.
+    end = max(end, 0)
+    held = np.flatnonzero((windows[:end >> 3] & 31) == 0)
+    if len(held):
+        zeros = _TRAILING_ZEROS.take(windows[held] >> 4)
+        bits = np.repeat(8 * held + 8 - np.cumsum(zeros), zeros)
+        bits += np.arange(len(bits))
+        out[bits] = _lengths(words, bits)
+    out[end:] = _LONGEST
+
+
 _ELEVEN = np.uint64(11)
 _LONGEST = 2 * MAX_PREFIX + 2  # the step over a code that read_ue refuses
+assert _LONGEST < 256  # a uint8 length holds every step
 # By the float64 exponent field 1022 + k of a 53-bit value of bit length k:
 # 53 - k leading zeros, a code of 2 * (53 - k) + 1 bits; _LONGEST past
 # MAX_PREFIX zeros, and for 0, whose exponent field is 0.
@@ -482,3 +531,14 @@ _CODE_LENGTHS[1022 + 53 - MAX_PREFIX:] = 2 * np.arange(MAX_PREFIX, -1, -1) + 1
 # by a serial read from before stop, one window.
 _READ_PAST = _LONGEST * _MAX_ROWS + 64
 assert _WALK_BITS <= _READ_PAST
+# By a byte's 12-bit window (the byte, then the top half of the next) and
+# a bit o of the byte: the length of the code that starts there, or 0 where
+# the 12 - o bits in view from o hold no one bit.
+_VIEWS = (np.arange(4096)[:, None] << np.arange(8)) & 0xFFF  # the bits from o, on top
+_BYTE_LENGTHS = np.where(_VIEWS > 0, 2 * (12 - np.frexp(_VIEWS)[1]) + 1, 0).astype(np.uint8)
+# It is `_lengths` at bit o of a word that holds the window, then zeros.
+_CHECK = _lengths(np.arange(4096, dtype=np.uint64) << np.uint64(52),
+                  32 * np.arange(4096)[:, None] + np.arange(8))
+assert np.array_equal(_BYTE_LENGTHS, np.where(_CHECK == _LONGEST, 0, _CHECK))
+del _VIEWS, _CHECK
+_TRAILING_ZEROS = np.array([8] + [(b & -b).bit_length() - 1 for b in range(1, 256)], np.int64)

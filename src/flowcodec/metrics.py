@@ -44,8 +44,7 @@ def frame_psnr(a: Frame, b: Frame) -> tuple[float, float, float, float]:
     sses = [_sse(pa, pb) for pa, pb in planes]
     counts = [pa.size for pa, _ in planes]
     sse, count = sum(sses), sum(counts)
-    combined = PSNR_CAP if sse == 0 else min(PSNR_CAP, float(10.0 * np.log10(_PEAK_SQ * count / sse)))
-    return (*(_psnr_from_sse(s, n) for s, n in zip(sses, counts)), combined)
+    return (*(_psnr_from_sse(s, n) for s, n in zip(sses, counts)), _psnr_from_sse(sse, count))
 
 
 def epe(f1: np.ndarray, f2: np.ndarray) -> float:

@@ -427,3 +427,70 @@ def test_rejoined_parse_is_what_the_per_code_reader_reads():
             assert list(bounds) == starts and error is None, pos
             outcomes["rejoined"] += 1
     assert outcomes["rejoined"] > 0.9 * sum(outcomes.values()) and outcomes["refused"], outcomes
+
+
+# --- the code length at every bit -------------------------------------------------
+
+
+def zero_runs() -> bytes:
+    """A run of every length from 8 to 33 zero bits, from every bit offset of
+    a byte, each after one bits and closed by a one bit."""
+    bits = ""
+    for zeros in range(8, 34):
+        for offset in range(8):
+            bits += "1" * (-(len(bits) - offset) % 8) + "0" * zeros + "1"
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def filled_lengths(data: bytes, base: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The length at every bit that a range of `CodeParser.codes` from base
+    (a multiple of 32) to stop steps by, and `_lengths` at each of them."""
+    parser = CodeParser(data)
+    raw = parser._padded(base, stop)
+    words = bitstream._words_of(raw)
+    filled = np.empty(32 * len(words), np.uint8)
+    bitstream._fill_lengths(raw, words, filled, parser.end - base)
+    return filled, bitstream._lengths(words, np.arange(len(filled)))
+
+
+def test_bit_lengths_match_the_word_gather_at_every_bit():
+    rng = np.random.default_rng(21)
+    noise = rng.integers(0, 256, 2000, dtype=np.uint8)
+    sparse = noise * (rng.random(2000) < 0.15)
+    cases = {
+        "random": noise.tobytes(),
+        "zero-heavy": sparse.astype(np.uint8).tobytes(),
+        "zero runs": zero_runs(),
+        # 29 zeros, a one, then the data ends 26 bits into the value bits.
+        "ends mid-code": noise[:100].tobytes() + b"\x00\x00\x00\x07",
+        "zero": bytes(40),
+    }
+    for name, data in cases.items():
+        end = 8 * len(data)
+        for base in sorted({0, 32, 96, end // 2 & ~31, max(end - 64, 0) & ~31, end & ~31}):
+            for stop in (base + 1, base + 300, end, end + 1000):
+                filled, want = filled_lengths(data, base, stop)
+                assert np.array_equal(filled, want), (name, base, stop)
+
+
+def test_parse_through_long_zero_prefixes_is_the_per_code_readers():
+    """Codes of 9 to 32 leading zeros, each from every bit offset of a byte
+    (1-bit codes between them set the offset): from bit o of a byte, a code
+    of 12 - o zeros or more has no one bit in the byte table's view, and
+    the parse, in one range and in short ones, is the per-code reader's
+    code by code."""
+    rng = np.random.default_rng(22)
+    values, at, seen = [], 0, set()
+    for zeros in range(9, MAX_PREFIX + 1):
+        for offset in range(8):
+            gap = (offset - at) % 8
+            values += [0] * gap
+            value = int(rng.integers(2 ** zeros, 2 ** (zeros + 1))) - 1
+            seen.add((zeros, (at + gap) % 8))
+            values.append(value)
+            at += gap + 2 * zeros + 1
+    assert seen == {(z, o) for z in range(9, MAX_PREFIX + 1) for o in range(8)}
+    data = written(values, False, 0, True)
+    assert parse(data, len(values)) == values
+    assert parse(data, len(values), span=bitstream._SEGMENT_BITS + 40) == values

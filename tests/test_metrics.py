@@ -148,9 +148,27 @@ def test_frame_psnr_matches_psnr_per_plane():
         planes = ((a.y, b.y), (a.u, b.u), (a.v, b.v))
         y, u, v, combined = frame_psnr(a, b)
         assert [y, u, v] == [psnr(p, q) for p, q in planes] == [ref_psnr(p, q) for p, q in planes]
-        sse = sum(int(((p.astype(np.int64) - q.astype(np.int64)) ** 2).sum()) for p, q in planes)
-        count = sum(p.size for p, _ in planes)
-        assert combined == (PSNR_CAP if sse == 0 else 10.0 * np.log10(255.0 ** 2 * count / sse))
+        assert combined == psnr(*pooled(a, b)) == ref_psnr(*pooled(a, b))
+
+
+def pooled(a, b):
+    """The samples of all planes of frames a and b, as one array each."""
+    return [np.concatenate([plane.ravel() for plane in (f.y, f.u, f.v)]) for f in (a, b)]
+
+
+def test_combined_psnr_is_the_psnr_of_the_pooled_samples():
+    """A QCIF frame pools 38016 samples. At sse 505, 10 log10(255^2 * count
+    / sse) reads 66.89755401714329, an ulp below 10 log10(255^2 / (sse /
+    count)), which `psnr` reads: the combined value is `psnr` of the pooled
+    samples at every sse tried, 505 among them."""
+    a = random_frame(176, 144, np.random.default_rng(5))
+    flat = a.y.ravel()
+    for sse in (1, 2, 505, 506, 1000, 4321, 38015, 38016):
+        y = flat ^ (np.arange(flat.size) < sse).astype(np.uint8)  # sse samples off by one
+        b = replace(a, y=y.reshape(a.y.shape))
+        combined = frame_psnr(a, b)[3]
+        assert combined == psnr(*pooled(a, b)) == ref_psnr(*pooled(a, b)), sse
+        assert sse != 505 or combined == 66.8975540171433
 
 
 def test_psnr_of_near_identical_samples_never_exceeds_that_of_identical_ones():
