@@ -35,14 +35,13 @@ of codes go through numpy, with the same bits:
   within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
   parses that share one position agree from there on. Where a chain's last
   position is also one of the next chain's, the parse continues in the next
-  chain; where it is not, a serial read, one code per Python step over the
-  code length at every bit of the gap, bridges to the first position a
-  later chain reached. `CodeParser.values` then reads the values of all
-  codes at once, with the same word gather. The codec parses every code of
-  a stream's payload this way, vector differences and run-level codes
-  alike, in ranges that run on past a frame's end: `CodeParser.rejoin`
-  reads the next frame's first codes serially until they meet that parse,
-  which goes on as the frame's.
+  chain; where it is not, a serial read over the same lengths, one code per
+  Python step, bridges to the first position a later chain reached.
+  `CodeParser.values` then reads the values of all codes at once, with the
+  word gather. The codec parses every code of a stream's payload this way,
+  vector differences and run-level codes alike, in ranges that run on past
+  a frame's end: `CodeParser.rejoin` reads the next frame's first codes
+  serially until they meet that parse, which goes on as the frame's.
 
 A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
 runs past the end of the data) ends the parse at its start, and
@@ -277,14 +276,17 @@ class CodeParser:
         code start), up to the first code that starts at or past stop: code
         i spans bounds[i]:bounds[i + 1] (int64). The parse stops early at a
         code that `BitReader.read_ue` refuses; then bounds[-1] < stop is its
-        start (bounds is [pos] when it is the first), and `refuse` raises
-        the reader's error there.
+        start (bounds is [pos] when it is the first, and where pos is past
+        the data or at or past stop), and `refuse` raises its error there.
 
         The length of the code at every bit the range's words cover is set
         once (`_fill_lengths`), in the tail of the one buffer that holds
         the grid of chain positions (int64, from the base), so each chain
-        step is one `take` from it and one add."""
+        step is one `take` from it and one add, and each bridge reads it."""
         stop = min(stop, self.end + 1)  # a code at the end is always refused
+        if pos >= stop:
+            self._path = np.array([pos], np.int64)
+            return self._path
         base = pos & ~31
         raw = self._padded(base, stop + _READ_PAST)
         words = _words_of(raw)
@@ -317,7 +319,7 @@ class CodeParser:
         for row in range(row + 1, row + 1 + (_RUN_ON if len(firsts) > 1 else 0)):
             np.add(at, bit_lengths.take(at), out=grid[row])
             at = grid[row]
-        path = self._follow(grid[:row + 1], words, rel)
+        path = self._follow(grid[:row + 1], bit_lengths, rel)
         bounds = path[:np.searchsorted(path, rel) + 1]
         lengths = np.diff(bounds)
         if lengths.max(initial=1) > 2 * MAX_PREFIX + 1 or bounds[-1] > self.end - base:
@@ -383,10 +385,10 @@ class CodeParser:
         multiple of 32) until past bit stop, as uint64; zero past the end."""
         return _words_of(self._padded(base, stop))
 
-    def _follow(self, grid: np.ndarray, words: np.ndarray, stop: int) -> np.ndarray:
+    def _follow(self, grid: np.ndarray, bit_lengths: np.ndarray, stop: int) -> np.ndarray:
         """The positions of the true parse through the chains of grid
-        (rows x chains, bits from the words' base) and the bridges between
-        them, in order, up to one at or past stop."""
+        (rows x chains, bits from the range's base) and the serial reads
+        (`_walk`) that bridge them, in order, up to one at or past stop."""
         depth, count = grid.shape
         last = grid[-1]
         # The row where each chain's last position would sit in the next one.
@@ -406,7 +408,7 @@ class CodeParser:
             entered[chain:end + 1] = True
             if last[end] >= stop:
                 break
-            bridge, chain, row = self._walk(words, grid, end, stop)
+            bridge, chain, row = self._walk(bit_lengths, grid, end, stop)
             if len(bridge):  # a walk can meet a chain after one code
                 bridges.append(bridge)
             if chain < 0:
@@ -424,43 +426,30 @@ class CodeParser:
             path = np.concatenate([pieces[0], *(x for pair in zip(bridges, pieces[1:]) for x in pair)])
         return path
 
-    def _walk(self, words: np.ndarray, grid: np.ndarray, after: int,
+    def _walk(self, bit_lengths: np.ndarray, grid: np.ndarray, after: int,
               stop: int) -> tuple[np.ndarray, int, int]:
-        """Read codes serially, one per Python step, from the last position
-        of chain after to a position that a later chain reached: (the
-        positions read before it, that chain, its row there). Reading on to
-        a position at or past stop gives (the positions read, it included,
-        -1, -1). Each window tabulates the length of the code at every bit."""
-        last = grid[-1]
-        y = int(last[after])
-        origin = int(grid[0, 0])
+        """Read codes serially, one per Python step, by bit_lengths, from the
+        last position of chain after to the first that a later chain reached:
+        (the positions read before it, the lowest such chain, its row there).
+        Reading on to a position at or past stop, or to a code that `read_ue`
+        refuses, gives (the positions read, that one included, -1, -1)."""
+        lengths = memoryview(bit_lengths)
+        firsts = range(int(grid[0, 0]), stop, _SEGMENT_BITS)  # grid[0], as `codes` lays it out
+        y = int(grid[-1, after])
         read = array("q")  # the position after each code read
-        width = _SEGMENT_BITS
-        while True:
-            low = y
-            lengths = _lengths(words, np.arange(low, low + width)).tolist()
-            # Positions of the later chains that the window's codes can reach.
-            reach = width + _LONGEST
-            chains = np.arange(after + 1, min(len(last), (low + reach - origin) // _SEGMENT_BITS + 1))
-            near = grid[:, chains[last[chains] > low]]
-            marks = np.zeros(reach, bool)
-            marks[near[(near > low) & (near < low + reach)] - low] = True
-            marks[min(width, max(0, stop - low)):] = True  # stop, or the window's end
-            marks = marks.tobytes()
-            while True:
-                y += lengths[y - low]
-                read.append(y)
-                if marks[y - low]:
-                    break
+        later, chain = {}, after + 1  # {position: (chain, row)}, lowest chain first
+        while lengths[y] != _LONGEST:
+            y += lengths[y]
+            read.append(y)
             if y >= stop:
-                return np.array(read, np.int64), -1, -1
-            if y - low < width:
-                for chain in range(after + 1, grid.shape[1]):
-                    row = int(np.searchsorted(grid[:, chain], y))
-                    if row < len(grid) and grid[row, chain] == y:
-                        return np.array(read[:-1], np.int64), chain, row
-                raise AssertionError(f"no chain reached the marked bit {y}")
-            width = min(2 * width, _WALK_BITS)
+                break
+            while chain < len(firsts) and firsts[chain] <= y:
+                for row, position in enumerate(grid[:, chain].tolist()):
+                    later.setdefault(position, (chain, row))
+                chain += 1
+            if y in later:
+                return np.array(read[:-1], np.int64), *later[y]
+        return np.array(read, np.int64), -1, -1
 
 
 # Bits per chain, rows between the checks that every chain has crossed the
@@ -471,8 +460,6 @@ _RUN_ON = 16
 # A chain crosses its end within _SEGMENT_BITS codes, and the check within
 # _CHECK_ROWS more.
 _MAX_ROWS = _SEGMENT_BITS + _CHECK_ROWS + _RUN_ON + 1
-# The widest window of a serial read.
-_WALK_BITS = 1 << 14
 # The window of a rejoin: the frames of the benchmark's streams (seeds 1-3)
 # rejoin within 49 codes and 401 bits of their first code.
 _REJOIN_BITS = 1 << 10
@@ -527,10 +514,9 @@ assert _LONGEST < 256  # a uint8 length holds every step
 # MAX_PREFIX zeros, and for 0, whose exponent field is 0.
 _CODE_LENGTHS = np.full(1022 + 54, _LONGEST, np.int64)
 _CODE_LENGTHS[1022 + 53 - MAX_PREFIX:] = 2 * np.arange(MAX_PREFIX, -1, -1) + 1
-# Bits read past stop: by the chains, _MAX_ROWS steps and one 64-bit load;
-# by a serial read from before stop, one window.
+# Bits read past stop: by the chains, _MAX_ROWS steps and one 64-bit load.
+# A serial read from before stop ends within one code, _LONGEST bits, past it.
 _READ_PAST = _LONGEST * _MAX_ROWS + 64
-assert _WALK_BITS <= _READ_PAST
 # By a byte's 12-bit window (the byte, then the top half of the next) and
 # a bit o of the byte: the length of the code that starts there, or 0 where
 # the 12 - o bits in view from o hold no one bit.

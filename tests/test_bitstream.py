@@ -340,6 +340,18 @@ def parser_parse(parser: CodeParser, pos: int, stop: int):
     raise AssertionError("refuse did not raise")
 
 
+@pytest.mark.parametrize("pos, stop", [(5, 5), (79, 79), (81, 200), (40, 7)])
+def test_empty_range_parses_to_its_start(pos, stop):
+    """A range with no bit before stop (or past the data) is the one code
+    start pos, kept as the last parse for `rejoin`; past the data, the
+    reader refuses it."""
+    data = np.random.default_rng(16).integers(0, 256, 10, dtype=np.uint8).tobytes()
+    parser = CodeParser(data)
+    assert list(parser.codes(pos, stop)) == [pos]
+    assert list(parser.rejoin(pos)) == [pos]
+    assert parser_parse(parser, pos, stop) == serial_parse(data, pos, stop)
+
+
 def test_parser_gives_every_position_what_the_per_code_reader_reads():
     rng = np.random.default_rng(11)
     data = bytearray(rng.integers(0, 256, 3000, dtype=np.uint8).tobytes())
@@ -383,21 +395,110 @@ def test_parser_bridges_segments_denser_than_the_rest():
         assert parser_parse(parser, pos, parser.end + 1) == serial_parse(data, pos, parser.end + 1)
 
 
-def test_parser_bridges_a_chain_met_after_one_code(monkeypatch):
-    """In the codes of 0..199 a chain's run-on stops one code short of a
-    later chain's parse: the serial read meets that chain with its first
-    code and bridges no position."""
+def record_walks(monkeypatch) -> list:
+    """Every `CodeParser._walk` from now on: ((bit_lengths, grid, after,
+    stop), (bridge, chain, row))."""
     walks, walk = [], CodeParser._walk
 
     def recorded(self, *args):
-        walks.append(walk(self, *args))
-        return walks[-1]
+        walks.append((args, walk(self, *args)))
+        return walks[-1][1]
 
     monkeypatch.setattr(CodeParser, "_walk", recorded)
+    return walks
+
+
+def test_parser_bridges_a_chain_met_after_one_code(monkeypatch):
+    """In the codes of 0..199 a chain's run-on stops one code short of a
+    later chain's parse: the serial read meets that chain with its first
+    code and bridges no position. Every walk, there, over runs of 1-bit
+    codes and past chains that meet each other before the parse, from
+    several starts, meets the lowest chain at the first position any later
+    chain holds, or ends at stop or at a code the reader refuses."""
+    walks = record_walks(monkeypatch)
     data = written(list(range(200)), False, 0, True)
     parser = CodeParser(data)
     assert parser_parse(parser, 0, parser.end + 1) == serial_parse(data, 0, parser.end + 1)
-    assert any(not len(bridge) and chain >= 0 for bridge, chain, _ in walks)
+    assert any(not len(bridge) and chain >= 0 for _, (bridge, chain, _) in walks)
+    rng = np.random.default_rng(14)
+    values = rng.integers(0, 60, 3000)
+    values[800:1500] = values[2200:2500] = 0
+    # 0101... has two parses that never meet, through its bits 0 and 3 mod 4
+    # and through bits 1 and 2. The parse enters it at bit 0 and the chains
+    # that start in it at bit 2 (mod 4), so they join each other, not the
+    # parse, and meet it together in the short codes after it.
+    rng = np.random.default_rng(6)
+    w = BitWriter()
+    for v in rng.integers(0, 60, 30).tolist():
+        w.write_ue(v)
+    w.write_bits(int("0101" * 248, 2), 4 * 248)
+    for v in rng.integers(0, 4, 200).tolist():
+        w.write_ue(v)
+    w.align()
+    shared = 0  # meetings at a position that a higher chain holds too
+    for data in (data, written(values.tolist(), False, 0, True), w.getvalue()):
+        parser = CodeParser(data)
+        for pos in range(0, 800, 7):
+            for stop in (parser.end + 1, pos + 2000):
+                del walks[:]
+                assert parser_parse(parser, pos, stop) == serial_parse(data, pos, stop), pos
+                for (_, grid, after, rel), (bridge, chain, row) in walks:
+                    if chain >= 0:
+                        met = grid[row, chain]
+                        assert not (grid[:, after + 1:chain] == met).any(), (pos, stop)
+                        assert not np.isin(bridge, grid[:, after + 1:]).any(), (pos, stop)
+                        shared += (grid[:, chain + 1:] == met).any()
+                    else:
+                        end = int(bridge[-1]) if len(bridge) else int(grid[-1, after])
+                        at = (pos & ~31) + end
+                        assert end >= rel or serial_parse(data, at, at + 1)[1], (pos, stop)
+    assert shared
+
+
+def parse_in_ranges(parser: CodeParser, pos: int, stop: int, span: int):
+    """`parser_parse` in ranges of span bits, each from the last code start
+    the range before it gave."""
+    starts = [pos]
+    while starts[-1] < stop:
+        more, error = parser_parse(parser, starts[-1], min(starts[-1] + span, stop))
+        starts += more[1:]
+        if error:
+            return starts, error
+    return starts, None
+
+
+@pytest.mark.parametrize("tail, ends_there", [("0" * 33 + "1" * 34, True), ("0" * 20, True),
+                                              ("0" * 29 + "1" + "0" * 10, False)],
+                         ids=["long prefix", "cut prefix", "cut value"])
+def test_parser_bridges_to_a_refused_code(monkeypatch, tail, ends_there):
+    """A run of 1-bit codes among longer ones leaves its chains short, and
+    the serial read that bridges them reaches a code the reader refuses,
+    200 bits into a segment: a prefix of 33 zeros, one cut off by the end
+    of the data, or value bits cut off by it. The read ends at the code's
+    start, or, where its one bit is in the data, steps over it to the end.
+    In one range and in short ones the parse is the per-code reader's,
+    error included."""
+    walks = record_walks(monkeypatch)
+    w = BitWriter()
+    for v in np.random.default_rng(15).integers(0, 60, 600).tolist():
+        w.write_ue(v)
+    bad = -(-(w.bit_length + 600) // bitstream._SEGMENT_BITS) * bitstream._SEGMENT_BITS + 200
+    while w.bit_length < bad:
+        w.write_ue(0)
+    w.write_bits(int(tail, 2), len(tail))
+    w.align()
+    data = w.getvalue()
+    parser = CodeParser(data)
+    want = serial_parse(data, 0, parser.end + 1)
+    assert want[0][-1] == bad and want[1]
+    assert parser_parse(parser, 0, parser.end + 1) == want
+    assert parse_in_ranges(parser, 0, parser.end + 1, 296) == want
+    walked = [(bridge, rel) for (_, _, _, rel), (bridge, chain, _) in walks
+              if chain < 0 and bad in bridge]
+    if ends_there:  # the read ends at the refused code's start, before stop
+        assert any(bridge[-1] == bad < rel for bridge, rel in walked)
+    else:  # its one bit gives it a length, and the read steps over it to stop
+        assert any(bridge[-1] > bad and bridge[-1] >= rel for bridge, rel in walked)
 
 
 def test_rejoined_parse_is_what_the_per_code_reader_reads():
