@@ -27,10 +27,9 @@ of codes go through numpy, with the same bits:
   which the top 53 convert exactly to float64, whose exponent counts the
   leading zeros. The range is cut into segments of `_SEGMENT_BITS` bits
   and a chain of codes starts at the first bit of each; all chains step
-  together, one code per numpy row (one lookup and one add), and each
-  runs `_RUN_ON` codes past its segment, except in a segment more than
-  twice as dense in codes as half of them, which is left short. Only the
-  first chain is known to start on a code, but exp-Golomb is a prefix
+  together, one code per numpy row (one lookup and one add), until every
+  one has crossed its segment's end, and then `_RUN_ON` codes more. Only
+  the first chain is known to start on a code, but exp-Golomb is a prefix
   code: a parse begun at a wrong bit falls into step with the true one
   within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
   parses that share one position agree from there on. Where a chain's last
@@ -40,8 +39,9 @@ of codes go through numpy, with the same bits:
   `CodeParser.values` then reads the values of all codes at once, with the
   word gather. The codec parses every code of a stream's payload this way,
   vector differences and run-level codes alike, in ranges that run on past
-  a frame's end: `CodeParser.rejoin` reads the next frame's first codes
-  serially until they meet that parse, which goes on as the frame's.
+  a frame's end: `CodeParser.rejoin`, handed that parse's bounds, reads the
+  next frame's first codes serially until they meet it, and it goes on as
+  the frame's. The parser keeps no parse between calls.
 
 A malformed code (a prefix of more than `MAX_PREFIX` zeros, or a code that
 runs past the end of the data) ends the parse at its start, and
@@ -264,12 +264,11 @@ class CodeParser:
     """Finds the exp-Golomb codes of a byte string from a known code start,
     chains of codes in lockstep (`codes`, `_follow`) and serial reads
     between them (`_walk`), and reads their values, with numpy. It keeps
-    the last parse it gave out, which `rejoin` continues."""
+    nothing between calls: `rejoin` continues the bounds it is handed."""
 
     def __init__(self, data: bytes):
         self.end = len(data) * 8
         self._data = bytes(data)
-        self._path = np.zeros(0, np.int64)  # the bounds last given out
 
     def codes(self, pos: int, stop: int) -> np.ndarray:
         """The bounds of the codes of the parse that starts at bit pos (a
@@ -282,11 +281,12 @@ class CodeParser:
         The length of the code at every bit the range's words cover is set
         once (`_fill_lengths`), in the tail of the one buffer that holds
         the grid of chain positions (int64, from the base), so each chain
-        step is one `take` from it and one add, and each bridge reads it."""
+        step is one `take` from it and one add, and each bridge reads it.
+        The chains step until all have crossed their segments' ends, as
+        checked every `_CHECK_ROWS` rows, then `_RUN_ON` rows more."""
         stop = min(stop, self.end + 1)  # a code at the end is always refused
         if pos >= stop:
-            self._path = np.array([pos], np.int64)
-            return self._path
+            return np.array([pos], np.int64)
         base = pos & ~31
         raw = self._padded(base, stop + _READ_PAST)
         words = _words_of(raw)
@@ -301,21 +301,12 @@ class CodeParser:
         bit_lengths = buffer[_MAX_ROWS:].view(np.uint8).reshape(-1)[:count]
         _fill_lengths(raw, words, bit_lengths, self.end - base)
         grid[0] = at = firsts
-        row, half = 0, _MAX_ROWS
-        while row < 2 * half:
-            # Check at rows 1, 2 and 4 (short ranges), then every _CHECK_ROWS.
-            if not (row % _CHECK_ROWS and row & (row - 1)):
-                crossed = np.count_nonzero(at >= ends)
-                if crossed == len(at):
-                    break
-                if 2 * crossed >= len(at):
-                    half = min(half, row)
+        row = 0
+        while row % _CHECK_ROWS or np.count_nonzero(at >= ends) < len(at):
             row += 1
             np.add(at, bit_lengths.take(at), out=grid[row])
             at = grid[row]
-        # Every chain has crossed its end, or all but those of segments
-        # twice as dense as half of them, which a serial read bridges: run
-        # on, to meet the next chain.
+        # Every chain has crossed its end: run on, to meet the next chain.
         for row in range(row + 1, row + 1 + (_RUN_ON if len(firsts) > 1 else 0)):
             np.add(at, bit_lengths.take(at), out=grid[row])
             at = grid[row]
@@ -325,8 +316,7 @@ class CodeParser:
         if lengths.max(initial=1) > 2 * MAX_PREFIX + 1 or bounds[-1] > self.end - base:
             bad = np.flatnonzero((lengths > 2 * MAX_PREFIX + 1) | (bounds[1:] > self.end - base))
             bounds = bounds[:bad[0] + 1]
-        self._path = bounds + base
-        return self._path
+        return bounds + base
 
     def values(self, bounds: np.ndarray) -> np.ndarray:
         """uint64 values of the valid codes that span bounds[i]:bounds[i + 1]
@@ -344,17 +334,16 @@ class CodeParser:
         BitReader(self._data, pos).read_ue()
         raise AssertionError(f"the reader accepts the code at bit {pos}")
 
-    def rejoin(self, pos: int) -> np.ndarray | None:
+    def rejoin(self, pos: int, path: np.ndarray) -> np.ndarray:
         """The bounds of the parse from bit pos (a code start) that continues
-        the last bounds given out: the code starts read serially from pos up
-        to the first of their positions, then theirs from there on, since
-        two parses that share a position agree after it. None where the
-        read reaches a code that `BitReader.read_ue` refuses, their last
-        position or `_REJOIN_BITS` bits past pos first. The code lengths
-        come from a table of the length at every bit of that window."""
-        path = self._path
+        path, bounds that `codes` gave: the code starts read serially from
+        pos up to the first of path's positions, then path's from there on,
+        since two parses that share a position agree after it. Just [pos]
+        where the read reaches a code that `BitReader.read_ue` refuses,
+        path's last position or `_REJOIN_BITS` bits past pos first. The code
+        lengths come from a table of the length at every bit of that window."""
         if not len(path) or path[-1] < pos:
-            return None
+            return np.array([pos], np.int64)
         stop = min(pos + _REJOIN_BITS, int(path[-1]) + 1)
         base = pos & ~31
         lengths = _lengths(self._words(base, stop), np.arange(pos - base, stop - base)).tolist()
@@ -363,15 +352,12 @@ class CodeParser:
         marks = marks.tobytes()
         read = array("q")
         y = pos
-        while y < stop and not marks[y - pos]:
-            if lengths[y - pos] == _LONGEST:
-                return None
+        while y < stop and not marks[y - pos] and lengths[y - pos] != _LONGEST:
             read.append(y)
             y += lengths[y - pos]
-        if y >= stop:
-            return None
-        self._path = np.concatenate([np.array(read, np.int64), path[np.searchsorted(path, y):]])
-        return self._path
+        if y >= stop or not marks[y - pos]:
+            return np.array([pos], np.int64)
+        return np.concatenate([np.array(read, np.int64), path[np.searchsorted(path, y):]])
 
     def _padded(self, base: int, stop: int) -> bytes:
         """The data from bit base (a multiple of 32) until 64 bits past bit

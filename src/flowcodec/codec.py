@@ -86,15 +86,16 @@ level's scan position, and the layout's shift its raster index. A range
 is `_MAX_RANGE_BITS` long, or ends with the data; while EOBs are missing,
 the next starts at the first code not used yet, so no codes carry over. A
 frame's last range runs on past its end, through the zero padding and the
-next type byte, and the next frame reads its first codes serially until
-they meet that parse (`CodeParser.rejoin`): from a shared position on, two
-parses agree. A frame whose read meets none within `bitstream._REJOIN_BITS`
-bits parses afresh from its first code. A parse that stops at a code the
-parser refuses raises there only if a frame needs that code. A malformed
-frame raises the `BitstreamError` of its first bad code or symbol in
-stream order, as reading one code at a time would. Before any of that, a
-header that claims more frames or blocks than the payload can hold is
-rejected.
+next type byte. `_read_levels` returns the bounds it parsed to, and
+`decode_sequence` hands them to the next frame, which reads its first
+codes serially until they meet that parse (`CodeParser.rejoin`): from a
+shared position on, two parses agree. A frame whose read meets none within
+`bitstream._REJOIN_BITS` bits parses afresh from its first code. A parse
+that stops at a code the parser refuses raises there only if a frame
+needs that code. A malformed frame raises the `BitstreamError` of its
+first bad code or symbol in stream order, as reading one code at a time
+would. Before any of that, a header that claims more frames or blocks
+than the payload can hold is rejected.
 """
 from __future__ import annotations
 
@@ -229,9 +230,8 @@ def quantize(coeffs: np.ndarray, q: int) -> np.ndarray:
     levels = np.abs(coeffs)
     levels /= q
     levels += 0.5
-    np.floor(levels, out=levels)
     np.copysign(levels, coeffs, out=levels)  # -0.0 still casts to 0
-    return levels.astype(np.int32)
+    return levels.astype(np.int32)  # truncates toward zero, so floors |c|/q + 1/2 >= 0
 
 
 def dequantize(levels: np.ndarray, q: int) -> np.ndarray:
@@ -366,22 +366,24 @@ def _layout(planes: tuple[tuple[int, int], ...]) -> _Layout:
     return _Layout(first, size, shift, tuple(cuts[:-1]), shapes)
 
 
-def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, int] | None,
-                 frame: int) -> tuple[np.ndarray | None, list[np.ndarray], int]:
+def _read_levels(parser: CodeParser, p: int, path: np.ndarray, layout: _Layout,
+                 grid: tuple[int, int] | None,
+                 frame: int) -> tuple[np.ndarray | None, list[np.ndarray], int, np.ndarray]:
     """Read a frame's codes from bit p: in a P frame, whose block grid is
     (rows, cols), the vector differences, then the run-level codes of the
     blocks of the layout's planes. Returns the (rows, cols, 2) int32 vectors
     (None without a grid), each plane's (blocks, t*t) int32 levels in raster
-    order and the bit after the codes.
+    order, the bit after the codes and the bounds of the range it parsed
+    last, which the next frame's codes continue.
 
-    The codes continue the parser's last parse where `CodeParser.rejoin`
-    reads from p into it. While blocks are missing, ranges of
-    _MAX_RANGE_BITS follow, each from the first code not used yet (an odd
-    vector code, or an open block's first); a piece is the codes not used
-    yet and _CHUNK_CODES new ones. By the contract under `_RUN_BITS` a range
-    uses a new code, so one that ends where the last one did has stopped at
-    a code the parser refuses. `_vectors` decodes its complete blocks of vector
-    differences. Of its residual codes, a 1-bit code is an EOB where an
+    The codes continue path, the bounds of the frame before's last range,
+    where `CodeParser.rejoin` reads from p into them. While blocks are
+    missing, ranges of _MAX_RANGE_BITS follow, each from the first code not
+    used yet (an odd vector code, or an open block's first); a piece is the
+    codes not used yet and _CHUNK_CODES new ones. By the contract under
+    `_RUN_BITS` a range uses a new code, so one that ends where the last one
+    did has stopped at a code the parser refuses. `_vectors` decodes its
+    complete blocks of vector differences. Of its residual codes, a 1-bit code is an EOB where an
     odd number of codes separates it from the 1-bit code before it (from
     code -1), and the k-th EOB ends pair (eob_k - k) / 2: the codes but the
     EOBs are the blocks' (level, run) pairs, and pair k of the piece's
@@ -400,9 +402,7 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
     rows, cols = grid or (0, 0)
     field: list[int] = []  # the vectors so far, dx and dy of each block in raster order
     motion = 2 * rows * cols  # vector codes not read yet
-    bounds = parser.rejoin(p)
-    if bounds is None:
-        bounds = np.array([p], np.int64)
+    bounds = parser.rejoin(p, path)
     lo = seen = 0  # the first code not used yet and the first not read
     while True:
         if seen == len(bounds) - 1:
@@ -464,7 +464,7 @@ def _read_levels(parser: CodeParser, p: int, layout: _Layout, grid: tuple[int, i
             return (None if grid is None else np.array(field, np.int32).reshape(rows, cols, 2),
                     [part.reshape(shape) for part, shape in
                      zip(np.split(levels, layout.cuts), layout.shapes)],
-                    int(piece[limit]) + 1)
+                    int(piece[limit]) + 1, bounds)
         lo += int(eobs[-1]) + 1 if closed else 0
 
 
@@ -556,9 +556,8 @@ def _reconstruct_plane(pred: np.ndarray, levels: np.ndarray, nby: int, nbx: int,
     plane = _from_blocks(res, nby, nbx, h, w)
     plane += pred
     plane += 0.5
-    np.floor(plane, out=plane)
     np.clip(plane, 0, 255, out=plane)
-    return plane.astype(np.uint8)
+    return plane.astype(np.uint8)  # truncates, so floors the clipped samples >= 0
 
 
 def _encode_plane(cur: np.ndarray, pred: np.ndarray, t: int,
@@ -869,6 +868,7 @@ def decode_sequence(data: bytes) -> list[Frame]:
     layout = _layout(tuple((nby * nbx, t) for nby, nbx, t in grids))
     parser = CodeParser(data)
     p = HEADER_SIZE * 8
+    bounds = np.zeros(0, np.int64)  # the last range parsed, which each frame continues
     frames: list[Frame] = []
     for n in range(info.frame_count):
         if p + 8 > parser.end:
@@ -879,8 +879,8 @@ def decode_sequence(data: bytes) -> list[Frame]:
         if ftype != expected:
             raise BitstreamError(f"frame {n}: unexpected frame type {ftype} at bit {p}")
         ref = frames[-1] if ftype == 1 else None
-        vectors, levels, p = _read_levels(parser, p, layout,
-                                          None if ref is None else (rows, cols), n)
+        vectors, levels, p, bounds = _read_levels(parser, p, bounds, layout,
+                                                  None if ref is None else (rows, cols), n)
         frames.append(Frame(*(_reconstruct_plane(pred, lv.reshape(-1, t, t), nby, nbx, q, *pred.shape)
                               for pred, lv, (nby, nbx, t) in
                               zip(_prediction(ref, vectors, bs, w0, h0), levels, grids)), n))

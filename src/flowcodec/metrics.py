@@ -22,6 +22,13 @@ def _psnr_from_sse(sse: int, count: int) -> float:
     return PSNR_CAP if sse == 0 else min(PSNR_CAP, float(10.0 * np.log10(_PEAK_SQ / (sse / count))))
 
 
+# Zero error reads the cap, for one sample and for 65535**2 * 3/2 samples,
+# more than a frame of the header's uint16 width and height holds; one unit
+# of error in one sample reads below it.
+assert _psnr_from_sse(0, 1) == _psnr_from_sse(0, 65535 ** 2 * 3 // 2) == PSNR_CAP
+assert round(_psnr_from_sse(1, 1), 2) == 48.13 < PSNR_CAP
+
+
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """PSNR in dB between two same-shaped, non-empty sample arrays: PSNR_CAP
     when identical, and never more, so that no pair of different arrays reads

@@ -343,12 +343,12 @@ def parser_parse(parser: CodeParser, pos: int, stop: int):
 @pytest.mark.parametrize("pos, stop", [(5, 5), (79, 79), (81, 200), (40, 7)])
 def test_empty_range_parses_to_its_start(pos, stop):
     """A range with no bit before stop (or past the data) is the one code
-    start pos, kept as the last parse for `rejoin`; past the data, the
-    reader refuses it."""
+    start pos, which `rejoin` from pos continues; past the data, the reader
+    refuses it."""
     data = np.random.default_rng(16).integers(0, 256, 10, dtype=np.uint8).tobytes()
     parser = CodeParser(data)
     assert list(parser.codes(pos, stop)) == [pos]
-    assert list(parser.rejoin(pos)) == [pos]
+    assert list(parser.rejoin(pos, parser.codes(pos, stop))) == [pos]
     assert parser_parse(parser, pos, stop) == serial_parse(data, pos, stop)
 
 
@@ -380,19 +380,26 @@ def test_parser_bridges_chains_that_never_meet():
     assert parser_parse(parser, 2, 7000) == serial_parse(data, 2, 7000)
 
 
-def test_parser_bridges_segments_denser_than_the_rest():
+def test_parser_steps_through_segments_denser_than_the_rest(monkeypatch):
     """A run of 1-bit codes (all-zero vectors, or empty blocks) packs 256
     codes into a segment where the codes around it pack about 40. Its chains
-    stop before their ends, and serial reads cross the run, or end it at
-    the end of the data."""
+    step on, as every chain does, until all have crossed their ends, through
+    the run or to the end of the data, so no serial read bridges them. From
+    every start offset of a byte, in one range and in short ones, the parse
+    is the per-code reader's."""
+    walks = record_walks(monkeypatch)
     rng = np.random.default_rng(12)
     values = rng.integers(0, 60, 3600)
     values[1000:1900] = 0
     values[3000:] = 0
-    data = written(values.tolist(), False, 0, True)
-    parser = CodeParser(data)
-    for pos in (0, 3, 3100):
-        assert parser_parse(parser, pos, parser.end + 1) == serial_parse(data, pos, parser.end + 1)
+    for lead in range(8):
+        data = written(values.tolist(), False, lead, True)
+        parser = CodeParser(data)
+        for pos in (lead, lead + 3, lead + 3100):
+            want = serial_parse(data, pos, parser.end + 1)
+            assert parser_parse(parser, pos, parser.end + 1) == want, (lead, pos)
+            assert parse_in_ranges(parser, pos, parser.end + 1, 296) == want, (lead, pos)
+    assert not walks
 
 
 def record_walks(monkeypatch) -> list:
@@ -471,20 +478,23 @@ def parse_in_ranges(parser: CodeParser, pos: int, stop: int, span: int):
                                               ("0" * 29 + "1" + "0" * 10, False)],
                          ids=["long prefix", "cut prefix", "cut value"])
 def test_parser_bridges_to_a_refused_code(monkeypatch, tail, ends_there):
-    """A run of 1-bit codes among longer ones leaves its chains short, and
-    the serial read that bridges them reaches a code the reader refuses,
-    200 bits into a segment: a prefix of 33 zeros, one cut off by the end
-    of the data, or value bits cut off by it. The read ends at the code's
-    start, or, where its one bit is in the data, steps over it to the end.
-    In one range and in short ones the parse is the per-code reader's,
-    error included."""
+    """After 600 random codes, the parse enters a stretch of 0101... 2 bits
+    past a multiple of 4, so the chains that start in it, on multiples of 4,
+    never meet it (see `test_parser_bridges_chains_that_never_meet`), and a
+    serial read bridges the stretch to the code right after it, one the
+    reader refuses: a prefix of 33 zeros, one cut off by the end of the
+    data, or value bits cut off by it. The read ends at the code's start,
+    or, where its one bit is in the data, steps over it to the end. In one
+    range and in short ones the parse is the per-code reader's, error
+    included."""
     walks = record_walks(monkeypatch)
     w = BitWriter()
     for v in np.random.default_rng(15).integers(0, 60, 600).tolist():
         w.write_ue(v)
-    bad = -(-(w.bit_length + 600) // bitstream._SEGMENT_BITS) * bitstream._SEGMENT_BITS + 200
-    while w.bit_length < bad:
+    while w.bit_length % 4 != 2:
         w.write_ue(0)
+    w.write_bits(int("0101" * 248, 2), 4 * 248)
+    bad = w.bit_length
     w.write_bits(int(tail, 2), len(tail))
     w.align()
     data = w.getvalue()
@@ -505,8 +515,9 @@ def test_rejoined_parse_is_what_the_per_code_reader_reads():
     """A parse from bit 0 runs past every later code start. A serial read
     from any bit rejoins it, or gives up where it reads a code the reader
     refuses (inside the 64-zero runs between two codes of 2**32 - 1), the
-    end of the parse or the end of the window first; what it rejoins is the
-    per-code reader's parse from that bit."""
+    end of the parse or the end of the window first, and gives its start
+    alone; what it rejoins is the per-code reader's parse from that bit.
+    The parse it is handed stays as it was."""
     rng = np.random.default_rng(13)
     values = rng.integers(0, 300, 400)
     values[100:104] = values[250:251] = 2 ** 32 - 1
@@ -514,13 +525,14 @@ def test_rejoined_parse_is_what_the_per_code_reader_reads():
     parser = CodeParser(data)
     path = parser.codes(0, parser.end + 1)
     assert path[-1] > parser.end - 8  # the closing ue(5), then the padding, which overruns
+    path.setflags(write=False)
     on_path = set(path.tolist())
     outcomes = Counter()
     for pos in range(0, parser.end + 1, 5):
-        assert np.array_equal(parser.codes(0, parser.end + 1), path)
-        bounds = parser.rejoin(pos)
+        bounds = parser.rejoin(pos, path)
         starts, error = serial_parse(data, pos, int(path[-1]))
-        if bounds is None:
+        if bounds[-1] != path[-1]:  # a rejoined parse ends where path does
+            assert list(bounds) == [pos], pos
             met = [start for start in starts if start in on_path]
             assert not met or met[0] >= pos + bitstream._REJOIN_BITS, pos
             outcomes["refused" if error else "not rejoined"] += 1

@@ -789,18 +789,18 @@ def range_bounds(monkeypatch) -> list[tuple[int, np.ndarray]]:
 def parser_calls(monkeypatch) -> list[tuple]:
     """Records every `CodeParser.codes` call as ("codes", pos) and every
     `CodeParser.rejoin` as ("rejoin", pos, the codes read before it met the
-    path) or ("no rejoin", pos)."""
+    path it was handed) or, where it gave [pos] off that path, ("no rejoin",
+    pos)."""
     calls, codes, rejoin = [], bitstream.CodeParser.codes, bitstream.CodeParser.rejoin
 
     def recorded_codes(self, pos, stop):
         calls.append(("codes", pos))
         return codes(self, pos, stop)
 
-    def recorded_rejoin(self, pos):
-        path = self._path
-        bounds = rejoin(self, pos)
-        calls.append(("no rejoin", pos) if bounds is None else
-                     ("rejoin", pos, int(np.isin(bounds, path).argmax())))
+    def recorded_rejoin(self, pos, path):
+        bounds = rejoin(self, pos, path)
+        met = np.isin(bounds, path)
+        calls.append(("rejoin", pos, int(met.argmax())) if met.any() else ("no rejoin", pos))
         return bounds
 
     monkeypatch.setattr(bitstream.CodeParser, "codes", recorded_codes)
