@@ -22,13 +22,14 @@ of codes go through numpy, with the same bits:
 - Parse: `CodeParser.codes` finds where the codes of a bit range start,
   with no Python step per code. It first sets the length of the code at
   every bit of the range, once: by a byte table (`_BYTE_LENGTHS`) indexed
-  by the 12 bits from each byte's first, and where the bits in view hold
-  no one bit, by a word gather: the 64 bits from the code's first bit, of
-  which the top 53 convert exactly to float64, whose exponent counts the
-  leading zeros. The range is cut into segments of `_SEGMENT_BITS` bits
-  and a chain of codes starts at the first bit of each; all chains step
-  together, one code per numpy row (one lookup and one add), until every
-  one has crossed its segment's end, and then `_RUN_ON` codes more. Only
+  by the 12 bits from each byte's first, and where the table gives 0 (the
+  bits in view hold no one bit), by a word gather: the 64 bits from the
+  code's first bit, of which the top 53 convert exactly to float64, whose
+  exponent counts the leading zeros. The range is cut into segments of
+  `_SEGMENT_BITS` bits and a chain of codes starts at the first bit of
+  each; all chains step together, one code per numpy row (one lookup and
+  one add), `_RUN_ON` rows between checks, until a check finds that every
+  one has crossed its segment's end, and then `_RUN_ON` rows more. Only
   the first chain is known to start on a code, but exp-Golomb is a prefix
   code: a parse begun at a wrong bit falls into step with the true one
   within a few codes (Klein and Wiseman, Comput. J. 46(5), 2003), and two
@@ -282,8 +283,9 @@ class CodeParser:
         once (`_fill_lengths`), in the tail of the one buffer that holds
         the grid of chain positions (int64, from the base), so each chain
         step is one `take` from it and one add, and each bridge reads it.
-        The chains step until all have crossed their segments' ends, as
-        checked every `_CHECK_ROWS` rows, then `_RUN_ON` rows more."""
+        The chains step `_RUN_ON` rows after every check that all have
+        crossed their segments' ends, and the rows after the first check
+        that finds so are their run-on, to meet the next chain."""
         stop = min(stop, self.end + 1)  # a code at the end is always refused
         if pos >= stop:
             return np.array([pos], np.int64)
@@ -294,22 +296,20 @@ class CodeParser:
         firsts = np.arange(pos - base, rel, _SEGMENT_BITS)
         ends = np.append(firsts[1:], rel)
         # One allocation per range holds the grid's rows, then the uint8
-        # length of the code at every bit the words cover.
+        # length of the code at every bit the words cover. As two arrays,
+        # QCIF decodes repeated in one process page-fault on every range.
         count = 32 * len(words)
         buffer = np.empty((_MAX_ROWS + -(-count // (8 * len(firsts))), len(firsts)), np.int64)
         grid = buffer[:_MAX_ROWS]
         bit_lengths = buffer[_MAX_ROWS:].view(np.uint8).reshape(-1)[:count]
         _fill_lengths(raw, words, bit_lengths, self.end - base)
         grid[0] = at = firsts
-        row = 0
-        while row % _CHECK_ROWS or np.count_nonzero(at >= ends) < len(at):
-            row += 1
-            np.add(at, bit_lengths.take(at), out=grid[row])
-            at = grid[row]
-        # Every chain has crossed its end: run on, to meet the next chain.
-        for row in range(row + 1, row + 1 + (_RUN_ON if len(firsts) > 1 else 0)):
-            np.add(at, bit_lengths.take(at), out=grid[row])
-            at = grid[row]
+        row, crossed = 0, False
+        while not crossed:
+            crossed = np.count_nonzero(at >= ends) == len(at)
+            for row in range(row + 1, row + 1 + _RUN_ON):
+                np.add(at, bit_lengths.take(at), out=grid[row])
+                at = grid[row]
         path = self._follow(grid[:row + 1], bit_lengths, rel)
         bounds = path[:np.searchsorted(path, rel) + 1]
         lengths = np.diff(bounds)
@@ -347,15 +347,13 @@ class CodeParser:
         stop = min(pos + _REJOIN_BITS, int(path[-1]) + 1)
         base = pos & ~31
         lengths = _lengths(self._words(base, stop), np.arange(pos - base, stop - base)).tolist()
-        marks = np.zeros(stop - pos, bool)
-        marks[path[np.searchsorted(path, pos):np.searchsorted(path, stop)] - pos] = True
-        marks = marks.tobytes()
+        marks = set(path[np.searchsorted(path, pos):np.searchsorted(path, stop)].tolist())
         read = array("q")
         y = pos
-        while y < stop and not marks[y - pos] and lengths[y - pos] != _LONGEST:
+        while y < stop and y not in marks and lengths[y - pos] != _LONGEST:
             read.append(y)
             y += lengths[y - pos]
-        if y >= stop or not marks[y - pos]:
+        if y not in marks:
             return np.array([pos], np.int64)
         return np.concatenate([np.array(read, np.int64), path[np.searchsorted(path, y):]])
 
@@ -379,9 +377,8 @@ class CodeParser:
         last = grid[-1]
         # The row where each chain's last position would sit in the next one.
         into = (grid[:, 1:] < last[:-1]).sum(0)
-        joins = np.zeros(count, bool)
-        near = np.flatnonzero(into < depth)
-        joins[near] = grid[into[near], near + 1] == last[near]
+        # Past the next chain's rows, its last row is below: no join there.
+        joins = np.append(grid[np.minimum(into, depth - 1), np.arange(1, count)] == last[:-1], False)
         breaks = np.flatnonzero(~joins)  # includes the last chain
         first = np.append(0, into)  # the row each chain is entered at
         taken = np.where(joins, depth - 1, depth)  # and the row it is left at
@@ -438,14 +435,14 @@ class CodeParser:
         return np.array(read, np.int64), -1, -1
 
 
-# Bits per chain, rows between the checks that every chain has crossed the
-# end of its segment, and rows each chain then runs on.
+# Bits per chain, and rows stepped between the checks that every chain has
+# crossed the end of its segment, so also the rows run on after them.
 _SEGMENT_BITS = 256
-_CHECK_ROWS = 8
 _RUN_ON = 16
-# A chain crosses its end within _SEGMENT_BITS codes, and the check within
-# _CHECK_ROWS more.
-_MAX_ROWS = _SEGMENT_BITS + _CHECK_ROWS + _RUN_ON + 1
+_MAX_ROWS = 273  # the grid's rows: the most that `codes` steps, and row 0
+# Every code is a bit or more, so a chain crosses its end within
+# _SEGMENT_BITS rows; the next check sees it, and _RUN_ON rows follow.
+assert _MAX_ROWS == -(-_SEGMENT_BITS // _RUN_ON) * _RUN_ON + _RUN_ON + 1
 # The window of a rejoin: the frames of the benchmark's streams (seeds 1-3)
 # rejoin within 49 codes and 401 bits of their first code.
 _REJOIN_BITS = 1 << 10
@@ -473,22 +470,16 @@ def _words_of(raw: bytes) -> np.ndarray:
 def _fill_lengths(raw: bytes, words: np.ndarray, out: np.ndarray, end: int) -> None:
     """Set out (uint8) to `_lengths` at each of its bits, from bit 0 of raw,
     whose words are words, and whose data ends at bit end: `_BYTE_LENGTHS`
-    of each byte's window, then `_lengths` at the bits of the data whose
-    window holds no one bit, and `_LONGEST` from end on, where only zeros
-    follow."""
+    of each byte's window, then, at the bits of the data where that is 0
+    (the window holds no one bit), `_lengths`, and `_LONGEST` from end on,
+    where only zeros follow."""
     # Byte k's window, b[k] << 4 | b[k + 1] >> 4, from big-endian pairs at
     # every byte.
     windows = np.ndarray(len(out) // 8, ">u2", raw, strides=(1,)) >> 4
     _BYTE_LENGTHS.take(windows, axis=0, out=out.reshape(-1, 8), mode="clip")
-    # Where b[k] is even and b[k + 1] >> 4 is 0, the last tz(b[k]) bits of
-    # byte k see no one bit; nowhere else.
     end = max(end, 0)
-    held = np.flatnonzero((windows[:end >> 3] & 31) == 0)
-    if len(held):
-        zeros = _TRAILING_ZEROS.take(windows[held] >> 4)
-        bits = np.repeat(8 * held + 8 - np.cumsum(zeros), zeros)
-        bits += np.arange(len(bits))
-        out[bits] = _lengths(words, bits)
+    bits = np.flatnonzero(out[:end] == 0)
+    out[bits] = _lengths(words, bits)
     out[end:] = _LONGEST
 
 
@@ -513,4 +504,3 @@ _CHECK = _lengths(np.arange(4096, dtype=np.uint64) << np.uint64(52),
                   32 * np.arange(4096)[:, None] + np.arange(8))
 assert np.array_equal(_BYTE_LENGTHS, np.where(_CHECK == _LONGEST, 0, _CHECK))
 del _VIEWS, _CHECK
-_TRAILING_ZEROS = np.array([8] + [(b & -b).bit_length() - 1 for b in range(1, 256)], np.int64)

@@ -386,7 +386,8 @@ def test_parser_steps_through_segments_denser_than_the_rest(monkeypatch):
     step on, as every chain does, until all have crossed their ends, through
     the run or to the end of the data, so no serial read bridges them. From
     every start offset of a byte, in one range and in short ones, the parse
-    is the per-code reader's."""
+    is the per-code reader's. Ranges shorter than a segment have one chain,
+    which runs on as every chain does."""
     walks = record_walks(monkeypatch)
     rng = np.random.default_rng(12)
     values = rng.integers(0, 60, 3600)
@@ -398,7 +399,8 @@ def test_parser_steps_through_segments_denser_than_the_rest(monkeypatch):
         for pos in (lead, lead + 3, lead + 3100):
             want = serial_parse(data, pos, parser.end + 1)
             assert parser_parse(parser, pos, parser.end + 1) == want, (lead, pos)
-            assert parse_in_ranges(parser, pos, parser.end + 1, 296) == want, (lead, pos)
+            for span in (100, 255, 296):
+                assert parse_in_ranges(parser, pos, parser.end + 1, span) == want, (lead, pos, span)
     assert not walks
 
 
@@ -578,6 +580,8 @@ def test_bit_lengths_match_the_word_gather_at_every_bit():
         # 29 zeros, a one, then the data ends 26 bits into the value bits.
         "ends mid-code": noise[:100].tobytes() + b"\x00\x00\x00\x07",
         "zero": bytes(40),
+        # Every 12-bit window of the byte table, from every bit of a byte.
+        "byte pairs": b"".join(bytes([a, b]) for a in range(256) for b in range(256)),
     }
     for name, data in cases.items():
         end = 8 * len(data)
